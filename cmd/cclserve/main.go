@@ -19,14 +19,15 @@
 //
 // Robustness is the point: per-tenant admission control (token bucket
 // + bounded queue) rejects overload with typed 429/503s, every
-// request carries a deadline and a simulated-memory budget, transient
-// injected faults are retried with jittered backoff, sustained
+// request carries a deadline and a simulated-memory budget, each
+// request runs once and reports its failures as typed records (runs
+// are deterministic, so a retry would fail the same way), sustained
 // overload degrades to reduced-sweep "smoke" runs flagged in the
 // result, a panic kills only its own request, and SIGTERM/SIGINT
 // drains: admission stops (503), in-flight requests finish, and if
 // -drain-timeout expires first they are cancelled, each flushing a
 // partial, interrupted result. A second signal force-exits. Identical
-// spec + seed produce a byte-identical result at any concurrency.
+// specs produce a byte-identical result at any concurrency.
 //
 // -selftest runs the load-test driver in-process (8 tenants x 32
 // concurrent requests under a fault schedule arming every serve-*

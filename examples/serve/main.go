@@ -1,8 +1,8 @@
 // Serve: the simulation server end to end, from a client's chair.
 // Starts an in-process cclserve fleet (small on purpose, so its
 // robustness machinery is easy to trigger), then walks through the
-// protocol: a clean run, a transient injected fault retried behind
-// the scenes, a memory budget exceeded mid-run, admission control
+// protocol: a clean run, an injected fault landing as a typed
+// failure record, a memory budget exceeded mid-run, admission control
 // turning away an over-eager tenant with typed rejections, and
 // finally a drain. The same server is `go run ./cmd/cclserve`; see
 // DESIGN.md §12 for the architecture.
@@ -45,16 +45,19 @@ func main() {
 	fmt.Println("== 1. a clean run streams progress and a result")
 	submit(hs.URL, serve.Spec{
 		Schema: serve.SpecSchema, Tenant: "demo",
-		Experiments: []string{"table1"}, Seed: 7,
+		Experiments: []string{"table1"},
 	})
 
-	fmt.Println("\n== 2. a transient fault is retried transparently")
-	// serve-run:1 fails the first run attempt; the injector's counter
-	// has then passed the scheduled occurrence, so the retry succeeds.
+	fmt.Println("\n== 2. an injected fault lands as a typed failure record")
+	// arena-grow:1 fails the request's first simulated-memory growth.
+	// The job it hits is recorded under the class of the failure the
+	// fault simulates (out-of-memory) and marked injected; the
+	// experiment's other jobs still run. Runs are deterministic, so
+	// the request runs once: a retry would fail the same way.
 	submit(hs.URL, serve.Spec{
 		Schema: serve.SpecSchema, Tenant: "demo",
-		Experiments: []string{"table1"}, Seed: 7,
-		Fault: "serve-run:1",
+		Experiments: []string{"table2"},
+		Fault:       "arena-grow:1",
 	})
 
 	fmt.Println("\n== 3. a memory budget bounds what a request may simulate")
@@ -62,7 +65,7 @@ func main() {
 	// ("budget-exceeded"), the request still completes with a report.
 	submit(hs.URL, serve.Spec{
 		Schema: serve.SpecSchema, Tenant: "demo",
-		Experiments: []string{"table2"}, Seed: 7,
+		Experiments: []string{"table2"},
 		BudgetBytes: 4096,
 	})
 
@@ -141,14 +144,12 @@ func submit(base string, sp serve.Spec) {
 			fmt.Printf("   accepted (tenant %s, degraded=%v)\n", ev.Tenant, ev.Degraded)
 		case "experiment":
 			fmt.Printf("   experiment %s done (%d/%d)\n", ev.ID, ev.Done, ev.Total)
-		case "attempt":
-			fmt.Printf("   attempt %d failed (%s), retrying with backoff\n", ev.Attempt, ev.Class)
 		case "result":
 			r := ev.Result
-			fmt.Printf("   result: %d attempt(s), %d table(s), %d failure(s)\n",
-				r.Attempts, len(r.Report.Experiments), len(r.Report.Failures))
+			fmt.Printf("   result: %d table(s), %d failure(s)\n",
+				len(r.Report.Experiments), len(r.Report.Failures))
 			for _, f := range r.Report.Failures {
-				fmt.Printf("     failure %s: class=%s\n", f.Job, f.Class)
+				fmt.Printf("     failure %s: class=%s injected=%v\n", f.Job, f.Class, f.Injected)
 			}
 		case "error":
 			fmt.Printf("   stream error: %s (class=%s)\n", ev.Error, ev.Class)

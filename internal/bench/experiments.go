@@ -658,13 +658,3 @@ func fig10Point(sctx *sim.Sim, n int64, searches int, scale int64, params model.
 	meas = measure(false) / measure(true)
 	return pred, meas
 }
-
-// All returns every experiment at the given scale, in paper order,
-// run serially.
-func All(ctx context.Context, full bool) []Table {
-	var tabs []Table
-	for _, sp := range Registry() {
-		tabs = append(tabs, runSpec(ctx, sp.ID, full))
-	}
-	return tabs
-}

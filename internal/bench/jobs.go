@@ -90,7 +90,8 @@ func IDs() []string {
 // run context, and assembles the table — the path the exported
 // single-experiment functions (Fig5, Control, ...) use. Job errors
 // panic, preserving those functions' fail-fast contract (DESIGN.md
-// §7); RunExperiment recovers them into Failure records.
+// §7); callers that want Failure records instead run the experiment
+// through Run, whose per-job recover produces them.
 func runSpec(ctx context.Context, id string, full bool) Table {
 	sp, ok := Lookup(id)
 	if !ok {

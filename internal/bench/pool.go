@@ -32,13 +32,6 @@ type Options struct {
 	// experiment, in completion order (which under parallelism can
 	// differ from registry order).
 	OnProgress func(p Progress)
-	// JobTimeout, when positive, bounds each job's wall time: the
-	// job's context gets a deadline that far in the future, and a job
-	// that cooperatively observes it lands as a Failure classed
-	// "deadline-exceeded" rather than wedging a worker forever. The
-	// serving layer sets it from the request deadline; a zero value
-	// (every batch caller) leaves job contexts unbounded.
-	JobTimeout time.Duration
 }
 
 // Progress is the per-experiment completion notice the runner emits.
@@ -136,14 +129,7 @@ func Run(ctx context.Context, specs []Spec, opt Options) Report {
 					results <- jobResult{spec: r.spec, idx: r.idx, skipped: true}
 					continue
 				}
-				jctx, jcancel := ctx, context.CancelFunc(nil)
-				if opt.JobTimeout > 0 {
-					jctx, jcancel = context.WithTimeout(ctx, opt.JobTimeout)
-				}
-				results <- runJob(jctx, specs[r.spec].ID, jobs[r.spec][r.idx], r.spec, r.idx, newSim(), opt.Full)
-				if jcancel != nil {
-					jcancel()
-				}
+				results <- runJob(ctx, specs[r.spec].ID, jobs[r.spec][r.idx], r.spec, r.idx, newSim(), opt.Full)
 			}
 		}()
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"ccl/internal/sim"
 )
@@ -166,53 +165,6 @@ func TestPoolSkippedVsFailedAccounting(t *testing.T) {
 	}
 	if !rep.Interrupted {
 		t.Error("run with skipped jobs not marked interrupted")
-	}
-}
-
-// TestPoolJobTimeoutClassified verifies Options.JobTimeout: a job
-// that cooperatively watches its context lands as a Failure classed
-// deadline-exceeded, and the rest of the experiment still assembles.
-func TestPoolJobTimeoutClassified(t *testing.T) {
-	sp := Spec{
-		ID:   "slowjob",
-		Desc: "one job exceeds its deadline",
-		Jobs: func(full bool) []Job {
-			return []Job{
-				{Name: "slowjob/ok", Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
-					return 1, nil
-				}},
-				{Name: "slowjob/hang", Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
-					select {
-					case <-ctx.Done():
-						return nil, ctx.Err()
-					case <-time.After(30 * time.Second):
-						return 2, nil
-					}
-				}},
-			}
-		},
-		Assemble: func(full bool, out []any) Table {
-			tab := Table{ID: "slowjob", Header: []string{"v"}}
-			for _, v := range out {
-				if k, ok := v.(int); ok {
-					tab.Rows = append(tab.Rows, []string{fmt.Sprintf("%d", k)})
-				}
-			}
-			return tab
-		},
-	}
-	rep := Run(context.Background(), []Spec{sp}, Options{Parallel: 2, JobTimeout: 20 * time.Millisecond})
-	if len(rep.Failures) != 1 || rep.Failures[0].Job != "slowjob/hang" {
-		t.Fatalf("failures = %+v, want slowjob/hang", rep.Failures)
-	}
-	if rep.Failures[0].Class != "deadline-exceeded" {
-		t.Errorf("class = %q, want deadline-exceeded", rep.Failures[0].Class)
-	}
-	if rep.Interrupted {
-		t.Error("a per-job timeout is a failure, not an interruption")
-	}
-	if len(rep.Experiments) != 1 || len(rep.Experiments[0].Rows) != 1 {
-		t.Errorf("surviving job's row missing: %+v", rep.Experiments)
 	}
 }
 

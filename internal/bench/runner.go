@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -25,9 +24,7 @@ type Failure struct {
 	// (cclerr.ErrFaultInjected anywhere in the chain). Class alone
 	// cannot carry this: an injected arena-grow fault classifies as
 	// the operational failure it simulates ("out-of-memory"), by
-	// design. The serve layer's retry policy keys on this marker —
-	// injected failures are transient by construction, anything else
-	// recurs deterministically and must not be retried.
+	// design. The marker is for reporting only.
 	Injected bool `json:"injected,omitempty"`
 }
 
@@ -55,24 +52,10 @@ func interrupted(t Table) Table {
 	return t
 }
 
-// RunExperiment runs one experiment, converting any panic that
-// escapes it — allocation failures from fail-fast workload kernels,
-// injected faults, checksum mismatches — into a Failure record
-// instead of killing the whole sweep. On failure the returned table
-// is empty and should not be reported.
-func RunExperiment(ctx context.Context, id string, run func(context.Context, bool) Table, full bool) (tab Table, fail *Failure) {
-	defer func() {
-		if r := recover(); r != nil {
-			tab, fail = Table{}, newFailure(id, "", r)
-		}
-	}()
-	return run(ctx, full), nil
-}
-
 // must adapts the library's checked constructors to the experiment
 // code's fail-fast policy (DESIGN.md §7): experiments size their
 // workloads within the arena by construction, so a failure here is a
-// harness bug or an injected fault, and RunExperiment's recover turns
+// harness bug or an injected fault, and Run's per-job recover turns
 // the panic into a structured Failure record.
 func must[T any](v T, err error) T {
 	if err != nil {

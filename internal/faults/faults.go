@@ -49,11 +49,6 @@ const (
 	// overloaded (the rejection wraps cclerr.ErrOverloaded). Checked
 	// once per admission attempt.
 	ServeAdmit Point = "serve-admit"
-	// ServeRun fails whole run attempts in internal/serve before any
-	// job starts — the transient failure the retry-with-backoff path
-	// exists for. Checked once per attempt, so a schedule that fails
-	// occurrence 1 exercises exactly one retry.
-	ServeRun Point = "serve-run"
 	// ServeStream fails NDJSON stream writes in internal/serve,
 	// simulating a client that disconnected mid-stream. Checked once
 	// per emitted event.
@@ -63,17 +58,18 @@ const (
 // Points lists the structure-level injection points — the ones
 // Injector.Seed schedules and the placement-stack sweep tests
 // exercise. The serve-layer points live in ServePoints: they guard a
-// different stack (admission, attempts, streams) and are swept by the
-// server's own load test, and keeping them out of this list keeps
-// historical Seed schedules stable.
+// different stack (admission, streams) and are swept by the server's
+// own load test, and keeping them out of this list keeps historical
+// Seed schedules stable.
 func Points() []Point {
 	return []Point{ArenaGrow, AllocBudget, PlaceCluster, TraceRecord}
 }
 
 // ServePoints lists the serve-layer injection points checked by
-// internal/serve; the load-test driver arms every one of them.
+// internal/serve — admission and stream writes; the load-test driver
+// arms both.
 func ServePoints() []Point {
-	return []Point{ServeAdmit, ServeRun, ServeStream}
+	return []Point{ServeAdmit, ServeStream}
 }
 
 // Injector schedules failures by occurrence number per point. The

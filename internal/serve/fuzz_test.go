@@ -18,14 +18,14 @@ func FuzzWorkloadSpec(f *testing.F) {
 	// rejection family, and byte noise.
 	f.Add([]byte(`{"schema":"ccl-serve/v1","tenant":"acme","experiments":["table1"]}`))
 	f.Add([]byte(`{"schema":"ccl-serve/v1","tenant":"acme","experiments":["table2","control"],"full":true,"seed":42}`))
-	f.Add([]byte(`{"schema":"ccl-serve/v1","tenant":"a-b_c","experiments":["control"],"fault":"serve-run:2,arena-grow","deadline_ms":1000,"budget_bytes":65536}`))
+	f.Add([]byte(`{"schema":"ccl-serve/v1","tenant":"a-b_c","experiments":["control"],"fault":"serve-stream:2,arena-grow","deadline_ms":1000,"budget_bytes":65536}`))
 	f.Add([]byte(`{"schema":"ccl-serve/v1","tenant":"acme","trace_b64":"` +
 		base64.StdEncoding.EncodeToString([]byte("ccltrc\x00\x01")) + `"}`))
 	f.Add([]byte(`{"schema":"ccl-serve/v2","tenant":"acme","experiments":["table1"]}`))
 	f.Add([]byte(`{"schema":"ccl-serve/v1","tenant":"UPPER","experiments":["table1"]}`))
 	f.Add([]byte(`{"schema":"ccl-serve/v1","tenant":"acme"}`))
 	f.Add([]byte(`{"schema":"ccl-serve/v1","tenant":"acme","experiments":["nope"]}`))
-	f.Add([]byte(`{"schema":"ccl-serve/v1","tenant":"acme","experiments":["table1"],"fault":"serve-run:-1"}`))
+	f.Add([]byte(`{"schema":"ccl-serve/v1","tenant":"acme","experiments":["table1"],"fault":"serve-stream:-1"}`))
 	f.Add([]byte(`{"schema":"ccl-serve/v1","tenant":"acme","experiments":["table1"],"deadline_ms":-5}`))
 	f.Add([]byte(`{"schema":"ccl-serve/v1","tenant":"acme","experiments":["table1"],"unknown":1}`))
 	f.Add([]byte(`{"schema":"ccl-serve/v1","tenant":"acme","trace_b64":"!!notb64!!"}`))

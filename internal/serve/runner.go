@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
-	"time"
 
 	"ccl/internal/bench"
 	"ccl/internal/cache"
@@ -21,22 +19,20 @@ import (
 // which of the optional payloads is present:
 //
 //   - "accepted":   tenant, degraded
-//   - "experiment": id, attempt, jobs, failed, skipped, done, total
-//   - "attempt":    attempt, error, class, retrying
+//   - "experiment": id, jobs, failed, skipped, done, total
 //   - "profile":    id ("experiment/workload"), profile — only when
 //     the spec asked for profiles; always precedes the result
-//   - "result":     attempt (attempts used), result
+//   - "result":     result
 //   - "error":      error, class (the stream's terminal failure)
 //
-// Every field is deterministic for a fixed spec + seed: no wall
-// times, no ids minted per connection — that is what lets the load
-// test diff completed streams byte-for-byte against a reference run.
+// Every field is deterministic for a fixed spec: no wall times, no
+// ids minted per connection — that is what lets the load test diff
+// completed streams byte-for-byte against a reference run.
 type Event struct {
 	Event    string  `json:"event"`
 	Tenant   string  `json:"tenant,omitempty"`
 	Degraded bool    `json:"degraded,omitempty"`
 	ID       string  `json:"id,omitempty"`
-	Attempt  int     `json:"attempt,omitempty"`
 	Jobs     int     `json:"jobs,omitempty"`
 	Failed   int     `json:"failed,omitempty"`
 	Skipped  int     `json:"skipped,omitempty"`
@@ -44,7 +40,6 @@ type Event struct {
 	Total    int     `json:"total,omitempty"`
 	Error    string  `json:"error,omitempty"`
 	Class    string  `json:"class,omitempty"`
-	Retrying bool    `json:"retrying,omitempty"`
 	Result   *Result `json:"result,omitempty"`
 	// Profile is a "profile" event's payload: one workload's
 	// ccl-profile/v1 report (the document carries its own schema
@@ -53,76 +48,14 @@ type Event struct {
 }
 
 // Result is the deterministic payload of a completed request: the
-// assembled report with its wall times zeroed, plus how the request
-// was treated (degraded or not, attempts used). Identical spec + seed
-// yield byte-identical marshaled Results at any server concurrency.
+// assembled report with its wall times zeroed, plus whether the
+// request was degraded. Identical specs yield byte-identical
+// marshaled Results at any server concurrency.
 type Result struct {
 	Schema   string       `json:"schema"`
 	Tenant   string       `json:"tenant"`
 	Degraded bool         `json:"degraded,omitempty"`
-	Attempts int          `json:"attempts"`
 	Report   bench.Report `json:"report"`
-}
-
-// RetryPolicy bounds the retry-with-jittered-backoff loop around run
-// attempts that fail at a registered fault point. Runs are
-// deterministic, so retrying is idempotent by construction: a retry
-// can only change the outcome because the shared per-request injector
-// has advanced past the scheduled occurrence.
-type RetryPolicy struct {
-	// MaxAttempts bounds run attempts (first try included); values
-	// below 1 mean 1 (no retries).
-	MaxAttempts int
-	// BaseDelay is the first backoff; each further attempt doubles
-	// it, capped at MaxDelay, and the actual sleep is equal-jitter:
-	// half fixed, half drawn from the request's seeded PRNG.
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
-}
-
-// DefaultRetry is the server's default policy: three attempts, 50 ms
-// base backoff, 1 s cap.
-var DefaultRetry = RetryPolicy{MaxAttempts: 3, BaseDelay: 50 * time.Millisecond, MaxDelay: time.Second}
-
-// Backoff returns the sleep before the next attempt after the given
-// 1-based failed attempt. The jitter draw comes from rng, which the
-// runner seeds from the spec, so the whole retry trajectory — not
-// just its outcome — replays exactly.
-func (p RetryPolicy) Backoff(attempt int, rng *rand.Rand) time.Duration {
-	d := p.BaseDelay
-	if d <= 0 {
-		d = time.Millisecond
-	}
-	for i := 1; i < attempt; i++ {
-		d *= 2
-		if p.MaxDelay > 0 && d >= p.MaxDelay {
-			d = p.MaxDelay
-			break
-		}
-	}
-	half := int64(d / 2)
-	return time.Duration(half + rng.Int63n(half+1))
-}
-
-// attempts returns the effective attempt bound.
-func (p RetryPolicy) attempts() int {
-	if p.MaxAttempts < 1 {
-		return 1
-	}
-	return p.MaxAttempts
-}
-
-// retryable reports whether the report contains a failure the policy
-// may retry: one caused by the fault injector. Anything else —
-// budget exhaustion, contract violations, real out-of-memory — recurs
-// deterministically and retrying would only burn the tenant's time.
-func retryable(rep bench.Report) bool {
-	for _, f := range rep.Failures {
-		if f.Injected {
-			return true
-		}
-	}
-	return false
 }
 
 // Smoke returns the reduced-sweep "smoke" variant of sp the server
@@ -221,117 +154,90 @@ func benchSpecs(req *Request, degraded bool, smokeJobs int) []bench.Spec {
 	return specs
 }
 
-// runOptions carries the server-side knobs runRequest needs; the
-// load test's reference runner uses the zero-sleep variant.
+// runOptions carries the server-side knobs runRequest needs.
 type runOptions struct {
-	retry     RetryPolicy
 	smokeJobs int
-	// budget is the tenant's default per-request budget, used when
-	// the spec asks for none; 0 means unbudgeted.
+	// defaultBudget is the tenant's default per-request budget, used
+	// when the spec asks for none; 0 means unbudgeted.
 	defaultBudget int64
-	// sleep implements the backoff wait; the server passes a real
-	// context-aware sleep, the reference passes a no-op. It must
-	// return ctx.Err() when the context dies first.
-	sleep func(ctx context.Context, d time.Duration) error
 }
 
-// sleepCtx is the production backoff sleep.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
-// noSleep is the reference runner's backoff: instantaneous, but still
-// deadline-respecting.
-func noSleep(ctx context.Context, d time.Duration) error { return ctx.Err() }
-
-// runRequest executes one admitted request deterministically: a
-// bounded-attempt retry loop around a strictly serial bench run,
-// every job in a fresh per-tenant run context sharing the request's
-// fault injector and memory budget. It emits the full event stream
-// through emit and returns a typed error only when the stream itself
-// died (emit failed) or the context expired before a result could be
-// flushed; recorded job failures are not errors — they are payload.
+// runRequest executes one admitted request deterministically: one
+// strictly serial bench run, every job in a fresh per-tenant run
+// context sharing the request's fault injector and memory budget. It
+// emits the full event stream through emit and returns a typed error
+// only when the stream itself died (emit failed) or the context
+// expired before the run started; recorded job failures are not
+// errors — they are payload.
 //
 // Determinism argument: jobs run serially (Parallel 1), so the
 // per-request injector sees one deterministic sequence of Check calls
-// across all attempts; the backoff jitter comes from a PRNG seeded by
-// the spec; no event carries a wall time. Server concurrency
-// parallelizes across requests, never within one.
+// and the budget one deterministic sequence of charges; no event
+// carries a wall time. Server concurrency parallelizes across
+// requests, never within one.
 func runRequest(ctx context.Context, req *Request, degraded bool, inj *faults.Injector, opt runOptions, emit func(Event) error) error {
 	if err := emit(Event{Event: "accepted", Tenant: req.Spec.Tenant, Degraded: degraded}); err != nil {
 		return err
 	}
-	specs := benchSpecs(req, degraded, opt.smokeJobs)
+	if err := ctx.Err(); err != nil {
+		return emitTerminal(emit, err)
+	}
 	full := req.Spec.Full && !degraded
-	rng := rand.New(rand.NewSource(req.Spec.Seed))
 	budgetBytes := req.Spec.BudgetBytes
 	if budgetBytes == 0 {
 		budgetBytes = opt.defaultBudget
 	}
-	sleep := opt.sleep
-	if sleep == nil {
-		sleep = sleepCtx
+	var budget *sim.Budget
+	if budgetBytes > 0 {
+		budget = sim.NewBudget(budgetBytes)
 	}
-
-	var lastRep bench.Report
-	attempt := 0
-	for attempt < opt.retry.attempts() {
-		attempt++
-		if err := ctx.Err(); err != nil {
-			return emitTerminal(emit, err)
-		}
-		if err := inj.Check(faults.ServeRun); err != nil {
-			// A transient whole-attempt failure: the seam the retry
-			// loop exists for. Record it and back off.
-			lastRep = bench.Report{Schema: bench.ReportSchema, Full: full, Failures: []bench.Failure{{
-				Experiment: "serve",
-				Job:        "serve/run",
-				Error:      err.Error(),
-				Class:      cclerr.Class(err),
-				Injected:   true,
-			}}}
-		} else {
-			lastRep = runAttempt(ctx, specs, full, inj, budgetBytes, attempt, emit)
-		}
-		if ctx.Err() != nil {
-			// The deadline cut the attempt short: flush what we have
-			// as a partial result instead of retrying into a dead
-			// context.
-			lastRep.Interrupted = true
-			break
-		}
-		if !retryable(lastRep) || attempt == opt.retry.attempts() {
-			break
-		}
-		if err := emitAttempt(emit, attempt, lastRep); err != nil {
-			return err
-		}
-		if err := sleep(ctx, opt.retry.Backoff(attempt, rng)); err != nil {
-			return emitTerminal(emit, cclerr.Errorf(cclerr.ErrDeadlineExceeded,
-				"serve: deadline during retry backoff: %v", err))
-		}
+	var emitErr error
+	rep := bench.Run(ctx, benchSpecs(req, degraded, opt.smokeJobs), bench.Options{
+		Full:     full,
+		Parallel: 1, // serial within a request: the determinism invariant
+		NewSim: func() *sim.Sim {
+			s := sim.New()
+			inj.ArmSim(s)
+			if budget != nil {
+				s.SetBudget(budget)
+			}
+			return s
+		},
+		OnProgress: func(p bench.Progress) {
+			if emitErr != nil {
+				return
+			}
+			emitErr = emit(Event{
+				Event: "experiment", ID: p.ID,
+				Jobs: p.Jobs, Failed: p.Failed, Skipped: p.Skipped,
+				Done: p.Done, Total: p.Total,
+			})
+		},
+	})
+	if emitErr != nil {
+		// The stream died mid-run; record it in the report.
+		rep.Failures = append(rep.Failures, bench.Failure{
+			Experiment: "serve", Job: "serve/stream",
+			Error: emitErr.Error(), Class: cclerr.Class(emitErr),
+		})
 	}
-	rep := bench.StripTimings(lastRep)
+	if ctx.Err() != nil {
+		// The deadline cut the run short: flush what we have as a
+		// partial result.
+		rep.Interrupted = true
+	}
+	rep = bench.StripTimings(rep)
 	if req.Spec.Profile {
 		if err := emitProfiles(emit, rep); err != nil {
 			return err
 		}
 	}
-	res := &Result{
+	return emit(Event{Event: "result", Result: &Result{
 		Schema:   SpecSchema,
 		Tenant:   req.Spec.Tenant,
 		Degraded: degraded,
-		Attempts: attempt,
 		Report:   rep,
-	}
-	return emit(Event{Event: "result", Attempt: attempt, Result: res})
+	}})
 }
 
 // emitProfiles streams every ccl-profile/v1 report the run produced as
@@ -353,61 +259,6 @@ func emitProfiles(emit func(Event) error, rep bench.Report) error {
 		}
 	}
 	return nil
-}
-
-// runAttempt executes one serial pass over the request's specs.
-func runAttempt(ctx context.Context, specs []bench.Spec, full bool, inj *faults.Injector, budgetBytes int64, attempt int, emit func(Event) error) bench.Report {
-	var budget *sim.Budget
-	if budgetBytes > 0 {
-		// Fresh per attempt: the budget bounds one run's footprint,
-		// and a retried run starts from zero like the reference.
-		budget = sim.NewBudget(budgetBytes)
-	}
-	var emitErr error
-	rep := bench.Run(ctx, specs, bench.Options{
-		Full:     full,
-		Parallel: 1, // serial within a request: the determinism invariant
-		NewSim: func() *sim.Sim {
-			s := sim.New()
-			inj.ArmSim(s)
-			if budget != nil {
-				s.SetBudget(budget)
-			}
-			return s
-		},
-		OnProgress: func(p bench.Progress) {
-			if emitErr != nil {
-				return
-			}
-			emitErr = emit(Event{
-				Event: "experiment", ID: p.ID, Attempt: attempt,
-				Jobs: p.Jobs, Failed: p.Failed, Skipped: p.Skipped,
-				Done: p.Done, Total: p.Total,
-			})
-		},
-	})
-	if emitErr != nil {
-		// The stream died mid-attempt; surface it as a failure record
-		// so the caller's retryable/terminal logic sees it.
-		rep.Failures = append(rep.Failures, bench.Failure{
-			Experiment: "serve", Job: "serve/stream",
-			Error: emitErr.Error(), Class: cclerr.Class(emitErr),
-		})
-	}
-	return rep
-}
-
-// emitAttempt reports a failed attempt that will be retried.
-func emitAttempt(emit func(Event) error, attempt int, rep bench.Report) error {
-	first := ""
-	class := ""
-	for _, f := range rep.Failures {
-		if f.Injected {
-			first, class = f.Error, f.Class
-			break
-		}
-	}
-	return emit(Event{Event: "attempt", Attempt: attempt, Error: first, Class: class, Retrying: true})
 }
 
 // emitTerminal converts a request-level failure into the stream's

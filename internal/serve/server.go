@@ -42,9 +42,6 @@ type Config struct {
 	DefaultTenant TenantConfig
 	// Tenants holds per-tenant admission overrides.
 	Tenants map[string]TenantConfig
-	// Retry is the transient-failure retry policy; the zero value
-	// selects DefaultRetry.
-	Retry RetryPolicy
 	// DefaultDeadline bounds requests that ask for none (default
 	// 30 s); MaxDeadline clips what a spec may ask for (default the
 	// spec cap).
@@ -53,9 +50,6 @@ type Config struct {
 	// Now is the admission clock, injectable for tests; nil means
 	// time.Now.
 	Now func() time.Time
-	// Sleep implements retry backoff, injectable for tests; nil means
-	// a real context-aware sleep.
-	Sleep func(ctx context.Context, d time.Duration) error
 	// Logf receives operational log lines; nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -73,9 +67,6 @@ func (c Config) withDefaults() Config {
 	if c.SmokeJobs <= 0 {
 		c.SmokeJobs = 2
 	}
-	if c.Retry.MaxAttempts == 0 && c.Retry.BaseDelay == 0 {
-		c.Retry = DefaultRetry
-	}
 	if c.DefaultDeadline <= 0 {
 		c.DefaultDeadline = 30 * time.Second
 	}
@@ -84,9 +75,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Now == nil {
 		c.Now = time.Now
-	}
-	if c.Sleep == nil {
-		c.Sleep = sleepCtx
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -138,7 +126,7 @@ func New(cfg Config) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:     cfg,
-		tenants: newTenants(cfg.DefaultTenant, cfg.Tenants),
+		tenants: newTenants(cfg),
 		baseCtx: ctx,
 		cancel:  cancel,
 	}
@@ -384,10 +372,8 @@ func (s *Server) serveRequest(w http.ResponseWriter, r *http.Request, req *Reque
 			}
 		}()
 		return runRequest(ctx, req, degraded, inj, runOptions{
-			retry:         s.cfg.Retry,
 			smokeJobs:     s.cfg.SmokeJobs,
 			defaultBudget: tenant.cfg.BudgetBytes,
-			sleep:         s.cfg.Sleep,
 		}, emit)
 	}()
 	if err != nil {
@@ -440,9 +426,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // server's listeners: request contexts descend from it, so Drain's
 // hard-cancel reaches every in-flight run.
 func (s *Server) BaseContext() context.Context { return s.baseCtx }
-
-// Draining reports whether the server has stopped admitting.
-func (s *Server) Draining() bool { return s.drain.Load() }
 
 // BeginDrain stops admission without waiting; Drain calls it, but a
 // signal handler may want the 503s to start before it has a drain

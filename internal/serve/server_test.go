@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +16,7 @@ import (
 	"time"
 
 	"ccl/internal/cache"
+	"ccl/internal/cclerr"
 	"ccl/internal/trace"
 )
 
@@ -65,6 +68,24 @@ func decodeStream(t *testing.T, resp *http.Response) []Event {
 	return evs
 }
 
+// resultLine returns the raw "result" line of an NDJSON stream.
+func resultLine(t *testing.T, resp *http.Response) []byte {
+	t.Helper()
+	var line []byte
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 0, 1<<16), MaxSpecBytes)
+	for sc.Scan() {
+		var ev Event
+		if json.Unmarshal(sc.Bytes(), &ev) == nil && ev.Event == "result" {
+			line = append([]byte(nil), sc.Bytes()...)
+		}
+	}
+	if line == nil {
+		t.Fatal("no result line")
+	}
+	return line
+}
+
 func wantRejection(t *testing.T, resp *http.Response, status int) errorBody {
 	t.Helper()
 	if resp.StatusCode != status {
@@ -97,7 +118,7 @@ func TestServeHappyPath(t *testing.T) {
 	if last.Event != "result" || last.Result == nil {
 		t.Fatalf("terminal event: %+v", last)
 	}
-	if last.Result.Attempts != 1 || last.Result.Degraded {
+	if last.Result.Degraded {
 		t.Errorf("result treated oddly: %+v", last.Result)
 	}
 	if len(last.Result.Report.Experiments) == 0 {
@@ -163,60 +184,8 @@ func TestServeProfileStreaming(t *testing.T) {
 	}
 }
 
-func TestServeRetriesInjectedFault(t *testing.T) {
-	_, hs := newTestServer(t, Config{Sleep: noSleep})
-	resp := postSpec(t, hs.URL, Spec{
-		Schema: SpecSchema, Tenant: "acme", Experiments: []string{"control"},
-		Seed: 3, Fault: "serve-run:1",
-	})
-	evs := decodeStream(t, resp)
-	var sawRetry bool
-	for _, ev := range evs {
-		if ev.Event == "attempt" && ev.Retrying {
-			sawRetry = true
-			if ev.Class == "" {
-				t.Errorf("retry event has no class: %+v", ev)
-			}
-		}
-	}
-	if !sawRetry {
-		t.Fatalf("no retry event in %+v", evs)
-	}
-	last := evs[len(evs)-1]
-	if last.Event != "result" || last.Result == nil || last.Result.Attempts != 2 {
-		t.Fatalf("want a 2-attempt result, got %+v", last)
-	}
-	if len(last.Result.Report.Failures) != 0 {
-		t.Errorf("retried run still carries failures: %+v", last.Result.Report.Failures)
-	}
-}
-
-func TestServeRetryExhaustionKeepsFailures(t *testing.T) {
-	_, hs := newTestServer(t, Config{Sleep: noSleep, Retry: RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond}})
-	resp := postSpec(t, hs.URL, Spec{
-		Schema: SpecSchema, Tenant: "acme", Experiments: []string{"control"},
-		Fault: "serve-run:1,serve-run:2",
-	})
-	evs := decodeStream(t, resp)
-	last := evs[len(evs)-1]
-	if last.Event != "result" || last.Result == nil {
-		t.Fatalf("terminal: %+v", last)
-	}
-	if last.Result.Attempts != 2 {
-		t.Errorf("attempts %d, want 2 (exhausted)", last.Result.Attempts)
-	}
-	if len(last.Result.Report.Failures) == 0 {
-		t.Error("exhausted retries must surface the final failure")
-	}
-	for _, f := range last.Result.Report.Failures {
-		if f.Class == "" {
-			t.Errorf("failure %q has no class", f.Error)
-		}
-	}
-}
-
 func TestServeBudgetExceededIsTyped(t *testing.T) {
-	_, hs := newTestServer(t, Config{Sleep: noSleep})
+	_, hs := newTestServer(t, Config{})
 	resp := postSpec(t, hs.URL, Spec{
 		Schema: SpecSchema, Tenant: "acme", Experiments: []string{"table2"},
 		BudgetBytes: 4096,
@@ -226,9 +195,6 @@ func TestServeBudgetExceededIsTyped(t *testing.T) {
 	if last.Event != "result" || last.Result == nil {
 		t.Fatalf("terminal: %+v", last)
 	}
-	if last.Result.Attempts != 1 {
-		t.Errorf("budget failures are deterministic, must not retry: attempts=%d", last.Result.Attempts)
-	}
 	found := false
 	for _, f := range last.Result.Report.Failures {
 		if f.Class == "budget-exceeded" {
@@ -237,6 +203,34 @@ func TestServeBudgetExceededIsTyped(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("no budget-exceeded failure in %+v", last.Result.Report.Failures)
+	}
+}
+
+// TestServeNamedTenantBudget pins budget resolution for a tenant with
+// its own Config.Tenants entry: the served run is charged against that
+// tenant's budget, and ReferenceResult reproduces it byte for byte.
+func TestServeNamedTenantBudget(t *testing.T) {
+	cfg := Config{Tenants: map[string]TenantConfig{"acme": {BudgetBytes: 4096}}}
+	_, hs := newTestServer(t, cfg)
+	sp := Spec{Schema: SpecSchema, Tenant: "acme", Experiments: []string{"table2"}}
+	line := resultLine(t, postSpec(t, hs.URL, sp))
+	var ev Event
+	if err := json.Unmarshal(line, &ev); err != nil {
+		t.Fatal(err)
+	}
+	budgeted := false
+	for _, f := range ev.Result.Report.Failures {
+		budgeted = budgeted || f.Class == "budget-exceeded"
+	}
+	if !budgeted {
+		t.Fatalf("acme's 4096-byte budget was not applied: %s", clip(line))
+	}
+	ref, err := ReferenceResult(context.Background(), sp, false, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(line, ref) {
+		t.Errorf("served result diverged from its reference:\n served: %s\n ref:    %s", clip(line), clip(ref))
 	}
 }
 
@@ -274,6 +268,52 @@ func TestServeAdmitFaultRejectsTyped(t *testing.T) {
 	wantRejection(t, resp, http.StatusServiceUnavailable)
 }
 
+// TestStatusForMapsSentinels pins the rejection half of DESIGN.md
+// §12's status table.
+func TestStatusForMapsSentinels(t *testing.T) {
+	for _, tc := range []struct {
+		err  error
+		want int
+	}{
+		{cclerr.ErrCorruptTrace, http.StatusBadRequest},
+		{cclerr.ErrInvalidArg, http.StatusBadRequest},
+		{cclerr.ErrOverloaded, http.StatusServiceUnavailable},
+		{cclerr.ErrDeadlineExceeded, http.StatusGatewayTimeout},
+		{cclerr.ErrBudgetExceeded, http.StatusInsufficientStorage},
+		{errors.New("unclassified"), http.StatusInternalServerError},
+	} {
+		if got := statusFor(fmt.Errorf("serve: %w", tc.err)); got != tc.want {
+			t.Errorf("statusFor(%v) = %d, want %d", tc.err, got, tc.want)
+		}
+	}
+}
+
+// TestRunRequestDeadBeforeRun: a request whose deadline expired
+// between admission and the run gets a typed terminal error event
+// instead of a result, and no job runs.
+func TestRunRequestDeadBeforeRun(t *testing.T) {
+	req, err := ParseSpec(validSpec(t, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	var evs []Event
+	err = runRequest(ctx, req, false, req.Injector(), runOptions{}, func(ev Event) error {
+		evs = append(evs, ev)
+		return nil
+	})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("runRequest error %v, want context.DeadlineExceeded", err)
+	}
+	if len(evs) != 2 || evs[0].Event != "accepted" || evs[1].Event != "error" {
+		t.Fatalf("events %+v, want accepted then error", evs)
+	}
+	if evs[1].Class != "deadline-exceeded" {
+		t.Errorf("terminal class %q, want deadline-exceeded", evs[1].Class)
+	}
+}
+
 func TestServeOversizedBody(t *testing.T) {
 	_, hs := newTestServer(t, Config{})
 	body := bytes.Repeat([]byte("x"), MaxSpecBytes+2)
@@ -296,7 +336,7 @@ func TestServeMethodNotAllowed(t *testing.T) {
 }
 
 func TestServeDeadlineProducesInterruptedResult(t *testing.T) {
-	_, hs := newTestServer(t, Config{Sleep: noSleep})
+	_, hs := newTestServer(t, Config{})
 	resp := postSpec(t, hs.URL, Spec{
 		Schema: SpecSchema, Tenant: "acme",
 		Experiments: []string{"table1", "table2", "control"},
@@ -328,7 +368,6 @@ func TestServeDegradationUnderLoad(t *testing.T) {
 		Shards: 1, WorkersPerShard: 1, QueueDepth: 16,
 		DegradeAt: 1, SmokeJobs: 1,
 		DefaultTenant: TenantConfig{MaxActive: 32},
-		Sleep:         noSleep,
 	}
 	_, hs := newTestServer(t, cfg)
 	const n = 6
@@ -369,7 +408,7 @@ func TestServePanicIsolated(t *testing.T) {
 	// An impossible occurrence count can't panic, so drive the panic
 	// path directly through a handler whose spec triggers the
 	// registry-vanished panic in benchSpecs via a crafted Request.
-	srv := New(Config{Sleep: noSleep})
+	srv := New(Config{})
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 	// Hand-build a request that passes admission but panics in run:
@@ -490,7 +529,7 @@ func TestServeExperimentsAndHealth(t *testing.T) {
 }
 
 func TestServeDrainRejectsAndCompletes(t *testing.T) {
-	srv, hs := newTestServer(t, Config{Sleep: noSleep})
+	srv, hs := newTestServer(t, Config{})
 	srv.BeginDrain()
 	resp := postSpec(t, hs.URL, Spec{Schema: SpecSchema, Tenant: "acme", Experiments: []string{"control"}})
 	wantRejection(t, resp, http.StatusServiceUnavailable)
@@ -505,30 +544,12 @@ func TestServeDrainRejectsAndCompletes(t *testing.T) {
 // separate servers and expects byte-identical result lines.
 func TestServeDeterministicAcrossRuns(t *testing.T) {
 	get := func() string {
-		_, hs := newTestServer(t, Config{Sleep: noSleep})
-		b, _ := json.Marshal(Spec{
+		_, hs := newTestServer(t, Config{})
+		return string(resultLine(t, postSpec(t, hs.URL, Spec{
 			Schema: SpecSchema, Tenant: "acme",
 			Experiments: []string{"table1", "control"},
-			Seed:        42, Fault: "serve-run:1,arena-grow:2",
-		})
-		resp, err := http.Post(hs.URL+"/v1/jobs", "application/json", bytes.NewReader(b))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var line string
-		sc := bufio.NewScanner(resp.Body)
-		sc.Buffer(make([]byte, 0, 1<<16), MaxSpecBytes)
-		for sc.Scan() {
-			var ev Event
-			if json.Unmarshal(sc.Bytes(), &ev) == nil && ev.Event == "result" {
-				line = sc.Text()
-			}
-		}
-		if line == "" {
-			t.Fatal("no result line")
-		}
-		return line
+			Seed:        42, Fault: "serve-stream:3,arena-grow:2",
+		})))
 	}
 	if a, b := get(), get(); a != b {
 		t.Errorf("result lines diverge:\n a: %s\n b: %s", a, b)

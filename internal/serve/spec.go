@@ -5,13 +5,13 @@
 // input is validated with hard caps, every rejection is a typed
 // cclerr, per-tenant admission control bounds what one client can do
 // to another, requests carry deadlines and simulated-memory budgets,
-// transient faults are retried with jittered backoff, overload
-// degrades to reduced-sweep "smoke" runs instead of failing, panics
-// are isolated per request, and shutdown drains cleanly. Identical
-// spec + seed produce a byte-identical result at any concurrency —
-// the load-test driver (LoadTest, cclserve -selftest) proves it by
-// diffing every completed result against a serial reference run. See
-// DESIGN.md §12.
+// every request runs exactly once and its failures are typed records
+// in the result, overload degrades to reduced-sweep "smoke" runs
+// instead of failing, panics are isolated per request, and shutdown
+// drains cleanly. Identical specs produce a byte-identical result at
+// any concurrency — the load-test driver (LoadTest, cclserve
+// -selftest) proves it by diffing every completed result against a
+// serial reference run. See DESIGN.md §12.
 package serve
 
 import (
@@ -70,12 +70,14 @@ type Spec struct {
 	Experiments []string `json:"experiments,omitempty"`
 	// Full selects paper-scale workloads. Degraded runs ignore it.
 	Full bool `json:"full,omitempty"`
-	// Seed feeds the retry backoff jitter; two submissions with the
-	// same spec (seed included) produce byte-identical results.
+	// Seed has no effect on the result; it is accepted for
+	// ccl-serve/v1 compatibility.
 	Seed int64 `json:"seed,omitempty"`
 	// Fault is a comma-separated injected-fault schedule,
-	// "point[:n]" per entry (e.g. "serve-run:1,arena-grow:3");
-	// admitted points are the serve-* points and arena-grow.
+	// "point[:n]" per entry (e.g. "serve-stream:2,arena-grow:3");
+	// admitted points are the serve-* points and arena-grow. Injected
+	// failures land in the result as typed failure records, like
+	// real ones.
 	Fault string `json:"fault,omitempty"`
 	// DeadlineMS bounds the request's wall time; 0 selects the
 	// server's default deadline.

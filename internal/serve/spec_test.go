@@ -29,7 +29,7 @@ func validSpec(t *testing.T, mutate func(*Spec)) []byte {
 func TestParseSpecAccepts(t *testing.T) {
 	req, err := ParseSpec(validSpec(t, func(sp *Spec) {
 		sp.Seed = 7
-		sp.Fault = "serve-run:2,arena-grow"
+		sp.Fault = "serve-stream:2,arena-grow"
 		sp.DeadlineMS = 1000
 		sp.BudgetBytes = 1 << 20
 		sp.Profile = true
@@ -88,7 +88,8 @@ func TestParseSpecRejections(t *testing.T) {
 		{"huge deadline", validSpec(t, func(sp *Spec) { sp.DeadlineMS = MaxDeadlineMS + 1 }), cclerr.ErrInvalidArg},
 		{"huge budget", validSpec(t, func(sp *Spec) { sp.BudgetBytes = MaxBudgetBytes + 1 }), cclerr.ErrInvalidArg},
 		{"unservable fault point", validSpec(t, func(sp *Spec) { sp.Fault = "trace-decode" }), cclerr.ErrInvalidArg},
-		{"bad fault count", validSpec(t, func(sp *Spec) { sp.Fault = "serve-run:zero" }), cclerr.ErrInvalidArg},
+		{"bad fault count", validSpec(t, func(sp *Spec) { sp.Fault = "serve-stream:zero" }), cclerr.ErrInvalidArg},
+		{"serve-run point", validSpec(t, func(sp *Spec) { sp.Fault = "serve-run:1" }), cclerr.ErrInvalidArg},
 		{"bad base64", validSpec(t, func(sp *Spec) { sp.TraceB64 = "!!!" }), cclerr.ErrInvalidArg},
 		{"corrupt trace", validSpec(t, func(sp *Spec) {
 			sp.TraceB64 = base64.StdEncoding.EncodeToString([]byte("not a trace"))
@@ -132,7 +133,7 @@ func TestParseSpecTraceUpload(t *testing.T) {
 }
 
 func TestInjectorFreshAndIdentical(t *testing.T) {
-	req, err := ParseSpec(validSpec(t, func(sp *Spec) { sp.Fault = "serve-run:2" }))
+	req, err := ParseSpec(validSpec(t, func(sp *Spec) { sp.Fault = "serve-stream:2" }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestInjectorFreshAndIdentical(t *testing.T) {
 	}
 	// Both fire at exactly the second check.
 	for i := 1; i <= 3; i++ {
-		ea, eb := a.Check("serve-run"), b.Check("serve-run")
+		ea, eb := a.Check("serve-stream"), b.Check("serve-stream")
 		if (ea == nil) != (eb == nil) {
 			t.Fatalf("check %d diverged: %v vs %v", i, ea, eb)
 		}

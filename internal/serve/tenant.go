@@ -35,6 +35,18 @@ func (c TenantConfig) withDefaults() TenantConfig {
 	return c
 }
 
+// tenant resolves the envelope a tenant runs under: its Tenants
+// entry when it has one, else DefaultTenant, zero-value knobs filled.
+// The registry and ReferenceResult both resolve through it, so a
+// served request and its reference run share one budget.
+func (c Config) tenant(name string) TenantConfig {
+	tc, ok := c.Tenants[name]
+	if !ok {
+		tc = c.DefaultTenant
+	}
+	return tc.withDefaults()
+}
+
 // tenantState is the registry's live record for one tenant: a token
 // bucket (lazily refilled on each admission attempt) plus the active
 // request count the bounded queue enforces.
@@ -88,16 +100,15 @@ func (t *tenantState) release() {
 }
 
 // tenants is the registry: per-tenant state created on first sight
-// from the per-name config (or the default).
+// from the tenant's resolved config.
 type tenants struct {
 	mu    sync.Mutex
-	def   TenantConfig
-	named map[string]TenantConfig
+	cfg   Config
 	state map[string]*tenantState
 }
 
-func newTenants(def TenantConfig, named map[string]TenantConfig) *tenants {
-	return &tenants{def: def.withDefaults(), named: named, state: map[string]*tenantState{}}
+func newTenants(cfg Config) *tenants {
+	return &tenants{cfg: cfg, state: map[string]*tenantState{}}
 }
 
 // get returns (creating if needed) the tenant's state.
@@ -106,11 +117,7 @@ func (ts *tenants) get(name string) *tenantState {
 	defer ts.mu.Unlock()
 	st, ok := ts.state[name]
 	if !ok {
-		cfg, named := ts.named[name], false
-		if _, named = ts.named[name]; !named {
-			cfg = ts.def
-		}
-		st = &tenantState{cfg: cfg.withDefaults()}
+		st = &tenantState{cfg: ts.cfg.tenant(name)}
 		ts.state[name] = st
 	}
 	return st
