@@ -17,6 +17,7 @@ import (
 	"ccl/internal/olden/mst"
 	"ccl/internal/olden/perimeter"
 	"ccl/internal/olden/treeadd"
+	"ccl/internal/sim"
 )
 
 // must adapts the facade's checked calls to benchmark code, which
@@ -216,10 +217,30 @@ func BenchmarkFig7Perimeter(b *testing.B) {
 
 // --- Figure 10: model validation ---
 
+// runExperiment runs a registered experiment's quick-scale jobs back
+// to back, each in a fresh run context, and assembles its table: the
+// work one pooled bench.Run does for the experiment, without the
+// pool's goroutines and channels.
+func runExperiment(b *testing.B, id string) bench.Table {
+	sp, ok := bench.Lookup(id)
+	if !ok {
+		b.Fatalf("experiment %q not registered", id)
+	}
+	jobs := sp.Jobs(false)
+	out := make([]any, len(jobs))
+	for i, jb := range jobs {
+		v, err := jb.Run(context.Background(), sim.New(), false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		out[i] = v
+	}
+	return sp.Assemble(false, out)
+}
+
 func BenchmarkFig10ModelValidation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tab := bench.Fig10(context.Background(), false)
-		if len(tab.Rows) == 0 {
+		if len(runExperiment(b, "fig10").Rows) == 0 {
 			b.Fatal("fig10 produced no rows")
 		}
 	}
@@ -237,7 +258,7 @@ func BenchmarkTable1Params(b *testing.B) {
 
 func BenchmarkTable2Characteristics(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if len(bench.Table2(context.Background(), false).Rows) != 4 {
+		if len(runExperiment(b, "table2").Rows) != 4 {
 			b.Fatal("table2 should have four rows")
 		}
 	}

@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	ccbench [-full] [-list] [-json path] [-profile dir] [-ndjson] [-parallel n] [-fault point[:n]] [experiment ...]
+//	ccbench [-full] [-list] [-json path] [-profile dir] [-ndjson] [-parallel n] [-fault point[:n],...] [experiment ...]
 //
 // Run ccbench -list for the available experiment ids; "all" (the
 // default) runs every experiment in paper order. -full runs
@@ -31,19 +31,23 @@
 // Progress lines go to stderr as experiments finish; completed tables
 // stream to stdout in paper order.
 //
-// -fault injects a deterministic failure (see internal/faults):
-// "arena-grow:3" fails the 3rd simulated-memory growth. The injector
-// is armed afresh on each job's run context, so the fault fires at
-// the Nth growth within every job, deterministically at any
-// -parallel setting (unlike a process-wide counter, which would make
-// the victim depend on scheduling). Jobs that hit the fault are
-// recorded as structured failure entries in the JSON report — the run
-// itself still exits 0, because a sweep that measures robustness must
-// outlive the failures it provokes. Ctrl-C interrupts gracefully: no
-// new jobs start, running jobs drain, and completed experiments are
-// flushed to the -json report with its "interrupted" marker set. A
-// second Ctrl-C skips the drain and exits immediately, so a hung job
-// can never hold the shutdown hostage (internal/drain).
+// -fault injects deterministic failures (see internal/faults) on a
+// comma-separated "point[:n]" schedule, the syntax cclserve's spec
+// "fault" field shares: "arena-grow:3" fails the 3rd simulated-memory
+// growth, "arena-grow:1,arena-grow:4" the 1st and the 4th; n defaults
+// to 1 and is at most 1<<20. arena-grow is the only point ccbench
+// can arm. The injector is armed afresh on each job's run context, so
+// the fault fires at the Nth growth within every job,
+// deterministically at any -parallel setting (unlike a process-wide
+// counter, which would make the victim depend on scheduling). Jobs
+// that hit the fault are recorded as structured failure entries in
+// the JSON report — the run itself still exits 0, because a sweep
+// that measures robustness must outlive the failures it provokes.
+// Ctrl-C interrupts gracefully: no new jobs start, running jobs
+// drain, and completed experiments are flushed to the -json report
+// with its "interrupted" marker set. A second Ctrl-C skips the drain
+// and exits immediately, so a hung job can never hold the shutdown
+// hostage (internal/drain).
 package main
 
 import (
@@ -55,8 +59,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"ccl/internal/bench"
@@ -97,40 +99,16 @@ func reorderArgs(args []string) ([]string, error) {
 	return append(flags, pos...), nil
 }
 
-// parseFault parses "point[:n]" and validates the injection point.
-// Only arena-grow has a run-context seam (the grow guard every arena
-// adopted by a sim.Sim consults); the other points are armed per
-// structure and exist for tests.
-func parseFault(spec string) (faults.Point, int64, error) {
-	point, nstr, hasN := strings.Cut(spec, ":")
-	n := int64(1)
-	if hasN {
-		v, err := strconv.ParseInt(nstr, 10, 64)
-		if err != nil || v < 1 {
-			return "", 0, fmt.Errorf("bad occurrence %q in -fault %s (want a positive integer)", nstr, spec)
-		}
-		n = v
-	}
-	switch faults.Point(point) {
-	case faults.ArenaGrow:
-		return faults.ArenaGrow, n, nil
-	case faults.AllocBudget, faults.PlaceCluster, faults.TraceRecord:
-		return "", 0, fmt.Errorf("-fault %s: point %q has no run-context seam (test-only)", spec, point)
-	default:
-		return "", 0, fmt.Errorf("-fault %s: unknown point %q (available: %v)", spec, point, faults.Points())
-	}
-}
-
 func main() {
 	full := flag.Bool("full", false, "run paper-scale workloads (slow)")
 	list := flag.Bool("list", false, "list available experiments and exit")
 	jsonPath := flag.String("json", "", "also write the results as a JSON report to `path`")
 	profileDir := flag.String("profile", "", "export field profiles (ccl-profile/v1 JSON + pprof .pb.gz) into `dir`")
 	ndjson := flag.Bool("ndjson", false, "stream progress to stderr as JSON lines instead of human text")
-	fault := flag.String("fault", "", "inject a fault at `point[:n]` (e.g. arena-grow:3); failures are recorded, not fatal")
+	fault := flag.String("fault", "", "inject faults on the comma-separated `point[:n],...` schedule (e.g. arena-grow:3); failures are recorded, not fatal")
 	parallel := flag.Int("parallel", 0, "worker pool size; 0 means GOMAXPROCS, 1 is strictly serial")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: ccbench [-full] [-list] [-json path] [-profile dir] [-ndjson] [-parallel n] [-fault point[:n]] [experiment ...]\navailable: all %v\n", bench.IDs())
+		fmt.Fprintf(os.Stderr, "usage: ccbench [-full] [-list] [-json path] [-profile dir] [-ndjson] [-parallel n] [-fault point[:n],...] [experiment ...]\navailable: all %v\n", bench.IDs())
 	}
 	args, err := reorderArgs(os.Args[1:])
 	if err != nil {
@@ -151,14 +129,17 @@ func main() {
 
 	newSim := sim.New
 	if *fault != "" {
-		point, n, err := parseFault(*fault)
+		// Only arena-grow has a run-context seam (the grow guard every
+		// arena adopted by a sim.Sim consults); the other points are
+		// armed per structure and exist for tests.
+		sched, err := faults.ParseSchedule(*fault, faults.ArenaGrow)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "ccbench: %v\n", err)
+			fmt.Fprintf(os.Stderr, "ccbench: -fault: %v\n", err)
 			os.Exit(2)
 		}
 		newSim = func() *sim.Sim {
 			s := sim.New()
-			faults.NewInjector().FailNth(point, n).ArmSim(s)
+			sched.Injector().ArmSim(s)
 			return s
 		}
 	}

@@ -98,10 +98,6 @@ func ablationColorSpec() Spec {
 	}
 }
 
-// AblationColorFrac runs the Color_const sweep serially; see
-// ablationColorSpec.
-func AblationColorFrac(ctx context.Context, full bool) Table { return runSpec(ctx, "ablate-color", full) }
-
 // blockSizes are the L2 block-size sweep points.
 var blockSizes = []int64{32, 64, 128, 256}
 
@@ -161,10 +157,6 @@ func ablationBlockSpec() Spec {
 		},
 	}
 }
-
-// AblationBlockSize runs the block-size sweep serially; see
-// ablationBlockSpec.
-func AblationBlockSize(ctx context.Context, full bool) Table { return runSpec(ctx, "ablate-block", full) }
 
 // morphIntervals are the health reorganization-period sweep points.
 var morphIntervals = []int{5, 10, 15, 25, 50, 75}
@@ -237,10 +229,4 @@ func ablationIntervalSpec() Spec {
 			return tab
 		},
 	}
-}
-
-// AblationMorphInterval runs the interval sweep serially; see
-// ablationIntervalSpec.
-func AblationMorphInterval(ctx context.Context, full bool) Table {
-	return runSpec(ctx, "ablate-interval", full)
 }

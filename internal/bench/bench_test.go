@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"encoding/json"
 	"reflect"
 	"strconv"
@@ -42,7 +41,7 @@ func TestTable1HasPaperParameters(t *testing.T) {
 }
 
 func TestTable2RowsAndMemory(t *testing.T) {
-	tab := Table2(context.Background(), false)
+	tab := experiment(t, "table2")
 	if len(tab.Rows) != 4 {
 		t.Fatalf("Table 2 has %d rows, want 4", len(tab.Rows))
 	}
@@ -61,7 +60,7 @@ func TestTable3Qualitative(t *testing.T) {
 }
 
 func TestControlDirection(t *testing.T) {
-	tab := Control(context.Background(), false)
+	tab := experiment(t, "control")
 	if len(tab.Rows) != 4 {
 		t.Fatalf("control has %d rows", len(tab.Rows))
 	}
@@ -78,7 +77,7 @@ func TestControlDirection(t *testing.T) {
 }
 
 func TestAblationColorFracMonotoneRegion(t *testing.T) {
-	tab := AblationColorFrac(context.Background(), false)
+	tab := experiment(t, "ablate-color")
 	if len(tab.Rows) != 5 {
 		t.Fatalf("ablation rows = %d", len(tab.Rows))
 	}
@@ -102,7 +101,7 @@ func TestAblationColorFracMonotoneRegion(t *testing.T) {
 }
 
 func TestAblationBlockSizeTracksModel(t *testing.T) {
-	tab := AblationBlockSize(context.Background(), false)
+	tab := experiment(t, "ablate-block")
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -187,10 +186,7 @@ func TestReportJSONRoundTrip(t *testing.T) {
 }
 
 func TestMetricsExperiment(t *testing.T) {
-	if testing.Short() {
-		t.Skip("metrics experiment runs full workloads")
-	}
-	tab := Metrics(context.Background(), false)
+	tab := experiment(t, "metrics")
 	if tab.ID != "metrics" || len(tab.Rows) == 0 {
 		t.Fatalf("metrics table malformed: id=%q rows=%d", tab.ID, len(tab.Rows))
 	}

@@ -170,9 +170,6 @@ func fig5Spec() Spec {
 	}
 }
 
-// Fig5 regenerates the tree microbenchmark serially; see fig5Spec.
-func Fig5(ctx context.Context, full bool) Table { return runSpec(ctx, "fig5", full) }
-
 // fig6Spec regenerates the macrobenchmark comparison (paper Figure
 // 6) as one job per application mode; normalization to each
 // application's base happens at assembly.
@@ -251,10 +248,6 @@ func fig6Spec() Spec {
 		},
 	}
 }
-
-// Fig6 regenerates the macrobenchmark comparison serially; see
-// fig6Spec.
-func Fig6(ctx context.Context, full bool) Table { return runSpec(ctx, "fig6", full) }
 
 // oldenRun dispatches one benchmark/variant pair in the given run
 // context.
@@ -349,10 +342,6 @@ func table2Spec() Spec {
 	}
 }
 
-// Table2 regenerates the benchmark characteristics serially; see
-// table2Spec.
-func Table2(ctx context.Context, full bool) Table { return runSpec(ctx, "table2", full) }
-
 // fig7Spec regenerates the Olden comparison (paper Figure 7) as one
 // job per benchmark/scheme cell — 32 independent simulations.
 func fig7Spec() Spec {
@@ -402,9 +391,6 @@ func fig7Spec() Spec {
 		},
 	}
 }
-
-// Fig7 regenerates the Olden comparison serially; see fig7Spec.
-func Fig7(ctx context.Context, full bool) Table { return runSpec(ctx, "fig7", full) }
 
 // Table3 reproduces the qualitative technique summary (paper Table 3).
 func Table3() Table {
@@ -465,10 +451,6 @@ func controlSpec() Spec {
 		},
 	}
 }
-
-// Control regenerates the §4.4 control experiment serially; see
-// controlSpec.
-func Control(ctx context.Context, full bool) Table { return runSpec(ctx, "control", full) }
 
 // footprint is one memovh cell: heap bytes plus the ccmalloc
 // cache-block reservation count (zero for the base allocator).
@@ -544,10 +526,6 @@ func memovhSpec() Spec {
 	}
 }
 
-// MemOvh regenerates the §4.4 memory-overhead accounting serially;
-// see memovhSpec.
-func MemOvh(ctx context.Context, full bool) Table { return runSpec(ctx, "memovh", full) }
-
 // fig10Params holds the workload sizing shared by Fig10's jobs.
 type fig10Params struct {
 	sizes    []int64
@@ -621,9 +599,6 @@ func fig10Spec() Spec {
 		},
 	}
 }
-
-// Fig10 regenerates the model validation serially; see fig10Spec.
-func Fig10(ctx context.Context, full bool) Table { return runSpec(ctx, "fig10", full) }
 
 // fig10Point measures one tree size: naive (random-placement) search
 // time over C-tree search time, against the analytic prediction.

@@ -2,9 +2,12 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"ccl/internal/telemetry"
@@ -66,20 +69,7 @@ func TestGoldenReportSchema(t *testing.T) {
 	if err := WriteJSON(&buf, false, goldenTables()); err != nil {
 		t.Fatal(err)
 	}
-	if os.Getenv("GOLDEN_UPDATE") != "" {
-		if err := os.WriteFile(goldenReportPath, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", goldenReportPath)
-	}
-	golden, err := os.ReadFile(goldenReportPath)
-	if err != nil {
-		t.Fatalf("%v (regenerate with GOLDEN_UPDATE=1)", err)
-	}
-	if !bytes.Equal(buf.Bytes(), golden) {
-		t.Fatalf("ccbench -json output drifted from %s (bump ReportSchema and regenerate if intended)\ngot:\n%s\nwant:\n%s",
-			goldenReportPath, buf.Bytes(), golden)
-	}
+	golden := compareGolden(t, goldenReportPath, buf.Bytes())
 
 	// Round trip: decode the golden, re-encode, byte-compare.
 	var rep Report
@@ -96,6 +86,82 @@ func TestGoldenReportSchema(t *testing.T) {
 	if !bytes.Equal(again.Bytes(), golden) {
 		t.Fatal("decode -> re-encode of the golden report is not byte-identical: schema has lossy fields")
 	}
+}
+
+// registryRun runs every registered experiment once per test process,
+// through the same pooled runner ccbench and cclserve use; every test
+// that reads an experiment's table takes it from this one run.
+var registryRun = sync.OnceValue(func() Report {
+	return Run(context.Background(), Registry(), Options{})
+})
+
+// experiment returns experiment id's quick-scale table from the
+// pooled registry run.
+func experiment(t *testing.T, id string) Table {
+	t.Helper()
+	rep := registryRun()
+	if rep.Interrupted || len(rep.Failures) != 0 {
+		t.Fatalf("registry run: interrupted=%v failures=%+v", rep.Interrupted, rep.Failures)
+	}
+	for _, tab := range rep.Experiments {
+		if tab.ID == id {
+			return tab
+		}
+	}
+	t.Fatalf("registry run produced no %q table", id)
+	return Table{}
+}
+
+// TestGoldenExperiments locks every experiment's quick-scale table
+// with a checked-in golden, testdata/golden_<id>.json: the simulator
+// and every workload are deterministic, so every cell, note and
+// telemetry field must reproduce byte-identically at any worker
+// count. A deliberate change to an experiment, a layout, or the cost
+// model means regenerating with GOLDEN_UPDATE=1, and the golden diff
+// is the review artifact showing what moved.
+func TestGoldenExperiments(t *testing.T) {
+	for _, id := range IDs() {
+		t.Run(id, func(t *testing.T) {
+			buf, err := json.MarshalIndent(experiment(t, id), "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareGolden(t, filepath.Join("testdata", "golden_"+id+".json"), append(buf, '\n'))
+		})
+	}
+}
+
+// compareGolden fails the test unless got is byte-identical to the
+// golden file at path, rewriting the file first when GOLDEN_UPDATE is
+// set. It returns the golden bytes.
+func compareGolden(t *testing.T, path string, got []byte) []byte {
+	t.Helper()
+	if os.Getenv("GOLDEN_UPDATE") != "" {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", path)
+	}
+	golden, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with GOLDEN_UPDATE=1)", err)
+	}
+	if !bytes.Equal(got, golden) {
+		gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(golden, []byte("\n"))
+		i := 0
+		for i < len(gl) && i < len(wl) && bytes.Equal(gl[i], wl[i]) {
+			i++
+		}
+		line := func(ls [][]byte) []byte {
+			if i < len(ls) {
+				return ls[i]
+			}
+			return []byte("(end of file)")
+		}
+		t.Fatalf("output drifted from %s at line %d (regenerate with GOLDEN_UPDATE=1 if intended)\ngot:  %s\nwant: %s",
+			path, i+1, line(gl), line(wl))
+	}
+	return golden
 }
 
 // TestMetricRowsTable is the table-driven test for the metrics

@@ -86,38 +86,6 @@ func IDs() []string {
 	return ids
 }
 
-// runSpec executes one experiment's jobs serially, each in a fresh
-// run context, and assembles the table — the path the exported
-// single-experiment functions (Fig5, Control, ...) use. Job errors
-// panic, preserving those functions' fail-fast contract (DESIGN.md
-// §7); callers that want Failure records instead run the experiment
-// through Run, whose per-job recover produces them.
-func runSpec(ctx context.Context, id string, full bool) Table {
-	sp, ok := Lookup(id)
-	if !ok {
-		panic("bench: unknown experiment " + id)
-	}
-	jobs := sp.Jobs(full)
-	out := make([]any, len(jobs))
-	cut := false
-	for i, jb := range jobs {
-		if ctx.Err() != nil {
-			cut = true
-			break
-		}
-		v, err := jb.Run(ctx, sim.New(), full)
-		if err != nil {
-			panic(err)
-		}
-		out[i] = v
-	}
-	tab := sp.Assemble(full, out)
-	if cut {
-		tab = interrupted(tab)
-	}
-	return tab
-}
-
 // singleTableSpec wraps an experiment that does not decompose (or is
 // static) as a one-job spec.
 func singleTableSpec(id, desc string, f func(ctx context.Context, s *sim.Sim, full bool) Table) Spec {

@@ -188,9 +188,6 @@ func metricsSpec() Spec {
 	}
 }
 
-// Metrics runs the telemetry showcase serially; see metricsSpec.
-func Metrics(ctx context.Context, full bool) Table { return runSpec(ctx, "metrics", full) }
-
 // metricRows tabulates one search phase: per-level 3C classification
 // and per-structure miss attribution.
 func metricRows(name string, rep telemetry.Report, cycles int64, searches int) [][]string {

@@ -171,7 +171,3 @@ func multicoreSpec() Spec {
 		},
 	}
 }
-
-// Multicore runs the false-sharing experiment serially; see
-// multicoreSpec.
-func Multicore(ctx context.Context, full bool) Table { return runSpec(ctx, "multicore", full) }

@@ -1,57 +1,10 @@
 package bench
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
-	"os"
 	"strconv"
 	"strings"
 	"testing"
 )
-
-const goldenMulticorePath = "testdata/golden_multicore.json"
-
-// multicoreTable runs the experiment once per test process; the
-// golden and acceptance tests share the result.
-var multicoreTable *Table
-
-func runMulticoreOnce(t *testing.T) Table {
-	t.Helper()
-	if multicoreTable == nil {
-		tab := Multicore(context.Background(), false)
-		multicoreTable = &tab
-	}
-	return *multicoreTable
-}
-
-// TestGoldenMulticore locks the quick-mode false-sharing table with a
-// checked-in golden: the topology, protocol, and drivers are all
-// deterministic, so every cell — cycles per op, coherence misses,
-// invalidation counts — must reproduce byte-identically. Regenerate
-// deliberate changes with GOLDEN_UPDATE=1.
-func TestGoldenMulticore(t *testing.T) {
-	tab := runMulticoreOnce(t)
-	buf, err := json.MarshalIndent(tab, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf = append(buf, '\n')
-	if os.Getenv("GOLDEN_UPDATE") != "" {
-		if err := os.WriteFile(goldenMulticorePath, buf, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", goldenMulticorePath)
-	}
-	golden, err := os.ReadFile(goldenMulticorePath)
-	if err != nil {
-		t.Fatalf("%v (regenerate with GOLDEN_UPDATE=1)", err)
-	}
-	if !bytes.Equal(buf, golden) {
-		t.Fatalf("multicore table drifted from %s (regenerate with GOLDEN_UPDATE=1 if intended)\ngot:\n%s\nwant:\n%s",
-			goldenMulticorePath, buf, golden)
-	}
-}
 
 // TestMulticoreAcceptance asserts the experiment's headline results
 // independent of exact cell values:
@@ -63,7 +16,7 @@ func TestGoldenMulticore(t *testing.T) {
 //   - the read-only control has zero coherence misses and zero
 //     invalidations.
 func TestMulticoreAcceptance(t *testing.T) {
-	tab := runMulticoreOnce(t)
+	tab := experiment(t, "multicore")
 	cell := func(prefix string) (cyc float64, coh, inval int64) {
 		t.Helper()
 		for _, r := range tab.Rows {

@@ -124,6 +124,3 @@ func oracleSpec() Spec {
 		},
 	}
 }
-
-// Oracle runs the differential sweep serially; see oracleSpec.
-func Oracle(ctx context.Context, full bool) Table { return runSpec(ctx, "oracle", full) }

@@ -128,9 +128,6 @@ func fieldprofSpec() Spec {
 	}
 }
 
-// Fieldprof runs the profiler showcase serially; see fieldprofSpec.
-func Fieldprof(ctx context.Context, full bool) Table { return runSpec(ctx, "fieldprof", full) }
-
 // fieldRows tabulates a profile's field ranking, hottest structures
 // and fields first.
 func fieldRows(name string, rep profile.Report) [][]string {

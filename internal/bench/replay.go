@@ -86,6 +86,3 @@ func replaySpec() Spec {
 		},
 	}
 }
-
-// Replay runs the batched-replay fingerprint serially; see replaySpec.
-func Replay(ctx context.Context, full bool) Table { return runSpec(ctx, "replay", full) }

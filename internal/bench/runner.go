@@ -14,9 +14,9 @@ import (
 // sweeps record what broke instead of dying with it.
 type Failure struct {
 	Experiment string `json:"experiment"`
-	// Job names the sub-job that failed when the experiment ran on
-	// the worker pool ("fig7/health/Cl+Col"); empty for whole-
-	// experiment failures from the serial path.
+	// Job names the job that failed ("fig7/health/Cl+Col"), or
+	// "<experiment>/assemble" when the failure came from assembling
+	// the experiment's table.
 	Job   string `json:"job,omitempty"`
 	Error string `json:"error"`
 	Class string `json:"class,omitempty"`

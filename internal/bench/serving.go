@@ -267,7 +267,3 @@ func servingSpec() Spec {
 		},
 	}
 }
-
-// Serving runs the serving-workload experiment serially; see
-// servingSpec.
-func Serving(ctx context.Context, full bool) Table { return runSpec(ctx, "serving", full) }

@@ -1,57 +1,10 @@
 package bench
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
-	"os"
 	"strconv"
 	"strings"
 	"testing"
 )
-
-const goldenServingPath = "testdata/golden_serving.json"
-
-// servingTable runs the experiment once per test process; the golden
-// and acceptance tests share the result.
-var servingTable *Table
-
-func runServingOnce(t *testing.T) Table {
-	t.Helper()
-	if servingTable == nil {
-		tab := Serving(context.Background(), false)
-		servingTable = &tab
-	}
-	return *servingTable
-}
-
-// TestGoldenServing locks the quick-mode serving table with a
-// checked-in golden: workloads, structures, and the machine are all
-// deterministic, so every cell — cycles per op, miss rates, hit rates
-// — must reproduce byte-identically. Regenerate deliberate changes
-// with GOLDEN_UPDATE=1.
-func TestGoldenServing(t *testing.T) {
-	tab := runServingOnce(t)
-	buf, err := json.MarshalIndent(tab, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf = append(buf, '\n')
-	if os.Getenv("GOLDEN_UPDATE") != "" {
-		if err := os.WriteFile(goldenServingPath, buf, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", goldenServingPath)
-	}
-	golden, err := os.ReadFile(goldenServingPath)
-	if err != nil {
-		t.Fatalf("%v (regenerate with GOLDEN_UPDATE=1)", err)
-	}
-	if !bytes.Equal(buf, golden) {
-		t.Fatalf("serving table drifted from %s (regenerate with GOLDEN_UPDATE=1 if intended)\ngot:\n%s\nwant:\n%s",
-			goldenServingPath, buf, golden)
-	}
-}
 
 // servingRow finds the first row matching workload, config prefix,
 // and Zipf s, returning (cycles/op, hot miss/Kop, hit rate).
@@ -86,7 +39,7 @@ func servingRow(t *testing.T, tab Table, workload, config, zs string) (cyc, hotM
 //     against the baseline's bucket region;
 //   - the 4-ary (line-matched) heap beats the binary heap.
 func TestServingAcceptance(t *testing.T) {
-	tab := runServingOnce(t)
+	tab := experiment(t, "serving")
 
 	baseCyc, baseHotMiss, baseHit := servingRow(t, tab, "kv", "aos malloc", "0.99")
 	bestCyc, bestHotMiss := baseCyc, baseHotMiss

@@ -213,7 +213,3 @@ func strategiesSpec() Spec {
 		},
 	}
 }
-
-// Strategies runs the layout-strategy comparison serially; see
-// strategiesSpec.
-func Strategies(ctx context.Context, full bool) Table { return runSpec(ctx, "strategies", full) }

@@ -1,57 +1,9 @@
 package bench
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
-	"os"
 	"strconv"
 	"testing"
 )
-
-const goldenStrategiesPath = "testdata/golden_strategies.json"
-
-// strategiesTable runs the experiment once per test process; the
-// golden and acceptance tests share the result.
-var strategiesTable *Table
-
-func runStrategiesOnce(t *testing.T) Table {
-	t.Helper()
-	if strategiesTable == nil {
-		tab := Strategies(context.Background(), false)
-		strategiesTable = &tab
-	}
-	return *strategiesTable
-}
-
-// TestGoldenStrategies locks the quick-mode strategy-comparison table
-// with a checked-in golden file: the simulator is deterministic, so
-// every cell — cycles, miss rates, TLB misses — must reproduce
-// byte-identically. A deliberate change to the strategies, the sweep,
-// or the cost model means regenerating with GOLDEN_UPDATE=1 (and the
-// diff is the review artifact showing what moved).
-func TestGoldenStrategies(t *testing.T) {
-	tab := runStrategiesOnce(t)
-	buf, err := json.MarshalIndent(tab, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf = append(buf, '\n')
-	if os.Getenv("GOLDEN_UPDATE") != "" {
-		if err := os.WriteFile(goldenStrategiesPath, buf, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", goldenStrategiesPath)
-	}
-	golden, err := os.ReadFile(goldenStrategiesPath)
-	if err != nil {
-		t.Fatalf("%v (regenerate with GOLDEN_UPDATE=1)", err)
-	}
-	if !bytes.Equal(buf, golden) {
-		t.Fatalf("strategies table drifted from %s (regenerate with GOLDEN_UPDATE=1 if intended)\ngot:\n%s\nwant:\n%s",
-			goldenStrategiesPath, buf, golden)
-	}
-}
 
 // TestStrategiesAcceptance asserts the two headline results the
 // experiment exists to demonstrate, independent of exact cell values:
@@ -62,7 +14,7 @@ func TestGoldenStrategies(t *testing.T) {
 //   - hot/cold splitting beats the unsplit tree on the profiled
 //     tree-search workload.
 func TestStrategiesAcceptance(t *testing.T) {
-	tab := runStrategiesOnce(t)
+	tab := experiment(t, "strategies")
 	cycles := func(config, keys string) float64 {
 		t.Helper()
 		for _, r := range tab.Rows {

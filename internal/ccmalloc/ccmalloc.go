@@ -673,20 +673,6 @@ func (a *Allocator) BlocksUsed() int64 {
 	return used
 }
 
-// FreeBytesOnPageOf reports the free bytes remaining on addr's page;
-// tests and the memory-overhead experiment use it.
-func (a *Allocator) FreeBytesOnPageOf(addr memsys.Addr) int64 {
-	p := a.pageOf(addr)
-	if p == nil {
-		return 0
-	}
-	var n int64
-	for _, e := range p.free {
-		n += e.len
-	}
-	return n
-}
-
 // CheckInvariants verifies every page's free list is sorted,
 // coalesced, and in bounds.
 func (a *Allocator) CheckInvariants() error {

@@ -18,11 +18,14 @@ package faults
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 
-	"ccl/internal/ccmorph"
 	"ccl/internal/cclerr"
+	"ccl/internal/ccmorph"
 	"ccl/internal/heap"
 	"ccl/internal/memsys"
 	"ccl/internal/sim"
@@ -70,6 +73,63 @@ func Points() []Point {
 // arms both.
 func ServePoints() []Point {
 	return []Point{ServeAdmit, ServeStream}
+}
+
+// maxOccurrence bounds the occurrence number a parsed schedule entry
+// may name.
+const maxOccurrence = 1 << 20
+
+// Entry is one entry of a parsed schedule: fail the N-th occurrence
+// (1-based) of Point.
+type Entry struct {
+	Point Point
+	N     int64
+}
+
+// Schedule is a parsed fault schedule, entries in written order.
+type Schedule []Entry
+
+// ParseSchedule parses a comma-separated "point[:n]" schedule such as
+// "serve-stream:2,arena-grow:3", the syntax ccbench -fault and
+// cclserve's spec field share. n defaults to 1 and must lie in
+// [1, 1<<20], whitespace around an entry is ignored, and every point
+// must be one of allowed. The empty string is the empty schedule.
+// Every error wraps cclerr.ErrInvalidArg.
+func ParseSchedule(spec string, allowed ...Point) (Schedule, error) {
+	if spec == "" {
+		return nil, nil
+	}
+	var s Schedule
+	for _, part := range strings.Split(spec, ",") {
+		point, nstr, hasN := strings.Cut(strings.TrimSpace(part), ":")
+		n := int64(1)
+		if hasN {
+			v, err := strconv.ParseInt(nstr, 10, 64)
+			if err != nil || v < 1 || v > maxOccurrence {
+				return nil, cclerr.Errorf(cclerr.ErrInvalidArg,
+					"faults: bad occurrence %q in %q (want 1..%d)", nstr, part, maxOccurrence)
+			}
+			n = v
+		}
+		p := Point(point)
+		if !slices.Contains(allowed, p) {
+			return nil, cclerr.Errorf(cclerr.ErrInvalidArg,
+				"faults: point %q cannot be armed here (allowed: %v)", point, allowed)
+		}
+		s = append(s, Entry{Point: p, N: n})
+	}
+	return s, nil
+}
+
+// Injector returns a fresh injector armed with the schedule. Every
+// call returns a new injector with identical scheduling, so a
+// reference run replays the exact fault sequence the original saw.
+func (s Schedule) Injector() *Injector {
+	in := NewInjector()
+	for _, e := range s {
+		in.FailNth(e.Point, e.N)
+	}
+	return in
 }
 
 // Injector schedules failures by occurrence number per point. The

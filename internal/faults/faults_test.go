@@ -5,8 +5,8 @@ import (
 	"reflect"
 	"testing"
 
-	"ccl/internal/ccmorph"
 	"ccl/internal/cclerr"
+	"ccl/internal/ccmorph"
 	"ccl/internal/heap"
 	"ccl/internal/layout"
 	"ccl/internal/machine"
@@ -192,6 +192,59 @@ func TestServePointsAreDistinctAndCheckable(t *testing.T) {
 		}
 		if err := in.Check(p); !errors.Is(err, cclerr.ErrFaultInjected) {
 			t.Fatalf("%s occurrence 2: err = %v, want ErrFaultInjected", p, err)
+		}
+	}
+}
+
+func TestParseSchedule(t *testing.T) {
+	allowed := []Point{ArenaGrow, ServeStream}
+	cases := []struct {
+		name, spec string
+		want       Schedule // checked only when ok
+		ok         bool
+	}{
+		{"empty", "", nil, true},
+		{"default occurrence", "arena-grow", Schedule{{ArenaGrow, 1}}, true},
+		{"list in written order", "serve-stream:2,arena-grow:3,arena-grow",
+			Schedule{{ServeStream, 2}, {ArenaGrow, 3}, {ArenaGrow, 1}}, true},
+		{"whitespace around entries", " arena-grow:2 ,\tserve-stream ", Schedule{{ArenaGrow, 2}, {ServeStream, 1}}, true},
+		{"largest occurrence", "arena-grow:1048576", Schedule{{ArenaGrow, 1 << 20}}, true},
+		{"zero", "arena-grow:0", nil, false},
+		{"negative", "arena-grow:-3", nil, false},
+		{"non-numeric", "arena-grow:three", nil, false},
+		{"empty occurrence", "arena-grow:", nil, false},
+		{"above 1<<20", "arena-grow:1048577", nil, false},
+		{"unknown point", "arena-shrink:1", nil, false},
+		{"disallowed point", "place-cluster:1", nil, false},
+		{"empty entry", "arena-grow,", nil, false},
+		{"whitespace inside an entry", "arena-grow: 2", nil, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := ParseSchedule(tc.spec, allowed...)
+			if !tc.ok {
+				if !errors.Is(err, cclerr.ErrInvalidArg) {
+					t.Fatalf("ParseSchedule(%q) = %v, %v; want ErrInvalidArg", tc.spec, got, err)
+				}
+				return
+			}
+			if err != nil || !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("ParseSchedule(%q) = %v, %v; want %v", tc.spec, got, err, tc.want)
+			}
+		})
+	}
+}
+
+func TestScheduleInjectorFreshAndIdentical(t *testing.T) {
+	sched := Schedule{{ArenaGrow, 2}, {ArenaGrow, 3}}
+	a, b := sched.Injector(), sched.Injector()
+	if a == b {
+		t.Fatal("Injector returned the same instance twice")
+	}
+	for i := int64(1); i <= 4; i++ {
+		ea, eb := a.Check(ArenaGrow), b.Check(ArenaGrow)
+		if (ea != nil) != (i == 2 || i == 3) || (eb != nil) != (ea != nil) {
+			t.Fatalf("occurrence %d: %v / %v, want failures at 2 and 3 only", i, ea, eb)
 		}
 	}
 }

@@ -6,9 +6,9 @@ import (
 	"testing"
 
 	"ccl/internal/cache"
+	"ccl/internal/cclerr"
 	"ccl/internal/ccmalloc"
 	"ccl/internal/ccmorph"
-	"ccl/internal/cclerr"
 	"ccl/internal/heap"
 	"ccl/internal/layout"
 	"ccl/internal/machine"

@@ -72,29 +72,3 @@ func MustFieldMap(structName string, size int64, fields ...Field) FieldMap {
 	}
 	return fm
 }
-
-// FieldAt resolves a byte offset within one element to the field
-// containing it. Offsets in padding gaps (or outside the element)
-// return ok = false.
-func (fm FieldMap) FieldAt(off int64) (Field, bool) {
-	// Fields are few (a handful per structure); linear scan beats a
-	// binary search's branch misses at this size.
-	for _, f := range fm.Fields {
-		if off < f.Offset {
-			break
-		}
-		if off < f.End() {
-			return f, true
-		}
-	}
-	return Field{}, false
-}
-
-// ElemOffset reduces an offset from the start of an element-aligned
-// run of elements to an offset within one element.
-func (fm FieldMap) ElemOffset(off int64) int64 {
-	if off < 0 {
-		return -1
-	}
-	return off % fm.Size
-}

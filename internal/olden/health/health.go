@@ -123,9 +123,9 @@ type sim struct {
 	// morphSkipped counts lists left in their old layout because a
 	// periodic Reorganize failed (degraded, not fatal).
 	morphSkipped int64
-	nextPatID  uint32
-	treated    uint64
-	checksum   uint64
+	nextPatID    uint32
+	treated      uint64
+	checksum     uint64
 }
 
 // Run executes the simulation and reports the result. The checksum

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ccl/internal/cache"
+	"ccl/internal/shrink"
 	"ccl/internal/trace"
 )
 
@@ -30,9 +31,10 @@ func TestDifferentialMillionAccesses(t *testing.T) {
 	for g := 0; g < geometries; g++ {
 		tr := SweepTrace(42, g, perGeom)
 		if d := Diff(tr); d != nil {
-			min := trace.Minimize(tr, func(c trace.Trace) bool { return Diff(c) != nil })
-			t.Fatalf("geometry %d: %v\nminimized to %d records: %v",
-				g, d, len(min.Records), min.Records)
+			min := shrink.Slice(tr.Records, func(rs []trace.Record) bool {
+				return Diff(trace.Trace{Config: tr.Config, Records: rs}) != nil
+			})
+			t.Fatalf("geometry %d: %v\nminimized to %d records: %v", g, d, len(min), min)
 		}
 	}
 }
@@ -146,7 +148,10 @@ func TestCaptureDivergenceFixture(t *testing.T) {
 		if Diff(tr) == nil {
 			continue
 		}
-		min := trace.Minimize(tr, func(c trace.Trace) bool { return Diff(c) != nil })
+		recs := shrink.Slice(tr.Records, func(rs []trace.Record) bool {
+			return Diff(trace.Trace{Config: tr.Config, Records: rs}) != nil
+		})
+		min := trace.Trace{Config: tr.Config, Records: recs}
 		if err := os.MkdirAll(filepath.Dir(fixturePath), 0o755); err != nil {
 			t.Fatal(err)
 		}

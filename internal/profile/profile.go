@@ -428,9 +428,8 @@ func maxInt64(a, b int64) int64 {
 }
 
 // fieldIndex returns the index of the field containing off (an offset
-// within one element), or -1 for padding. Mirrors
-// layout.FieldMap.FieldAt but yields the index so the bucket lookup is
-// array arithmetic on structRec.fields.
+// within one element), or -1 for padding. It yields the index so the
+// bucket lookup is array arithmetic on structRec.fields.
 func fieldIndex(fields []layout.Field, off int64) int {
 	for i, f := range fields {
 		if off < f.Offset {

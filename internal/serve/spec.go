@@ -19,7 +19,6 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
-	"strconv"
 	"strings"
 
 	"ccl/internal/bench"
@@ -97,18 +96,12 @@ type Spec struct {
 	Profile bool `json:"profile,omitempty"`
 }
 
-// FaultSpec is one parsed entry of Spec.Fault.
-type FaultSpec struct {
-	Point faults.Point
-	N     int64
-}
-
 // Request is a fully validated submission: the spec, its decoded
 // trace (nil when none was uploaded), and its parsed fault schedule.
 type Request struct {
 	Spec   Spec
 	Trace  *trace.Trace
-	Faults []FaultSpec
+	Faults faults.Schedule
 }
 
 // tenantNameOK reports whether the tenant name is well-formed.
@@ -124,51 +117,6 @@ func tenantNameOK(name string) bool {
 		}
 	}
 	return true
-}
-
-// servableFaultPoints are the injection points a spec may arm: the
-// serve-layer points plus arena-grow, the one structure-level point
-// with a run-context seam (the same set ccbench -fault admits).
-func servableFaultPoints() map[faults.Point]bool {
-	pts := map[faults.Point]bool{faults.ArenaGrow: true}
-	for _, p := range faults.ServePoints() {
-		pts[p] = true
-	}
-	return pts
-}
-
-// parseFaults parses a comma-separated "point[:n]" schedule.
-func parseFaults(spec string) ([]FaultSpec, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	ok := servableFaultPoints()
-	parts := strings.Split(spec, ",")
-	if len(parts) > MaxFaults {
-		return nil, cclerr.Errorf(cclerr.ErrInvalidArg,
-			"serve: fault schedule has %d entries (max %d)", len(parts), MaxFaults)
-	}
-	var out []FaultSpec
-	for _, part := range parts {
-		point, nstr, hasN := strings.Cut(strings.TrimSpace(part), ":")
-		n := int64(1)
-		if hasN {
-			v, err := strconv.ParseInt(nstr, 10, 64)
-			if err != nil || v < 1 || v > 1<<20 {
-				return nil, cclerr.Errorf(cclerr.ErrInvalidArg,
-					"serve: bad occurrence %q in fault %q", nstr, part)
-			}
-			n = v
-		}
-		p := faults.Point(point)
-		if !ok[p] {
-			return nil, cclerr.Errorf(cclerr.ErrInvalidArg,
-				"serve: fault point %q not servable (allowed: %v + %v)",
-				point, faults.ServePoints(), faults.ArenaGrow)
-		}
-		out = append(out, FaultSpec{Point: p, N: n})
-	}
-	return out, nil
 }
 
 // ParseSpec validates a raw request body into a Request. Every
@@ -219,7 +167,15 @@ func ParseSpec(data []byte) (*Request, error) {
 		return nil, cclerr.Errorf(cclerr.ErrInvalidArg,
 			"serve: budget_bytes %d outside [0, %d]", sp.BudgetBytes, MaxBudgetBytes)
 	}
-	fs, err := parseFaults(sp.Fault)
+	// Count entries before parsing, so an oversized schedule is
+	// rejected without being expanded.
+	if n := strings.Count(sp.Fault, ",") + 1; sp.Fault != "" && n > MaxFaults {
+		return nil, cclerr.Errorf(cclerr.ErrInvalidArg,
+			"serve: fault schedule has %d entries (max %d)", n, MaxFaults)
+	}
+	// Servable points: the serve-layer points plus arena-grow, the one
+	// structure-level point with a run-context seam.
+	fs, err := faults.ParseSchedule(sp.Fault, append(faults.ServePoints(), faults.ArenaGrow)...)
 	if err != nil {
 		return nil, err
 	}
@@ -262,13 +218,7 @@ func decodeUpload(raw []byte) (*trace.Trace, error) {
 // Injector builds the request's fault injector from its schedule.
 // Each call returns a fresh injector with identical scheduling, so a
 // reference run replays the exact fault sequence the served run saw.
-func (r *Request) Injector() *faults.Injector {
-	in := faults.NewInjector()
-	for _, f := range r.Faults {
-		in.FailNth(f.Point, f.N)
-	}
-	return in
-}
+func (r *Request) Injector() *faults.Injector { return r.Faults.Injector() }
 
 // Canonical re-encodes the request's spec in canonical field order,
 // the form logged and hashed for audit trails.

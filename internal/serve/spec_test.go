@@ -111,6 +111,27 @@ func TestParseSpecRejections(t *testing.T) {
 	}
 }
 
+// TestParseSpecCaps pins two hard caps at their boundary: a body one
+// byte over MaxSpecBytes and a fault schedule of MaxFaults+1 entries
+// are typed rejections, while MaxFaults entries are accepted.
+func TestParseSpecCaps(t *testing.T) {
+	if _, err := ParseSpec(make([]byte, MaxSpecBytes+1)); !errors.Is(err, cclerr.ErrInvalidArg) {
+		t.Fatalf("oversized body: err=%v, want ErrInvalidArg", err)
+	}
+	schedule := func(n int) []byte {
+		return validSpec(t, func(sp *Spec) {
+			sp.Fault = strings.TrimSuffix(strings.Repeat("arena-grow,", n), ",")
+		})
+	}
+	req, err := ParseSpec(schedule(MaxFaults))
+	if err != nil || len(req.Faults) != MaxFaults {
+		t.Fatalf("%d entries: err=%v, want accepted", MaxFaults, err)
+	}
+	if _, err := ParseSpec(schedule(MaxFaults + 1)); !errors.Is(err, cclerr.ErrInvalidArg) {
+		t.Fatalf("%d entries: err=%v, want ErrInvalidArg", MaxFaults+1, err)
+	}
+}
+
 func TestParseSpecTraceUpload(t *testing.T) {
 	tr := trace.Trace{
 		Config: cache.PaperHierarchy(),

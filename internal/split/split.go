@@ -226,9 +226,6 @@ func (t *Tree) Root() int64 {
 // Partition returns the partition the tree was split with.
 func (t *Tree) Partition() Partition { return t.part }
 
-// KidSlots returns how many child-link slots each element carries.
-func (t *Tree) KidSlots() int { return len(t.kidSlots) }
-
 // HotField resolves a hot field name to its array slot.
 func (t *Tree) HotField(name string) (int, bool) {
 	s, ok := t.hotByName[name]

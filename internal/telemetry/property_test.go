@@ -7,6 +7,7 @@ import (
 
 	"ccl/internal/cache"
 	"ccl/internal/memsys"
+	"ccl/internal/shrink"
 	"ccl/internal/trace"
 )
 
@@ -35,8 +36,8 @@ func checkThreeCSums(tr trace.Trace) error {
 
 // TestThreeCSumProperty is the telemetry metamorphic property: for
 // random geometries and access streams, the 3C classes partition the
-// demand misses. A violating trace is minimized (trace.Minimize)
-// before being reported.
+// demand misses. A violating trace is minimized (shrink.Slice over
+// its records, geometry fixed) before being reported.
 func TestThreeCSumProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	names := []string{"L1", "L2", "L3"}
@@ -70,8 +71,10 @@ func TestThreeCSumProperty(t *testing.T) {
 			})
 		}
 		if err := checkThreeCSums(tr); err != nil {
-			min := trace.Minimize(tr, func(c trace.Trace) bool { return checkThreeCSums(c) != nil })
-			t.Fatalf("round %d: %v\nminimized to %d records: %v", round, err, len(min.Records), min.Records)
+			min := shrink.Slice(tr.Records, func(rs []trace.Record) bool {
+				return checkThreeCSums(trace.Trace{Config: cfg, Records: rs}) != nil
+			})
+			t.Fatalf("round %d: %v\nminimized to %d records: %v", round, err, len(min), min)
 		}
 	}
 }
@@ -90,19 +93,19 @@ func TestThreeCShrinksFailingCase(t *testing.T) {
 	}
 	needle := trace.Record{Kind: trace.Store, Addr: 0x5150, Size: 2}
 	tr.Records[44] = needle
-	fails := func(c trace.Trace) bool {
-		if checkThreeCSums(c) != nil {
+	fails := func(rs []trace.Record) bool {
+		if checkThreeCSums(trace.Trace{Config: cfg, Records: rs}) != nil {
 			return true
 		}
-		for _, r := range c.Records {
+		for _, r := range rs {
 			if r == needle {
 				return true
 			}
 		}
 		return false
 	}
-	min := trace.Minimize(tr, fails)
-	if len(min.Records) != 1 || min.Records[0] != needle {
-		t.Fatalf("minimized to %v, want [%v]", min.Records, needle)
+	min := shrink.Slice(tr.Records, fails)
+	if len(min) != 1 || min[0] != needle {
+		t.Fatalf("minimized to %v, want [%v]", min, needle)
 	}
 }

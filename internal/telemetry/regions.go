@@ -169,9 +169,6 @@ func (m *RegionMap) Resolve(addr memsys.Addr) (*Region, int64) {
 	return m.other, -1
 }
 
-// Other returns the implicit bucket charged for unregistered traffic.
-func (m *RegionMap) Other() *Region { return m.other }
-
 // reset zeroes every region's counters, keeping registrations.
 func (m *RegionMap) reset() {
 	for _, r := range m.order {

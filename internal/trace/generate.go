@@ -66,43 +66,3 @@ func FromBytes(data []byte) (Trace, bool) {
 	}
 	return t, true
 }
-
-// Minimize greedily shrinks the record stream while fails keeps
-// returning true for the shrunk trace, and returns the smallest
-// failing trace found. It is the ddmin loop specialized to access
-// streams: remove progressively smaller chunks, restarting from large
-// chunks after any successful removal, and keep the geometry fixed —
-// the geometry is part of the bug's identity, not of its noise.
-//
-// fails must be deterministic. Minimize calls it O(n log n) times for
-// an n-record trace.
-func Minimize(tr Trace, fails func(Trace) bool) Trace {
-	if !fails(tr) {
-		return tr
-	}
-	recs := append([]Record(nil), tr.Records...)
-	try := func(cand []Record) bool {
-		return fails(Trace{Config: tr.Config, Records: cand})
-	}
-	for chunk := len(recs) / 2; chunk >= 1; {
-		removed := false
-		for start := 0; start+chunk <= len(recs); {
-			cand := make([]Record, 0, len(recs)-chunk)
-			cand = append(cand, recs[:start]...)
-			cand = append(cand, recs[start+chunk:]...)
-			if try(cand) {
-				recs = cand
-				removed = true
-				// Do not advance: the next chunk slid into place.
-				continue
-			}
-			start += chunk
-		}
-		if !removed {
-			chunk /= 2
-		} else if chunk > len(recs)/2 {
-			chunk = len(recs) / 2
-		}
-	}
-	return Trace{Config: tr.Config, Records: recs}
-}

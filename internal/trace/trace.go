@@ -6,8 +6,9 @@
 // "Verification"): the differential oracle replays a trace through
 // both the production simulator (internal/cache) and the naive
 // reference simulator (internal/oracle), and any divergence is
-// minimized (Minimize) and checked in as a small binary fixture that
-// reproduces the bug forever after. Fuzzers use FromBytes to derive a
+// minimized (shrink.Slice over its records, geometry fixed) and
+// checked in as a small binary fixture that reproduces the bug
+// forever after. Fuzzers use FromBytes to derive a
 // valid trace deterministically from arbitrary fuzz input.
 package trace
 

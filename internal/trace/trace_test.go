@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"ccl/internal/cache"
-	"ccl/internal/memsys"
 )
 
 func sampleTrace() Trace {
@@ -117,73 +116,5 @@ func TestFromBytesDeterministic(t *testing.T) {
 	b, _ := FromBytes(data)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("FromBytes is not deterministic")
-	}
-}
-
-// TestMinimizeFindsSingleRecord: a synthetic failure predicate that
-// triggers whenever a specific record is present must minimize to
-// exactly that record.
-func TestMinimizeFindsSingleRecord(t *testing.T) {
-	tr := sampleTrace()
-	var recs []Record
-	for i := 0; i < 100; i++ {
-		recs = append(recs, Record{Kind: Load, Addr: memsys.Addr(64 * i), Size: 4})
-	}
-	needle := Record{Kind: Store, Addr: 4242, Size: 8}
-	recs = append(recs[:37], append([]Record{needle}, recs[37:]...)...)
-	tr.Records = recs
-
-	fails := func(c Trace) bool {
-		for _, r := range c.Records {
-			if r == needle {
-				return true
-			}
-		}
-		return false
-	}
-	min := Minimize(tr, fails)
-	if len(min.Records) != 1 || min.Records[0] != needle {
-		t.Fatalf("minimized to %v, want just %v", min.Records, needle)
-	}
-	if !reflect.DeepEqual(min.Config, tr.Config) {
-		t.Fatal("Minimize changed the geometry")
-	}
-}
-
-// TestMinimizeOrderedPair: failures needing two records in order must
-// keep both.
-func TestMinimizeOrderedPair(t *testing.T) {
-	tr := sampleTrace()
-	tr.Records = nil
-	for i := 0; i < 60; i++ {
-		tr.Records = append(tr.Records, Record{Kind: Load, Addr: memsys.Addr(16 * i), Size: 4})
-	}
-	a := Record{Kind: Store, Addr: 111, Size: 1}
-	b := Record{Kind: Store, Addr: 222, Size: 2}
-	tr.Records[10], tr.Records[50] = a, b
-
-	fails := func(c Trace) bool {
-		ai := -1
-		for i, r := range c.Records {
-			if r == a {
-				ai = i
-			}
-			if r == b && ai >= 0 {
-				return true
-			}
-		}
-		return false
-	}
-	min := Minimize(tr, fails)
-	if len(min.Records) != 2 || min.Records[0] != a || min.Records[1] != b {
-		t.Fatalf("minimized to %v, want [%v %v]", min.Records, a, b)
-	}
-}
-
-func TestMinimizeNonFailingUnchanged(t *testing.T) {
-	tr := sampleTrace()
-	min := Minimize(tr, func(Trace) bool { return false })
-	if !reflect.DeepEqual(min, tr) {
-		t.Fatal("Minimize altered a non-failing trace")
 	}
 }

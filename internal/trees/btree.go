@@ -179,12 +179,6 @@ func (t *BTree) N() int64 { return t.n }
 // Height returns the tree height (leaf-only tree = 1, empty = 0).
 func (t *BTree) Height() int { return t.height }
 
-// MaxKeys returns the internal-node separator capacity.
-func (t *BTree) MaxKeys() int { return t.maxKeys }
-
-// LeafCap returns the leaf record capacity.
-func (t *BTree) LeafCap() int { return t.leafCap }
-
 // HeapBytes returns the arena bytes claimed for nodes.
 func (t *BTree) HeapBytes() int64 { return t.claimedVia() }
 
