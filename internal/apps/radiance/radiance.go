@@ -382,9 +382,7 @@ func (a *app) morph(colorFrac float64) {
 			}
 			dst := cur.Add(used)
 			used += (n + 3) &^ 3
-			a.m.Cache.Access(items, n, cache.Load)
-			a.m.Cache.Access(dst, n, cache.Store)
-			a.m.Arena.Memcpy(dst, items, n)
+			_ = a.m.Copy(dst, items, n) // dst is fresh: no overlap
 			a.m.StoreAddr(slot, dst|leafTag)
 		}
 	}
@@ -407,9 +405,7 @@ func (a *app) morph(colorFrac float64) {
 			// safe. Larger scenes keep their original placement.
 			if off == 0 && n == total {
 				dst := must(cold.Alloc(n))
-				a.m.Cache.Access(a.geom, n, cache.Load)
-				a.m.Cache.Access(dst, n, cache.Store)
-				a.m.Arena.Memcpy(dst, a.geom, n)
+				_ = a.m.Copy(dst, a.geom, n) // dst is fresh: no overlap
 				a.geom = dst
 			}
 			off += n

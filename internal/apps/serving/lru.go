@@ -98,9 +98,9 @@ type LRUStats struct {
 // LRU is an intrusive least-recently-used cache over the simulated
 // heap: a doubly-linked recency list threaded through heap-allocated
 // entries, plus an open-addressing index from key to entry address.
-// All runtime accesses go through the Mem seam.
+// All runtime accesses go through a machine.Mem.
 type LRU struct {
-	m     Mem
+	m     machine.Mem
 	arena *memsys.Arena
 	cfg   LRUConfig
 
@@ -164,7 +164,7 @@ func NewLRU(m *machine.Machine, cfg LRUConfig) (*LRU, error) {
 		return nil, err
 	}
 	c.idx = idx
-	w := ArenaMem(m.Arena)
+	w := machine.Uncharged(m.Arena)
 	w.StoreAddr(hdr.Add(0), memsys.NilAddr)
 	w.StoreAddr(hdr.Add(4), memsys.NilAddr)
 	for i := int64(0); i < slots; i++ {
@@ -174,9 +174,9 @@ func NewLRU(m *machine.Machine, cfg LRUConfig) (*LRU, error) {
 }
 
 // UseMem redirects the cache's runtime accesses through w — a
-// TraceRecorder capturing the stream for oracle replay, or a test
+// machine.Recorder capturing the stream for oracle replay, or a test
 // double. Construction and allocator metadata are unaffected.
-func (c *LRU) UseMem(w Mem) { c.m = w }
+func (c *LRU) UseMem(w machine.Mem) { c.m = w }
 
 func lruIdxWord(key uint32, addr memsys.Addr) int64 {
 	return int64(key) | int64(addr)<<32
@@ -446,7 +446,7 @@ func (c *LRU) Stats() LRUStats {
 
 // entryAddrs walks the recency list MRU-first through the arena.
 func (c *LRU) entryAddrs() []memsys.Addr {
-	w := ArenaMem(c.arena)
+	w := machine.Uncharged(c.arena)
 	var out []memsys.Addr
 	for e := w.LoadAddr(c.hdr); !e.IsNil(); e = w.LoadAddr(e.Add(lruOffNext)) {
 		out = append(out, e)
@@ -472,7 +472,7 @@ func (c *LRU) RegisterRegions(rm *telemetry.RegionMap, prefix string) string {
 			layout.Field{Name: "key", Offset: lruOffKey, Size: 4},
 			layout.Field{Name: "valptr", Offset: lruOffVal, Size: 4},
 		))
-		w := ArenaMem(c.arena)
+		w := machine.Uncharged(c.arena)
 		vals := make([]memsys.Addr, 0, len(entries))
 		for _, e := range entries {
 			vals = append(vals, w.LoadAddr(e.Add(lruOffVal)))
@@ -500,7 +500,7 @@ func (c *LRU) RegisterRegions(rm *telemetry.RegionMap, prefix string) string {
 // and counters match a full scan. Violations fail with
 // cclerr.ErrCorruptStructure.
 func (c *LRU) CheckInvariants() error {
-	w := ArenaMem(c.arena)
+	w := machine.Uncharged(c.arena)
 	head := w.LoadAddr(c.hdr)
 	tail := w.LoadAddr(c.hdr.Add(4))
 	seen := make(map[uint32]memsys.Addr)

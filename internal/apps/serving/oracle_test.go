@@ -9,7 +9,7 @@ import (
 )
 
 // The differential satellite: record the serving structures' demand
-// stream through the Mem seam and replay it through the event-level
+// stream through machine.Record and replay it through the event-level
 // oracle. Agreement on every access event and every cumulative
 // counter proves the production hierarchy simulated this workload
 // family correctly — on more than one geometry, since replacement and
@@ -29,9 +29,8 @@ func assocGeometry() cache.Config {
 }
 
 // recordServingMix builds all three structures on m, redirects them
-// through one shared TraceRecorder, and drives a small mixed serving
-// phase.
-func recordServingMix(t *testing.T, m *machine.Machine) *TraceRecorder {
+// through one shared recorder, and drives a small mixed serving phase.
+func recordServingMix(t *testing.T, m *machine.Machine) *machine.Recorder {
 	t.Helper()
 	kv, err := NewKV(m, KVConfig{Layout: KVSplit, Placement: KVCCMalloc, Slots: 256})
 	if err != nil {
@@ -45,7 +44,7 @@ func recordServingMix(t *testing.T, m *machine.Machine) *TraceRecorder {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := NewTraceRecorder(m)
+	rec := machine.Record(m)
 	kv.UseMem(rec)
 	lru.UseMem(rec)
 	pq.UseMem(rec)
@@ -87,7 +86,7 @@ func TestServingOracleDifferential(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			rec := recordServingMix(t, tc.m)
-			if rec.Len() == 0 {
+			if len(rec.Trace().Records) == 0 {
 				t.Fatal("serving mix recorded no accesses")
 			}
 			if d := oracle.Diff(rec.Trace()); d != nil {

@@ -42,9 +42,9 @@ type PQStats struct {
 
 // PQueue is an implicit d-ary min-heap over a cache-line-aligned
 // array in simulated memory, the serving family's timer/priority
-// queue. All runtime accesses go through the Mem seam.
+// queue. All runtime accesses go through a machine.Mem.
 type PQueue struct {
-	m     Mem
+	m     machine.Mem
 	arena *memsys.Arena
 	base  memsys.Addr
 	arity int64
@@ -85,9 +85,9 @@ func NewPQueue(m *machine.Machine, cfg PQConfig) (*PQueue, error) {
 }
 
 // UseMem redirects the queue's runtime accesses through w — a
-// TraceRecorder capturing the stream for oracle replay, or a test
+// machine.Recorder capturing the stream for oracle replay, or a test
 // double.
-func (q *PQueue) UseMem(w Mem) { q.m = w }
+func (q *PQueue) UseMem(w machine.Mem) { q.m = w }
 
 func (q *PQueue) elem(i int64) memsys.Addr { return q.base.Add(i * pqElemSize) }
 
@@ -197,7 +197,7 @@ func (q *PQueue) RegisterRegions(rm *telemetry.RegionMap, prefix string) string 
 // without charging the cache hierarchy. Violations fail with
 // cclerr.ErrCorruptStructure.
 func (q *PQueue) CheckInvariants() error {
-	w := ArenaMem(q.arena)
+	w := machine.Uncharged(q.arena)
 	for i := int64(1); i < q.n; i++ {
 		parent := (i - 1) / q.arity
 		pp := w.LoadInt(q.elem(parent).Add(pqOffPri))

@@ -8,10 +8,11 @@
 // The paper's benchmarks are scientific codes; these structures model
 // the hot path of a web-serving tier instead — hash probes, recency
 // maintenance, and timer management hammered by Zipfian-distributed
-// keys (Zipf). Every runtime access goes through the Mem seam, so the
-// same operation code runs charged against a machine.Machine during
-// measurement, uncharged against the raw arena for invariant checks
-// (ArenaMem), or recorded for oracle replay (TraceRecorder).
+// keys (Zipf). Every runtime access goes through a machine.Mem, so
+// the same operation code runs charged against a machine.Machine
+// during measurement, uncharged against the raw arena for invariant
+// checks (machine.Uncharged), or recorded for oracle replay
+// (machine.Record).
 //
 // Layout variants follow the conventions of internal/split and
 // internal/layout: AoS entries co-locate key metadata with payloads,
@@ -24,104 +25,16 @@ package serving
 import (
 	"ccl/internal/machine"
 	"ccl/internal/memsys"
-	"ccl/internal/trace"
 )
 
-// Mem is the slice of machine.Machine the serving structures touch
-// simulated memory through. Construction-time writes go straight to
-// the arena (uncharged, like any benchmark's setup phase); runtime
-// operations use a Mem so every probe, link update, and payload copy
-// is charged to the cache hierarchy — or observed by a test double.
-type Mem interface {
-	Load32(a memsys.Addr) uint32
-	Store32(a memsys.Addr, v uint32)
-	LoadAddr(a memsys.Addr) memsys.Addr
-	StoreAddr(a memsys.Addr, v memsys.Addr)
-	LoadInt(a memsys.Addr) int64
-	StoreInt(a memsys.Addr, v int64)
-	Tick(n int64)
-}
+// ArenaMem, TraceRecorder and NewTraceRecorder are the machine port
+// under the names the benchmark in perfbench/ calls.
 
-// arenaMem adapts a raw arena to the Mem seam: accesses hit simulated
-// memory directly, bypass the cache hierarchy, and cost no cycles.
-// Invariant checkers use it so verification does not perturb the
-// measured access stream.
-type arenaMem struct{ a *memsys.Arena }
+// ArenaMem returns machine.Uncharged(a).
+func ArenaMem(a *memsys.Arena) machine.Mem { return machine.Uncharged(a) }
 
-func (w arenaMem) Load32(p memsys.Addr) uint32        { return w.a.Load32(p) }
-func (w arenaMem) Store32(p memsys.Addr, v uint32)    { w.a.Store32(p, v) }
-func (w arenaMem) LoadAddr(p memsys.Addr) memsys.Addr { return w.a.LoadAddr(p) }
-func (w arenaMem) StoreAddr(p, v memsys.Addr)         { w.a.StoreAddr(p, v) }
-func (w arenaMem) LoadInt(p memsys.Addr) int64        { return w.a.LoadInt(p) }
-func (w arenaMem) StoreInt(p memsys.Addr, v int64)    { w.a.StoreInt(p, v) }
-func (w arenaMem) Tick(int64)                         {}
+// TraceRecorder is machine.Recorder.
+type TraceRecorder = machine.Recorder
 
-// ArenaMem returns a Mem that reads and writes the arena directly
-// without charging the cache hierarchy — the view invariant checks
-// and test oracles use.
-func ArenaMem(a *memsys.Arena) Mem { return arenaMem{a} }
-
-// TraceRecorder forwards every access to the wrapped machine while
-// appending a trace.Record, so a serving run can be replayed through
-// the event-level differential oracle (oracle.Diff) exactly as the
-// structures issued it.
-type TraceRecorder struct {
-	m    *machine.Machine
-	recs []trace.Record
-}
-
-// NewTraceRecorder wraps m.
-func NewTraceRecorder(m *machine.Machine) *TraceRecorder { return &TraceRecorder{m: m} }
-
-func (r *TraceRecorder) rec(k trace.Kind, a memsys.Addr, size int64) {
-	r.recs = append(r.recs, trace.Record{Kind: k, Addr: a, Size: size})
-}
-
-// Load32 implements Mem.
-func (r *TraceRecorder) Load32(a memsys.Addr) uint32 {
-	r.rec(trace.Load, a, 4)
-	return r.m.Load32(a)
-}
-
-// Store32 implements Mem.
-func (r *TraceRecorder) Store32(a memsys.Addr, v uint32) {
-	r.rec(trace.Store, a, 4)
-	r.m.Store32(a, v)
-}
-
-// LoadAddr implements Mem.
-func (r *TraceRecorder) LoadAddr(a memsys.Addr) memsys.Addr {
-	r.rec(trace.Load, a, memsys.PtrSize)
-	return r.m.LoadAddr(a)
-}
-
-// StoreAddr implements Mem.
-func (r *TraceRecorder) StoreAddr(a memsys.Addr, v memsys.Addr) {
-	r.rec(trace.Store, a, memsys.PtrSize)
-	r.m.StoreAddr(a, v)
-}
-
-// LoadInt implements Mem.
-func (r *TraceRecorder) LoadInt(a memsys.Addr) int64 {
-	r.rec(trace.Load, a, 8)
-	return r.m.LoadInt(a)
-}
-
-// StoreInt implements Mem.
-func (r *TraceRecorder) StoreInt(a memsys.Addr, v int64) {
-	r.rec(trace.Store, a, 8)
-	r.m.StoreInt(a, v)
-}
-
-// Tick implements Mem; compute cycles are a timing overlay, not part
-// of the recorded demand stream.
-func (r *TraceRecorder) Tick(n int64) { r.m.Tick(n) }
-
-// Trace returns the captured access stream paired with the machine's
-// geometry, ready for oracle.Diff.
-func (r *TraceRecorder) Trace() trace.Trace {
-	return trace.Trace{Config: r.m.Cache.Config(), Records: r.recs}
-}
-
-// Len returns the number of recorded accesses.
-func (r *TraceRecorder) Len() int { return len(r.recs) }
+// NewTraceRecorder returns machine.Record(m).
+func NewTraceRecorder(m *machine.Machine) *TraceRecorder { return machine.Record(m) }

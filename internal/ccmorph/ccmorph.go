@@ -25,7 +25,6 @@ package ccmorph
 import (
 	"fmt"
 
-	"ccl/internal/cache"
 	"ccl/internal/cclerr"
 	"ccl/internal/layout"
 	"ccl/internal/machine"
@@ -410,8 +409,7 @@ func ReorganizeWithStrategy(m *machine.Machine, root memsys.Addr, lay Layout,
 		for _, idx := range c {
 			nd := &nodes[idx]
 			dst := newAddr[idx]
-			m.Cache.Access(dst, lay.NodeSize, cache.Store)
-			m.Arena.WriteBytes(dst, nd.buf)
+			m.WriteBytes(dst, nd.buf)
 			for i := 1; i <= lay.MaxKids; i++ {
 				kid := nd.kids[i-1]
 				if kid < 0 {
@@ -465,10 +463,9 @@ func snapshot(m *machine.Machine, root memsys.Addr, lay Layout) ([]snapNode, err
 		idx := len(nodes)
 		index[f.addr] = idx
 
-		m.Cache.Access(f.addr, lay.NodeSize, cache.Load)
 		nd := snapNode{
 			old:    f.addr,
-			buf:    m.Arena.ReadBytes(f.addr, lay.NodeSize),
+			buf:    m.ReadBytes(f.addr, lay.NodeSize),
 			kidA:   make([]memsys.Addr, lay.MaxKids),
 			kids:   make([]int, lay.MaxKids),
 			parent: f.parent,

@@ -18,7 +18,7 @@ import (
 // The new placement strategies (vEB order, hot/cold splitting) join
 // the same robustness bar the original Reorganize path holds: every
 // run — clean or fault-injected — must either commit or abort typed
-// with the original structure intact, and its observed access stream
+// with the original structure intact, and the access stream it issued
 // must replay byte-identically through the differential oracle.
 
 // searchPartition plans the canonical search split: key and links
@@ -58,7 +58,7 @@ func TestStrategyReplayDifferential(t *testing.T) {
 			for i := 0; i < 2000; i++ {
 				tr.Search(uint32(rng.Int63n(n)) + 1)
 			}
-			replayDiff(t, m, rec)
+			replayDiff(t, rec)
 		})
 	}
 
@@ -76,7 +76,7 @@ func TestStrategyReplayDifferential(t *testing.T) {
 		for i := 0; i < 2000; i++ {
 			st.Search(uint32(rng.Int63n(n)) + 1)
 		}
-		replayDiff(t, m, rec)
+		replayDiff(t, rec)
 	})
 }
 
@@ -115,7 +115,7 @@ func sweepVEBPlace(t *testing.T, seed int64) {
 			t.Fatalf("key %d lost (aborted=%d)", k, st.Aborted)
 		}
 	}
-	replayDiff(t, m, rec)
+	replayDiff(t, rec)
 }
 
 // sweepSplitArenaGrow splits a tree while the arena fails growth on
@@ -159,7 +159,7 @@ func sweepSplitArenaGrow(t *testing.T, seed int64) {
 			t.Fatalf("key %d lost from original (split err=%v)", k, err)
 		}
 	}
-	replayDiff(t, m, rec)
+	replayDiff(t, rec)
 }
 
 // TestStrategyFaultSweep drives both new strategies through their

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"ccl/internal/cache"
 	"ccl/internal/cclerr"
 	"ccl/internal/ccmalloc"
 	"ccl/internal/ccmorph"
@@ -22,32 +21,9 @@ import (
 // injection point, against every ccmalloc strategy, under several
 // deterministic schedules, must produce either a typed error or a
 // degraded-but-correct completion — never a panic, never a corrupted
-// structure. Degraded runs additionally replay their observed access
-// stream through the differential oracle, proving the simulator
+// structure. Degraded runs additionally replay the access stream they
+// issued through the differential oracle, proving the simulator
 // stayed architecturally consistent through the failure.
-
-// traceRecorder captures the demand-access stream of a run for
-// differential replay. Prefetches are skipped: the oracle's scope is
-// demand behaviour (see internal/trace package comment).
-type traceRecorder struct {
-	recs []trace.Record
-}
-
-func (r *traceRecorder) OnAccess(addr memsys.Addr, kind cache.AccessKind, hitLevel int) {
-	var k trace.Kind
-	switch kind {
-	case cache.Load:
-		k = trace.Load
-	case cache.Store:
-		k = trace.Store
-	default:
-		return
-	}
-	r.recs = append(r.recs, trace.Record{Kind: k, Addr: addr, Size: 4})
-}
-
-func (r *traceRecorder) OnEvict(level int, addr memsys.Addr, dirty bool)   {}
-func (r *traceRecorder) OnFill(level int, addr memsys.Addr, prefetch bool) {}
 
 // checkTyped fails the test when err carries no cclerr classification:
 // the whole point of the taxonomy is that every failure an injected
@@ -65,24 +41,23 @@ func checkTyped(t *testing.T, op string, err error) {
 }
 
 // replayDiff runs the differential oracle over the access stream the
-// run produced. A degraded run that diverges from the naive reference
+// run issued. A degraded run that diverges from the naive reference
 // simulator corrupted architectural state somewhere.
-func replayDiff(t *testing.T, m *machine.Machine, rec *traceRecorder) {
+func replayDiff(t *testing.T, rec *machine.Recorder) {
 	t.Helper()
-	if len(rec.recs) == 0 {
+	if len(rec.Trace().Records) == 0 {
 		t.Fatal("run recorded no accesses")
 	}
-	tr := trace.Trace{Config: m.Cache.Config(), Records: rec.recs}
-	if d := oracle.Diff(tr); d != nil {
+	if d := oracle.Diff(rec.Trace()); d != nil {
 		t.Fatalf("degraded run diverged from the oracle: %v", d)
 	}
 }
 
-func sweepMachine() (*machine.Machine, *traceRecorder) {
-	m := machine.NewScaled(64)
-	rec := &traceRecorder{}
-	m.Cache.SetObserver(rec)
-	return m, rec
+// sweepMachine returns a machine that records the stream a run
+// issues on it.
+func sweepMachine() (*machine.Machine, *machine.Recorder) {
+	rec := machine.Record(machine.NewScaled(64))
+	return rec.Machine, rec
 }
 
 // sweepArenaGrow exercises ccmalloc under scheduled arena-growth
@@ -124,7 +99,7 @@ func sweepArenaGrow(t *testing.T, strat ccmalloc.Strategy, seed int64) {
 		// not exercising what it claims to.
 		t.Fatal("faults fired but neither degradation nor errors observed")
 	}
-	replayDiff(t, m, rec)
+	replayDiff(t, rec)
 }
 
 // sweepAllocBudget builds a search tree on a budgeted allocator: the
@@ -145,7 +120,7 @@ func sweepAllocBudget(t *testing.T, strat ccmalloc.Strategy, seed int64) {
 	if cerr := tr.CheckSearchable(); cerr != nil {
 		t.Fatalf("budgeted build produced a broken tree: %v", cerr)
 	}
-	replayDiff(t, m, rec)
+	replayDiff(t, rec)
 }
 
 // sweepPlaceCluster morphs a tree through a placer whose placements
@@ -183,7 +158,7 @@ func sweepPlaceCluster(t *testing.T, strat ccmalloc.Strategy, seed int64) {
 			t.Fatalf("key %d lost (aborted=%d)", k, st.Aborted)
 		}
 	}
-	replayDiff(t, m, rec)
+	replayDiff(t, rec)
 }
 
 // sweepTraceRecord corrupts an encoded capture on schedule: Decode

@@ -4,6 +4,13 @@
 // move data in the arena and charge the cache simulator, so a
 // structure's layout directly determines its measured performance —
 // the property the paper's techniques exploit.
+//
+// *Machine is the one memory port. Its typed and bulk accessors are
+// the only code that pairs an arena access with a charge, and every
+// charge takes one step: to Cache, or to the port of one of three
+// other kinds of Machine built here — a topology core (Topology.Core),
+// the uncharged arena view (Uncharged), or a trace recorder (Record).
+// Code that must run on any of them holds a Mem.
 package machine
 
 import (
@@ -25,6 +32,10 @@ type Machine struct {
 	// exactly why the paper finds hardware prefetching ineffective
 	// for pointer-manipulating programs.
 	PointerPrefetch bool
+
+	// port takes the charges of a core, uncharged or recording
+	// Machine; nil charges Cache.
+	port charger
 }
 
 // New builds a machine with the given cache configuration and the
@@ -45,8 +56,23 @@ func NewPaper() *Machine { return New(cache.PaperHierarchy()) }
 // behaves identically at smaller absolute sizes.
 func NewScaled(factor int64) *Machine { return New(cache.ScaledHierarchy(factor)) }
 
+// charge is the step every access of m takes to the memory system.
+func (m *Machine) charge(a memsys.Addr, size int64, kind cache.AccessKind) {
+	if m.port != nil {
+		m.port.access(a, size, kind)
+		return
+	}
+	m.Cache.Access(a, size, kind)
+}
+
 // Tick charges n cycles of compute work.
-func (m *Machine) Tick(n int64) { m.Cache.Tick(n) }
+func (m *Machine) Tick(n int64) {
+	if m.port != nil {
+		m.port.tick(n)
+		return
+	}
+	m.Cache.Tick(n)
+}
 
 // Now returns the current simulated cycle.
 func (m *Machine) Now() int64 { return m.Cache.Now() }
@@ -61,7 +87,7 @@ func (m *Machine) ResetStats() { m.Cache.ResetStats() }
 // charging the cache. With PointerPrefetch enabled, the loaded value
 // is immediately prefetched at no issue cost.
 func (m *Machine) LoadAddr(a memsys.Addr) memsys.Addr {
-	m.Cache.Access(a, memsys.PtrSize, cache.Load)
+	m.charge(a, memsys.PtrSize, cache.Load)
 	v := m.Arena.LoadAddr(a)
 	if m.PointerPrefetch && !v.IsNil() {
 		m.Cache.PrefetchFree(v)
@@ -71,44 +97,70 @@ func (m *Machine) LoadAddr(a memsys.Addr) memsys.Addr {
 
 // StoreAddr writes a simulated pointer, charging the cache.
 func (m *Machine) StoreAddr(a memsys.Addr, v memsys.Addr) {
-	m.Cache.Access(a, memsys.PtrSize, cache.Store)
+	m.charge(a, memsys.PtrSize, cache.Store)
 	m.Arena.StoreAddr(a, v)
 }
 
 // LoadInt reads an int64 field, charging the cache.
 func (m *Machine) LoadInt(a memsys.Addr) int64 {
-	m.Cache.Access(a, 8, cache.Load)
+	m.charge(a, 8, cache.Load)
 	return m.Arena.LoadInt(a)
 }
 
 // StoreInt writes an int64 field, charging the cache.
 func (m *Machine) StoreInt(a memsys.Addr, v int64) {
-	m.Cache.Access(a, 8, cache.Store)
+	m.charge(a, 8, cache.Store)
 	m.Arena.StoreInt(a, v)
 }
 
 // LoadFloat reads a float64 field, charging the cache.
 func (m *Machine) LoadFloat(a memsys.Addr) float64 {
-	m.Cache.Access(a, 8, cache.Load)
+	m.charge(a, 8, cache.Load)
 	return m.Arena.LoadFloat(a)
 }
 
 // StoreFloat writes a float64 field, charging the cache.
 func (m *Machine) StoreFloat(a memsys.Addr, v float64) {
-	m.Cache.Access(a, 8, cache.Store)
+	m.charge(a, 8, cache.Store)
 	m.Arena.StoreFloat(a, v)
 }
 
 // Load32 reads a uint32 field, charging the cache.
 func (m *Machine) Load32(a memsys.Addr) uint32 {
-	m.Cache.Access(a, 4, cache.Load)
+	m.charge(a, 4, cache.Load)
 	return m.Arena.Load32(a)
 }
 
 // Store32 writes a uint32 field, charging the cache.
 func (m *Machine) Store32(a memsys.Addr, v uint32) {
-	m.Cache.Access(a, 4, cache.Store)
+	m.charge(a, 4, cache.Store)
 	m.Arena.Store32(a, v)
+}
+
+// ReadBytes copies n bytes at a into a fresh buffer, charging one
+// n-byte load.
+func (m *Machine) ReadBytes(a memsys.Addr, n int64) []byte {
+	m.charge(a, n, cache.Load)
+	return m.Arena.ReadBytes(a, n)
+}
+
+// WriteBytes copies buf into the arena at a, charging one
+// len(buf)-byte store.
+func (m *Machine) WriteBytes(a memsys.Addr, buf []byte) {
+	m.charge(a, int64(len(buf)), cache.Store)
+	m.Arena.WriteBytes(a, buf)
+}
+
+// Copy copies n bytes from src to dst, charging one n-byte load of
+// src and one n-byte store of dst. Overlapping regions fail as in
+// memsys.Arena.Memcpy and charge nothing.
+func (m *Machine) Copy(dst, src memsys.Addr, n int64) error {
+	if err := m.Arena.Memcpy(dst, src, n); err != nil {
+		return err
+	}
+	m.charge(src, n, cache.Load)
+	m.charge(dst, n, cache.Store)
+	return nil
 }
 
 // Prefetch issues a software prefetch for a's block.

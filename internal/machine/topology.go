@@ -117,7 +117,7 @@ type Topology struct {
 	priv   []*cache.Hierarchy
 	llc    *cache.Hierarchy
 	dir    *coherence.Directory
-	cores  []Core
+	cores  []Machine
 	cycles []int64 // per-core total cycles (private + LLC + protocol)
 	span   int64   // coherence granule = LLC block size
 }
@@ -142,11 +142,11 @@ func NewTopology(cfg TopologyConfig) *Topology {
 		span:   cfg.LLC.BlockSize,
 	}
 	t.priv = make([]*cache.Hierarchy, cfg.Cores)
-	t.cores = make([]Core, cfg.Cores)
+	t.cores = make([]Machine, cfg.Cores)
 	for i := range t.priv {
 		t.priv[i] = cache.New(cfg.Private)
 		t.dir.SetPort(i, t.priv[i])
-		t.cores[i] = Core{t: t, id: i}
+		t.cores[i] = Machine{Arena: t.Arena, port: core{t, i}}
 	}
 	return t
 }
@@ -157,8 +157,9 @@ func (t *Topology) Config() TopologyConfig { return t.cfg }
 // Cores returns the number of cores.
 func (t *Topology) Cores() int { return len(t.priv) }
 
-// Core returns core i's access handle.
-func (t *Topology) Core(i int) *Core { return &t.cores[i] }
+// Core returns core i's memory port: its typed accesses charge core
+// i's caches and clock.
+func (t *Topology) Core(i int) Mem { return &t.cores[i] }
 
 // PrivateCache returns core i's private hierarchy, for attaching
 // telemetry collectors and reading per-core stats.
@@ -275,69 +276,15 @@ func (t *Topology) Tick(i int, n int64) {
 	t.cycles[i] += n
 }
 
-// Core is one core's access handle on a Topology, mirroring the
-// single-core Machine API so workload code ports between them.
-type Core struct {
+// core is the port of one core of a Topology: it charges that core's
+// caches and clock.
+type core struct {
 	t  *Topology
 	id int
 }
 
-// ID returns the core's index.
-func (c *Core) ID() int { return c.id }
-
-// Topology returns the owning topology.
-func (c *Core) Topology() *Topology { return c.t }
-
-// Tick charges n cycles of compute work.
-func (c *Core) Tick(n int64) { c.t.Tick(c.id, n) }
-
-// Cycles returns this core's accumulated cycle count.
-func (c *Core) Cycles() int64 { return c.t.CoreCycles(c.id) }
-
-// LoadAddr reads a simulated pointer, charging this core's caches.
-func (c *Core) LoadAddr(a memsys.Addr) memsys.Addr {
-	c.t.Access(c.id, a, memsys.PtrSize, cache.Load)
-	return c.t.Arena.LoadAddr(a)
+func (c core) access(a memsys.Addr, size int64, kind cache.AccessKind) {
+	c.t.Access(c.id, a, size, kind)
 }
 
-// StoreAddr writes a simulated pointer, charging this core's caches.
-func (c *Core) StoreAddr(a memsys.Addr, v memsys.Addr) {
-	c.t.Access(c.id, a, memsys.PtrSize, cache.Store)
-	c.t.Arena.StoreAddr(a, v)
-}
-
-// LoadInt reads an int64 field, charging this core's caches.
-func (c *Core) LoadInt(a memsys.Addr) int64 {
-	c.t.Access(c.id, a, 8, cache.Load)
-	return c.t.Arena.LoadInt(a)
-}
-
-// StoreInt writes an int64 field, charging this core's caches.
-func (c *Core) StoreInt(a memsys.Addr, v int64) {
-	c.t.Access(c.id, a, 8, cache.Store)
-	c.t.Arena.StoreInt(a, v)
-}
-
-// LoadFloat reads a float64 field, charging this core's caches.
-func (c *Core) LoadFloat(a memsys.Addr) float64 {
-	c.t.Access(c.id, a, 8, cache.Load)
-	return c.t.Arena.LoadFloat(a)
-}
-
-// StoreFloat writes a float64 field, charging this core's caches.
-func (c *Core) StoreFloat(a memsys.Addr, v float64) {
-	c.t.Access(c.id, a, 8, cache.Store)
-	c.t.Arena.StoreFloat(a, v)
-}
-
-// Load32 reads a uint32 field, charging this core's caches.
-func (c *Core) Load32(a memsys.Addr) uint32 {
-	c.t.Access(c.id, a, 4, cache.Load)
-	return c.t.Arena.Load32(a)
-}
-
-// Store32 writes a uint32 field, charging this core's caches.
-func (c *Core) Store32(a memsys.Addr, v uint32) {
-	c.t.Access(c.id, a, 4, cache.Store)
-	c.t.Arena.Store32(a, v)
-}
+func (c core) tick(n int64) { c.t.Tick(c.id, n) }

@@ -209,19 +209,18 @@ func TestTopologyGranuleSplit(t *testing.T) {
 
 func TestTopologyCycleAccounting(t *testing.T) {
 	tp := NewTopology(smallTopology(2))
-	c0 := tp.Core(0)
-	n := c0.Cycles()
+	n := tp.CoreCycles(0)
 	if n != 0 {
 		t.Fatalf("fresh core has %d cycles", n)
 	}
 	tp.Access(0, 0x40, 8, cache.Load)
-	if c0.Cycles() <= 0 {
+	if tp.CoreCycles(0) <= 0 {
 		t.Fatal("access charged no cycles")
 	}
 	// Cold miss pays private chain + hop + LLC + DRAM + snoop.
 	want := int64(1+8) + int64(12+60) + tp.Directory().Config().SnoopLatency
-	if c0.Cycles() != want {
-		t.Fatalf("cold miss cycles = %d, want %d", c0.Cycles(), want)
+	if tp.CoreCycles(0) != want {
+		t.Fatalf("cold miss cycles = %d, want %d", tp.CoreCycles(0), want)
 	}
 	tp.Tick(0, 100)
 	if got := tp.CoreCycles(0); got != want+100 {

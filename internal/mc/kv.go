@@ -115,7 +115,7 @@ func KV(tp *machine.Topology, cfg KVConfig) KVResult {
 
 // kvLookupOrInsert probes core c's shard for key, inserting the key
 // with value key*2 on first sight. It reports whether the lookup hit.
-func kvLookupOrInsert(c *machine.Core, shard memsys.Addr, slots int64, key uint32) bool {
+func kvLookupOrInsert(c machine.Mem, shard memsys.Addr, slots int64, key uint32) bool {
 	h := int64(key*2654435761) & (slots - 1)
 	for probe := int64(0); probe < slots; probe++ {
 		slot := shard.Add(((h + probe) & (slots - 1)) * kvSlotSize)

@@ -104,7 +104,7 @@ func TreeSearch(tp *machine.Topology, cfg TreeConfig) TreeResult {
 }
 
 // treeLookup descends from root through core c's caches.
-func treeLookup(c *machine.Core, root memsys.Addr, key uint32) bool {
+func treeLookup(c machine.Mem, root memsys.Addr, key uint32) bool {
 	for a := root; a != 0; {
 		k := c.Load32(a.Add(treeOffKey))
 		c.Tick(2) // compare/branch cost, as in the trees package

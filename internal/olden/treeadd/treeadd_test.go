@@ -1,9 +1,12 @@
 package treeadd
 
 import (
+	"reflect"
 	"testing"
 
+	"ccl/internal/machine"
 	"ccl/internal/olden"
+	"ccl/internal/oracle"
 )
 
 func TestSumMatchesClosedForm(t *testing.T) {
@@ -57,5 +60,29 @@ func TestMorphReducesTraversalMisses(t *testing.T) {
 	if cl.Stats.Levels[1].Misses >= base.Stats.Levels[1].Misses {
 		t.Errorf("morphed L2 misses %d not below base %d",
 			cl.Stats.Levels[1].Misses, base.Stats.Levels[1].Misses)
+	}
+}
+
+// TestRecordedVariants records treeadd under HP, SP and Cl+Col
+// through machine.Record. Recording must leave every counter as an
+// unrecorded run leaves it, and the captured demand stream must replay
+// clean through the differential oracle.
+func TestRecordedVariants(t *testing.T) {
+	cfg := Config{Depth: 10, Repeats: 2}
+	for _, v := range []olden.Variant{olden.HWPrefetch, olden.SWPrefetch, olden.CCMorphClusterColor} {
+		want := Run(olden.NewEnv(v, 16), cfg)
+		env := olden.NewEnv(v, 16)
+		rec := machine.Record(env.M)
+		env.M = rec.Machine
+		got := Run(env, cfg)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: recording changed the result:\n%+v\nvs\n%+v", v, got, want)
+		}
+		if len(rec.Trace().Records) == 0 {
+			t.Fatalf("%s: run recorded no accesses", v)
+		}
+		if d := oracle.Diff(rec.Trace()); d != nil {
+			t.Fatalf("%s: recorded stream diverged from the oracle: %v", v, d)
+		}
 	}
 }

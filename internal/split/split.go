@@ -29,7 +29,6 @@ package split
 import (
 	"fmt"
 
-	"ccl/internal/cache"
 	"ccl/internal/cclerr"
 	"ccl/internal/heap"
 	"ccl/internal/layout"
@@ -474,12 +473,13 @@ func Split(m *machine.Machine, root memsys.Addr, part Partition, kidFields []str
 
 	// Phase 3: write every element into its split home, charging the
 	// stores to the simulated cache. Writes touch only fresh extents;
-	// the commit below is the only point of no return.
+	// the commit below is the only point of no return. The cold
+	// fields are packed into one record, written with one store.
+	cold := make([]byte, coldStride)
 	for i := int64(0); i < n; i++ {
 		e := &elems[i]
 		for fi, f := range part.Hot {
 			dst := t.hot[fi].addr(i)
-			m.Cache.Access(dst, f.Size, cache.Store)
 			if kidIsSlot[fi] {
 				// Which kid slot is this field? (kid fields are
 				// distinct, so exactly one matches.)
@@ -491,18 +491,17 @@ func Split(m *machine.Machine, root memsys.Addr, part Partition, kidFields []str
 					if e.kids[s] >= 0 {
 						v = uint32(e.kids[s])
 					}
-					m.Arena.Store32(dst, v)
+					m.Store32(dst, v)
 				}
 				continue
 			}
-			m.Arena.WriteBytes(dst, e.buf[f.Offset:f.Offset+f.Size])
+			m.WriteBytes(dst, e.buf[f.Offset:f.Offset+f.Size])
 		}
 		if coldStride > 0 {
-			dst := t.cold.addr(i)
-			m.Cache.Access(dst, coldStride, cache.Store)
 			for ci, f := range part.Cold {
-				m.Arena.WriteBytes(dst.Add(t.coldOffs[ci]), e.buf[f.Offset:f.Offset+f.Size])
+				copy(cold[t.coldOffs[ci]:], e.buf[f.Offset:f.Offset+f.Size])
 			}
+			m.WriteBytes(t.cold.addr(i), cold)
 		}
 	}
 
@@ -610,10 +609,9 @@ func snapshot(m *machine.Machine, root memsys.Addr, part Partition, kidSlots []i
 	for len(queue) > 0 {
 		a := queue[0]
 		queue = queue[1:]
-		m.Cache.Access(a, size, cache.Load)
 		e := snapElem{
 			old:  a,
-			buf:  m.Arena.ReadBytes(a, size),
+			buf:  m.ReadBytes(a, size),
 			kids: make([]int64, len(kidSlots)),
 		}
 		for s, slot := range kidSlots {
