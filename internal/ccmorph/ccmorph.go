@@ -24,6 +24,7 @@ package ccmorph
 
 import (
 	"fmt"
+	"slices"
 
 	"ccl/internal/cclerr"
 	"ccl/internal/layout"
@@ -291,17 +292,6 @@ func Reorganize(m *machine.Machine, root memsys.Addr, lay Layout, cfg Config,
 	return ReorganizeWithStrategy(m, root, lay, cfg.Strategy, placer, freeOld)
 }
 
-// snapNode is the host-side record of one element taken during the
-// snapshot pass.
-type snapNode struct {
-	old    memsys.Addr
-	buf    []byte        // element bytes
-	kidA   []memsys.Addr // child addresses (old layout)
-	kids   []int         // child snapshot indices (-1 = nil)
-	parent int           // snapshot index of parent (-1 for root)
-	depth  int
-}
-
 // ReorganizeWith is Reorganize with a caller-supplied (shareable)
 // placement context and the default subtree-clustering strategy.
 func ReorganizeWith(m *machine.Machine, root memsys.Addr, lay Layout, placer *Placer,
@@ -354,20 +344,22 @@ func ReorganizeWithStrategy(m *machine.Machine, root memsys.Addr, lay Layout,
 	claimedBefore := placer.Claimed()
 
 	// Phase 1: snapshot the structure in preorder.
-	nodes, err := snapshot(m, root, lay)
+	snap, err := takeSnapshot(m, root, lay)
 	if err != nil {
 		return root, Stats{Aborted: 1}, err
 	}
+	n := len(snap.old)
 
-	// Phase 2: compute the node order, host-side.
+	// Phase 2: compute the node order, host-side: order lists every
+	// element once, and cluster c is order[ends[c-1]:ends[c]].
 	k := placer.geo.NodesPerBlock(lay.NodeSize)
-	m.Tick(ClusterCost * int64(len(nodes)))
-	var clusters [][]int
+	m.Tick(ClusterCost * int64(n))
+	var order, ends []int
 	switch strat {
 	case SubtreeCluster:
-		clusters = clusterize(nodes, lay.MaxKids, k)
+		order, ends = clusterize(snap, k)
 	case VEB:
-		clusters, err = vebClusters(nodes, k)
+		order, ends, err = vebClusters(snap, k)
 		if err != nil {
 			return root, Stats{Aborted: 1}, err
 		}
@@ -377,8 +369,8 @@ func ReorganizeWithStrategy(m *machine.Machine, root memsys.Addr, lay Layout,
 	}
 
 	stats = Stats{
-		Nodes:       int64(len(nodes)),
-		Clusters:    int64(len(clusters)),
+		Nodes:       int64(n),
+		Clusters:    int64(len(ends)),
 		NodesPerBlk: k,
 	}
 
@@ -386,18 +378,20 @@ func ReorganizeWithStrategy(m *machine.Machine, root memsys.Addr, lay Layout,
 	// here (oversized cluster, exhausted arena, injected fault) leave
 	// only unreferenced fresh extents behind — the old structure has
 	// not been touched.
-	newAddr := make([]memsys.Addr, len(nodes))
-	for _, c := range clusters {
-		base, hot, perr := placer.place(int64(len(c)) * lay.NodeSize)
+	newAddr := make([]memsys.Addr, n)
+	start := 0
+	for _, end := range ends {
+		base, hot, perr := placer.place(int64(end-start) * lay.NodeSize)
 		if perr != nil {
 			return root, Stats{Aborted: 1}, perr
 		}
 		if hot {
 			stats.HotClusters++
 		}
-		for ni, idx := range c {
+		for ni, idx := range order[start:end] {
 			newAddr[idx] = base.Add(int64(ni) * lay.NodeSize)
 		}
+		start = end
 	}
 
 	// Phase 3b: write every element at its new home and rewire its
@@ -405,33 +399,28 @@ func ReorganizeWithStrategy(m *machine.Machine, root memsys.Addr, lay Layout,
 	// Writes go exclusively to the newly-placed copies; old elements
 	// are never mutated, so the commit below is the only point of no
 	// return.
-	for _, c := range clusters {
-		for _, idx := range c {
-			nd := &nodes[idx]
-			dst := newAddr[idx]
-			m.WriteBytes(dst, nd.buf)
-			for i := 1; i <= lay.MaxKids; i++ {
-				kid := nd.kids[i-1]
-				if kid < 0 {
-					continue
-				}
-				lay.SetKid(m, dst, i, newAddr[kid])
+	for _, idx := range order {
+		dst := newAddr[idx]
+		m.WriteBytes(dst, snap.elem(idx))
+		for i, kid := range snap.kidsOf(idx) {
+			if kid >= 0 {
+				lay.SetKid(m, dst, i+1, newAddr[kid])
 			}
-			if lay.HasParent {
-				pa := memsys.NilAddr
-				if nd.parent >= 0 {
-					pa = newAddr[nd.parent]
-				}
-				lay.SetParent(m, dst, pa)
+		}
+		if lay.HasParent {
+			pa := memsys.NilAddr
+			if p := snap.parent[idx]; p >= 0 {
+				pa = newAddr[p]
 			}
+			lay.SetParent(m, dst, pa)
 		}
 	}
 
 	// Commit: the copy is complete and internally consistent; only now
 	// may the old elements be reclaimed.
 	if freeOld != nil {
-		for i := range nodes {
-			freeOld(nodes[i].old)
+		for _, a := range snap.old {
+			freeOld(a)
 		}
 	}
 
@@ -439,163 +428,181 @@ func ReorganizeWithStrategy(m *machine.Machine, root memsys.Addr, lay Layout,
 	return newAddr[0], stats, nil
 }
 
-// snapshot reads the structure once, in preorder, into host-side
-// records, charging the cache for each element read. A structure that
-// is not tree-like — an element reachable twice (DAG or cycle), or a
-// child pointer escaping the traversal — fails with cclerr.ErrNotTree.
-func snapshot(m *machine.Machine, root memsys.Addr, lay Layout) ([]snapNode, error) {
-	index := make(map[memsys.Addr]int)
-	var nodes []snapNode
+// snapshot is the host-side copy of the structure the read pass
+// takes, held flat: element i, numbered in preorder, was read from
+// old[i]; its bytes are elem(i), its children's indices kidsOf(i)
+// (-1 for a nil child), its parent's index parent[i] (-1 for the
+// root) and its depth depth[i]. Indices are 32-bit, halving the
+// arrays of a paper-scale tree: the 32-bit simulated address space
+// holds fewer than 2^31 elements of two or more bytes.
+type snapshot struct {
+	size    int64 // element size
+	maxKids int
+	old     []memsys.Addr
+	buf     []byte
+	kids    []int32
+	parent  []int32
+	depth   []int32
+}
+
+func (s *snapshot) elem(i int) []byte { return s.buf[int64(i)*s.size : int64(i+1)*s.size] }
+
+func (s *snapshot) kidsOf(i int) []int32 { return s.kids[i*s.maxKids : (i+1)*s.maxKids] }
+
+// takeSnapshot reads the structure once, in preorder, charging the
+// cache for each element read: the element's bytes, then each child
+// pointer through lay.Kid. A child's index is resolved when it is
+// popped, through the kids slot it was reached from. A structure that
+// is not tree-like — an element reachable twice (DAG or cycle) —
+// fails with cclerr.ErrNotTree.
+func takeSnapshot(m *machine.Machine, root memsys.Addr, lay Layout) (*snapshot, error) {
+	s := &snapshot{size: lay.NodeSize, maxKids: lay.MaxKids}
+	var seen memsys.AddrSet
+	kidA := make([]memsys.Addr, lay.MaxKids)
 
 	type frame struct {
-		addr   memsys.Addr
-		parent int
-		depth  int
+		addr memsys.Addr
+		from int // kids slot that points here; -1 for the root
 	}
-	stack := []frame{{root, -1, 0}}
+	stack := []frame{{root, -1}}
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if _, dup := index[f.addr]; dup {
+		if !seen.Add(f.addr) {
 			return nil, cclerr.Errorf(cclerr.ErrNotTree,
 				"ccmorph: element %v reachable twice", f.addr)
 		}
-		idx := len(nodes)
-		index[f.addr] = idx
-
-		nd := snapNode{
-			old:    f.addr,
-			buf:    m.ReadBytes(f.addr, lay.NodeSize),
-			kidA:   make([]memsys.Addr, lay.MaxKids),
-			kids:   make([]int, lay.MaxKids),
-			parent: f.parent,
-			depth:  f.depth,
+		idx := len(s.old)
+		parent, depth := int32(-1), int32(0)
+		if f.from >= 0 {
+			s.kids[f.from] = int32(idx)
+			parent = int32(f.from / lay.MaxKids)
+			depth = s.depth[parent] + 1
 		}
+		s.old = append(s.old, f.addr)
+		s.parent = append(s.parent, parent)
+		s.depth = append(s.depth, depth)
+		s.buf = slices.Grow(s.buf, int(s.size))[:len(s.buf)+int(s.size)]
+		m.ReadBytes(f.addr, s.elem(idx))
 		for i := 1; i <= lay.MaxKids; i++ {
-			nd.kidA[i-1] = lay.Kid(m, f.addr, i)
+			kidA[i-1] = lay.Kid(m, f.addr, i)
+			s.kids = append(s.kids, -1)
 		}
-		nodes = append(nodes, nd)
 		// Push children in reverse so the leftmost is visited next
 		// (preorder).
 		for i := lay.MaxKids; i >= 1; i-- {
-			if kid := nd.kidA[i-1]; !kid.IsNil() {
-				stack = append(stack, frame{kid, idx, f.depth + 1})
+			if kid := kidA[i-1]; !kid.IsNil() {
+				stack = append(stack, frame{kid, idx*lay.MaxKids + i - 1})
 			}
 		}
 	}
-
-	// Resolve child addresses to snapshot indices.
-	for i := range nodes {
-		for j, a := range nodes[i].kidA {
-			if a.IsNil() {
-				nodes[i].kids[j] = -1
-				continue
-			}
-			idx, ok := index[a]
-			if !ok {
-				return nil, cclerr.Errorf(cclerr.ErrNotTree,
-					"ccmorph: child %v of %v was not visited; external structure?", a, nodes[i].old)
-			}
-			nodes[i].kids[j] = idx
-		}
-	}
-	return nodes, nil
+	return s, nil
 }
 
 // clusterize partitions the snapshot into subtree clusters of at most
-// k elements (Figure 1). Cluster roots are processed in strict depth
-// order, so clusters emerge in level order: the first clusters hold
-// the root-most — and under random search, hottest — elements, which
-// coloring then pins in the reserved cache region.
-func clusterize(nodes []snapNode, maxKids int, k int64) [][]int {
-	var clusters [][]int
+// k elements (Figure 1), returned as one node order plus each
+// cluster's end offset in it. Cluster roots are processed in strict
+// depth order, so clusters emerge in level order: the first clusters
+// hold the root-most — and under random search, hottest — elements,
+// which coloring then pins in the reserved cache region.
+func clusterize(s *snapshot, k int64) (order, ends []int) {
+	n := len(s.old)
+	order = make([]int, 0, n)
 
-	// Bucket queue by depth. Cluster roots are only ever pushed at
-	// depths >= the depth currently being drained, so an advancing
+	// Bucket queue by depth: one FIFO list of cluster roots per depth,
+	// threaded through next. Cluster roots are only ever pushed at
+	// depths greater than the one being drained, so an advancing
 	// cursor yields exact level order.
-	buckets := [][]int{{0}}
-	push := func(idx int) {
-		d := nodes[idx].depth
-		for len(buckets) <= d {
-			buckets = append(buckets, nil)
-		}
-		buckets[d] = append(buckets[d], idx)
+	maxDepth := int32(0)
+	for _, d := range s.depth {
+		maxDepth = max(maxDepth, d)
 	}
+	head := make([]int32, 2*(maxDepth+1))
+	tail := head[maxDepth+1:]
+	for d := range head {
+		head[d] = -1
+	}
+	next := make([]int32, n)
+	push := func(idx int32) {
+		d := s.depth[idx]
+		if tail[d] < 0 {
+			head[d] = idx
+		} else {
+			next[tail[d]] = idx
+		}
+		tail[d], next[idx] = idx, -1
+	}
+	push(0)
 
-	for d := 0; d < len(buckets); d++ {
-		for len(buckets[d]) > 0 {
-			croot := buckets[d][0]
-			buckets[d] = buckets[d][1:]
+	var frontier []int32
+	for d := int32(0); d <= maxDepth; d++ {
+		for head[d] >= 0 {
+			croot := head[d]
+			head[d] = next[croot]
 
 			// Level-order fill of this cluster from croot's subtree.
-			var c []int
-			frontier := []int{croot}
-			for len(frontier) > 0 && int64(len(c)) < k {
-				n := frontier[0]
-				frontier = frontier[1:]
-				c = append(c, n)
-				for i := 0; i < maxKids; i++ {
-					if kid := nodes[n].kids[i]; kid >= 0 {
+			start := len(order)
+			frontier = append(frontier[:0], croot)
+			f := 0
+			for ; f < len(frontier) && int64(len(order)-start) < k; f++ {
+				order = append(order, int(frontier[f]))
+				for _, kid := range s.kidsOf(int(frontier[f])) {
+					if kid >= 0 {
 						frontier = append(frontier, kid)
 					}
 				}
 			}
 			// Unplaced frontier nodes root later clusters.
-			for _, idx := range frontier {
+			for _, idx := range frontier[f:] {
 				push(idx)
 			}
-			clusters = append(clusters, c)
+			ends = append(ends, len(order))
 		}
 	}
-	return clusters
+	return order, ends
 }
 
 // vebClusters partitions the van Emde Boas order into clusters the
-// placer packs into cache blocks. Cluster boundaries follow the
-// order's recursive-subtree structure rather than fixed k-node runs:
-// a node joins the current cluster only while its parent is already
-// in it (and the cluster has room), so the finest recursive blocks —
-// a parent and its children, contiguous in vEB order by construction
-// — land in one cache block. Naive k-chunking instead shears those
-// groups across block boundaries, and measurably loses the paths-per-
-// block economy that subtree clustering gets for free. The order's
-// prefix holds the top recursive subtrees — the root-most nodes — so
-// the colored hot budget covers the elements every search touches,
-// same as clusterize's level-order output.
+// placer packs into cache blocks, returned like clusterize's. Cluster
+// boundaries follow the order's recursive-subtree structure rather
+// than fixed k-node runs: a node joins the current cluster only while
+// its parent is already in it (and the cluster has room), so the
+// finest recursive blocks — a parent and its children, contiguous in
+// vEB order by construction — land in one cache block. Naive
+// k-chunking instead shears those groups across block boundaries, and
+// measurably loses the paths-per-block economy that subtree
+// clustering gets for free. The order's prefix holds the top
+// recursive subtrees — the root-most nodes — so the colored hot
+// budget covers the elements every search touches, same as
+// clusterize's level-order output.
 //
 // The snapshot has already proven the structure a tree, so VEBOrder's
 // validation cannot fail here; errors are surfaced anyway to keep the
 // abort path honest.
-func vebClusters(nodes []snapNode, k int64) ([][]int, error) {
-	kids := make([][]int, len(nodes))
-	for i := range nodes {
-		for _, kid := range nodes[i].kids {
+func vebClusters(s *snapshot, k int64) (order, ends []int, err error) {
+	// VEBOrder takes an adjacency list; its rows share one backing
+	// array of the tree's n-1 edges.
+	n := len(s.old)
+	edges := make([]int, 0, n-1)
+	kids := make([][]int, n)
+	for i := range kids {
+		from := len(edges)
+		for _, kid := range s.kidsOf(i) {
 			if kid >= 0 {
-				kids[i] = append(kids[i], kid)
+				edges = append(edges, int(kid))
 			}
 		}
+		kids[i] = edges[from:]
 	}
-	order, err := layout.VEBOrder(kids, 0)
-	if err != nil {
-		return nil, err
+	if order, err = layout.VEBOrder(kids, 0); err != nil {
+		return nil, nil, err
 	}
-	var clusters [][]int
-	var cur []int
-	inCur := func(v int) bool {
-		p := nodes[v].parent
-		for _, c := range cur {
-			if c == p {
-				return true
-			}
+	start := 0
+	for i, v := range order {
+		if i > start && (int64(i-start) >= k || !slices.Contains(order[start:i], int(s.parent[v]))) {
+			ends = append(ends, i)
+			start = i
 		}
-		return false
 	}
-	for _, v := range order {
-		if len(cur) > 0 && (int64(len(cur)) >= k || !inCur(v)) {
-			clusters = append(clusters, cur)
-			cur = nil
-		}
-		cur = append(cur, v)
-	}
-	return append(clusters, cur), nil
+	return order, append(ends, len(order)), nil
 }

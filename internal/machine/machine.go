@@ -137,11 +137,11 @@ func (m *Machine) Store32(a memsys.Addr, v uint32) {
 	m.Arena.Store32(a, v)
 }
 
-// ReadBytes copies n bytes at a into a fresh buffer, charging one
-// n-byte load.
-func (m *Machine) ReadBytes(a memsys.Addr, n int64) []byte {
-	m.charge(a, n, cache.Load)
-	return m.Arena.ReadBytes(a, n)
+// ReadBytes copies the len(dst) bytes at a into dst, charging one
+// len(dst)-byte load.
+func (m *Machine) ReadBytes(a memsys.Addr, dst []byte) {
+	m.charge(a, int64(len(dst)), cache.Load)
+	m.Arena.ReadBytes(a, dst)
 }
 
 // WriteBytes copies buf into the arena at a, charging one

@@ -25,7 +25,8 @@ func exercise(t *testing.T, m *Machine, p memsys.Addr) []int64 {
 	if err := m.Copy(p.Add(64), p, 30); err != nil {
 		t.Fatal(err)
 	}
-	b := m.ReadBytes(p.Add(88), 6)
+	b := make([]byte, 6)
+	m.ReadBytes(p.Add(88), b)
 	return []int64{
 		m.LoadInt(p.Add(64)), int64(m.LoadFloat(p.Add(72))),
 		int64(m.Load32(p.Add(80))), int64(m.LoadAddr(p.Add(84))), int64(b[5]),
@@ -156,7 +157,8 @@ func TestBulkOpsChargeOneRange(t *testing.T) {
 	}
 	hand.Cache.Access(p.Add(40), int64(len(src)), cache.Load)
 	hand.Cache.Access(p.Add(300), int64(len(src)), cache.Store)
-	got := bulk.ReadBytes(p.Add(300), int64(len(src)))
+	got := make([]byte, len(src))
+	bulk.ReadBytes(p.Add(300), got)
 	hand.Cache.Access(p.Add(300), int64(len(src)), cache.Load)
 
 	if string(got) != string(src) {

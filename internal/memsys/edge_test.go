@@ -2,6 +2,7 @@ package memsys
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"ccl/internal/cclerr"
@@ -28,6 +29,23 @@ func TestGrowPastAddrSpaceLimitFailsTyped(t *testing.T) {
 	}
 	if a.Brk() != brk {
 		t.Fatal("near-limit rejected grow changed the mapped extent")
+	}
+}
+
+// A request near math.MaxInt64 must be compared with the room left
+// before it is rounded to pages: rounding first overflows to a
+// negative extent that passes the limit check.
+func TestGrowNearMaxInt64FailsTyped(t *testing.T) {
+	a := NewArena(0)
+	a.Sbrk(1)
+	brk, size := a.Brk(), a.Size()
+	for _, n := range []int64{math.MaxInt64, math.MaxInt64 - 100, math.MaxInt64 - a.PageSize() + 2} {
+		if _, err := a.Grow(n); !errors.Is(err, cclerr.ErrOutOfMemory) {
+			t.Fatalf("Grow(%d) err = %v, want ErrOutOfMemory", n, err)
+		}
+		if a.Brk() != brk || a.Size() != size {
+			t.Fatalf("rejected Grow(%d) moved the break %v -> %v, size %d -> %d", n, brk, a.Brk(), size, a.Size())
+		}
 	}
 }
 

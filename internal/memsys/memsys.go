@@ -5,9 +5,16 @@
 // exact addresses at which structure elements are placed. A Go program
 // cannot dictate the garbage collector's placement decisions, so this
 // package provides an explicit, byte-addressable arena: addresses are
-// plain integers, data is stored in page-granular byte buffers, and
-// the cache simulator (package cache) maps those addresses to cache
-// sets exactly as hardware would. See DESIGN.md §1.
+// plain integers, and the cache simulator (package cache) maps them to
+// cache sets exactly as hardware would. See DESIGN.md §1.
+//
+// The host copy of the mapped bytes is a table of fixed 64 KiB chunks
+// (chunkSize). Growing the arena appends chunks and never moves or
+// copies mapped bytes, so an arena that ends at 64 MiB has allocated
+// 64 MiB plus its chunk table; a contiguous slice grown by append
+// would have re-copied itself at every capacity step. A typed load or
+// store that fits one chunk takes a single-chunk fast path; one that
+// straddles a chunk edge, and every bulk operation, walks the chunks.
 //
 // Failure contract (DESIGN.md §7): growth can fail — the simulated
 // address space is 32-bit, like the paper's UltraSPARC, and tests
@@ -21,6 +28,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"ccl/internal/cclerr"
 )
@@ -90,15 +98,24 @@ func (f Fault) Error() string {
 		f.Size, f.Addr, f.Mapped)
 }
 
+// chunkShift fixes the host backing store's chunk size. The mapped
+// region lives in chunkSize-byte chunks: chunk i holds the bytes of
+// addresses arenaBase+i*chunkSize onwards.
+const (
+	chunkShift = 16
+	chunkSize  = 1 << chunkShift
+	chunkMask  = chunkSize - 1
+)
+
 // Arena is a simulated address space. It grows on demand in
 // page-granular extents and supports bounds-checked typed loads and
 // stores. Arena performs no cache accounting; package machine layers
 // that on top.
 type Arena struct {
 	pageSize int64
-	mem      []byte // backing store; index i holds address arenaBase+i
-	brk      Addr   // first unmapped address (end of the mapped region)
-	limit    int64  // first address Grow may never reach past
+	chunks   []*[chunkSize]byte // backing store, allocated as the break advances
+	size     uint64             // mapped bytes: the break is arenaBase+size
+	limit    int64              // first address Grow may never reach past
 	guard    func(n int64) error
 }
 
@@ -111,7 +128,7 @@ func NewArena(pageSize int64) *Arena {
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize
 	}
-	return &Arena{pageSize: pageSize, brk: arenaBase, limit: AddrSpaceLimit}
+	return &Arena{pageSize: pageSize, limit: AddrSpaceLimit}
 }
 
 // SetGrowGuard installs a hook consulted before every growth of this
@@ -143,37 +160,46 @@ func (a *Arena) Base() Addr { return arenaBase }
 
 // Brk returns the current end of the mapped region: the next address
 // Sbrk would return.
-func (a *Arena) Brk() Addr { return a.brk }
+func (a *Arena) Brk() Addr { return Addr(arenaBase + a.size) }
 
 // Size returns the number of mapped bytes.
-func (a *Arena) Size() int64 { return int64(a.brk) - arenaBase }
+func (a *Arena) Size() int64 { return int64(a.size) }
 
 // Grow extends the mapped region by at least n bytes, rounded up to a
 // whole number of pages, and returns the first address of the new
 // extent. It fails with cclerr.ErrInvalidArg for negative n and with
 // cclerr.ErrOutOfMemory when the rounded extent would cross the
 // address-space limit or the grow guard vetoes it; on failure the
-// mapped region is unchanged.
+// mapped region is unchanged and no backing store is allocated.
 func (a *Arena) Grow(n int64) (Addr, error) {
 	if n < 0 {
 		return NilAddr, cclerr.Errorf(cclerr.ErrInvalidArg, "memsys: Grow(%d): negative size", n)
 	}
-	pages := (n + a.pageSize - 1) / a.pageSize
-	grow := pages * a.pageSize
-	if int64(a.brk)+grow > a.limit {
+	brk := a.Brk()
+	// Compare the request with the room left before rounding it: page
+	// rounding a request near math.MaxInt64 would overflow.
+	room := a.limit - int64(brk)
+	grow := n
+	if n <= room {
+		if grow = n / a.pageSize * a.pageSize; grow < n {
+			grow += a.pageSize
+		}
+	}
+	if grow > room {
 		return NilAddr, cclerr.Errorf(cclerr.ErrOutOfMemory,
 			"memsys: Grow(%d): break %v + %d bytes exceeds the %d-byte address-space limit",
-			n, a.brk, grow, a.limit)
+			n, brk, grow, a.limit)
 	}
 	if a.guard != nil {
 		if err := a.guard(n); err != nil {
 			return NilAddr, fmt.Errorf("memsys: Grow(%d) vetoed: %w: %w", n, cclerr.ErrOutOfMemory, err)
 		}
 	}
-	start := a.brk
-	a.mem = append(a.mem, make([]byte, grow)...)
-	a.brk = a.brk.Add(grow)
-	return start, nil
+	a.size += uint64(grow)
+	for uint64(len(a.chunks))<<chunkShift < a.size {
+		a.chunks = append(a.chunks, new([chunkSize]byte))
+	}
+	return brk, nil
 }
 
 // Sbrk is Grow for callers that have sized their workload within the
@@ -202,7 +228,7 @@ func (a *Arena) AlignTo(align int64) (Addr, error) {
 		return NilAddr, cclerr.Errorf(cclerr.ErrInvalidArg,
 			"memsys: AlignTo(%d): alignment must be a positive power of two", align)
 	}
-	rem := int64(a.brk) & (align - 1)
+	rem := int64(a.Brk()) & (align - 1)
 	if rem != 0 {
 		if _, err := a.Grow(align - rem); err != nil {
 			return NilAddr, err
@@ -210,13 +236,13 @@ func (a *Arena) AlignTo(align int64) (Addr, error) {
 		// Grow rounds to pages; when align exceeds the page size the
 		// page rounding may still leave us unaligned, so repeat until
 		// the invariant holds. Each Grow strictly advances the break.
-		for int64(a.brk)&(align-1) != 0 {
+		for int64(a.Brk())&(align-1) != 0 {
 			if _, err := a.Grow(1); err != nil {
 				return NilAddr, err
 			}
 		}
 	}
-	return a.brk, nil
+	return a.Brk(), nil
 }
 
 // AlignBrk is AlignTo for construction-time callers; see Sbrk.
@@ -233,7 +259,8 @@ func (a *Arena) AlignBrk(align int64) Addr {
 
 // Mapped reports whether the n bytes starting at addr are all mapped.
 func (a *Arena) Mapped(addr Addr, n int64) bool {
-	return addr >= arenaBase && n >= 0 && int64(addr)+n <= int64(a.brk)
+	x := uint64(addr) - arenaBase
+	return addr >= arenaBase && n >= 0 && uint64(n) <= a.size && x <= a.size-uint64(n)
 }
 
 // check panics with a descriptive Fault when an access is out of
@@ -246,33 +273,90 @@ func (a *Arena) Mapped(addr Addr, n int64) bool {
 // layers (ccmorph) can convert it at a safe boundary.
 func (a *Arena) check(addr Addr, n int64) {
 	if !a.Mapped(addr, n) {
-		panic(Fault{Addr: addr, Size: n, Mapped: AddrRange{Start: arenaBase, End: a.brk}})
+		panic(Fault{Addr: addr, Size: n, Mapped: AddrRange{Start: arenaBase, End: a.Brk()}})
 	}
 }
 
-func (a *Arena) slice(addr Addr, n int64) []byte {
-	a.check(addr, n)
-	off := int64(addr) - arenaBase
-	return a.mem[off : off+n]
+// load is the typed loads' slow path: an n-byte access that
+// straddles a chunk edge, or faults. It stays out of line so the
+// fast path needs no frame for its buffer.
+//
+//go:noinline
+func (a *Arena) load(addr Addr, n int64) uint64 {
+	var b [8]byte
+	a.ReadBytes(addr, b[:n])
+	return binary.LittleEndian.Uint64(b[:])
 }
 
+// store is the typed stores' slow path; see load.
+//
+//go:noinline
+func (a *Arena) store(addr Addr, n int64, v uint64) {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	a.WriteBytes(addr, b[:n])
+}
+
+// The typed accessors' fast path serves an access that is mapped and
+// lies in one chunk: x+n-1 < a.size bounds it, and lo <= chunkSize-n
+// keeps it in one chunk. Base-relative offsets that wrap below
+// arenaBase land in the last n-1 bytes of a chunk, so the one-chunk
+// test rejects them too, and load or store raises their Fault.
+
 // Load8 reads one byte.
-func (a *Arena) Load8(addr Addr) uint8 { return a.slice(addr, 1)[0] }
+func (a *Arena) Load8(addr Addr) uint8 {
+	if x := uint64(addr) - arenaBase; x < a.size {
+		return a.chunks[x>>chunkShift][x&chunkMask]
+	}
+	return uint8(a.load(addr, 1))
+}
 
 // Store8 writes one byte.
-func (a *Arena) Store8(addr Addr, v uint8) { a.slice(addr, 1)[0] = v }
+func (a *Arena) Store8(addr Addr, v uint8) {
+	if x := uint64(addr) - arenaBase; x < a.size {
+		a.chunks[x>>chunkShift][x&chunkMask] = v
+		return
+	}
+	a.store(addr, 1, uint64(v))
+}
 
 // Load32 reads a little-endian uint32.
-func (a *Arena) Load32(addr Addr) uint32 { return binary.LittleEndian.Uint32(a.slice(addr, 4)) }
+func (a *Arena) Load32(addr Addr) uint32 {
+	x := uint64(addr) - arenaBase
+	if lo := x & chunkMask; x+3 < a.size && lo <= chunkSize-4 {
+		return binary.LittleEndian.Uint32(a.chunks[x>>chunkShift][lo:])
+	}
+	return uint32(a.load(addr, 4))
+}
 
 // Store32 writes a little-endian uint32.
-func (a *Arena) Store32(addr Addr, v uint32) { binary.LittleEndian.PutUint32(a.slice(addr, 4), v) }
+func (a *Arena) Store32(addr Addr, v uint32) {
+	x := uint64(addr) - arenaBase
+	if lo := x & chunkMask; x+3 < a.size && lo <= chunkSize-4 {
+		binary.LittleEndian.PutUint32(a.chunks[x>>chunkShift][lo:], v)
+		return
+	}
+	a.store(addr, 4, uint64(v))
+}
 
 // Load64 reads a little-endian uint64.
-func (a *Arena) Load64(addr Addr) uint64 { return binary.LittleEndian.Uint64(a.slice(addr, 8)) }
+func (a *Arena) Load64(addr Addr) uint64 {
+	x := uint64(addr) - arenaBase
+	if lo := x & chunkMask; x+7 < a.size && lo <= chunkSize-8 {
+		return binary.LittleEndian.Uint64(a.chunks[x>>chunkShift][lo:])
+	}
+	return a.load(addr, 8)
+}
 
 // Store64 writes a little-endian uint64.
-func (a *Arena) Store64(addr Addr, v uint64) { binary.LittleEndian.PutUint64(a.slice(addr, 8), v) }
+func (a *Arena) Store64(addr Addr, v uint64) {
+	x := uint64(addr) - arenaBase
+	if lo := x & chunkMask; x+7 < a.size && lo <= chunkSize-8 {
+		binary.LittleEndian.PutUint64(a.chunks[x>>chunkShift][lo:], v)
+		return
+	}
+	a.store(addr, 8, v)
+}
 
 // PtrSize is the size of a simulated pointer: 4 bytes, as on the
 // paper's 32-bit UltraSPARC. Structure element sizes — and therefore
@@ -308,17 +392,30 @@ func (a *Arena) LoadFloat(addr Addr) float64 { return math.Float64frombits(a.Loa
 // StoreFloat writes a little-endian float64.
 func (a *Arena) StoreFloat(addr Addr, v float64) { a.Store64(addr, math.Float64bits(v)) }
 
+// chunk returns the bytes from addr to the end of its chunk; the
+// bulk operations walk a checked range with it.
+func (a *Arena) chunk(addr Addr) []byte {
+	x := uint64(addr) - arenaBase
+	return a.chunks[x>>chunkShift][x&chunkMask:]
+}
+
 // Memset fills n bytes at addr with b.
 func (a *Arena) Memset(addr Addr, b byte, n int64) {
-	s := a.slice(addr, n)
-	for i := range s {
-		s[i] = b
+	a.check(addr, n)
+	for n > 0 {
+		s := a.chunk(addr)
+		s = s[:min(int64(len(s)), n)]
+		for i := range s {
+			s[i] = b
+		}
+		addr = addr.Add(int64(len(s)))
+		n -= int64(len(s))
 	}
 }
 
-// Memcpy copies n bytes from src to dst. The regions may not overlap
-// (ccmorph copies between distinct regions only); overlap fails with
-// cclerr.ErrInvalidArg and copies nothing.
+// Memcpy copies n bytes from src to dst, chunk by chunk. The regions
+// may not overlap (ccmorph copies between distinct regions only);
+// overlap fails with cclerr.ErrInvalidArg and copies nothing.
 func (a *Arena) Memcpy(dst, src Addr, n int64) error {
 	if dst == src || n == 0 {
 		return nil
@@ -327,22 +424,32 @@ func (a *Arena) Memcpy(dst, src Addr, n int64) error {
 		return cclerr.Errorf(cclerr.ErrInvalidArg,
 			"memsys: Memcpy(%v, %v, %d): overlapping regions", dst, src, n)
 	}
-	d := a.slice(dst, n)
-	s := a.slice(src, n)
-	copy(d, s)
+	a.check(dst, n)
+	a.check(src, n)
+	for n > 0 {
+		d := a.chunk(dst)
+		c := int64(copy(d[:min(int64(len(d)), n)], a.chunk(src)))
+		dst, src, n = dst.Add(c), src.Add(c), n-c
+	}
 	return nil
 }
 
-// ReadBytes copies n bytes starting at addr into a fresh buffer.
-func (a *Arena) ReadBytes(addr Addr, n int64) []byte {
-	out := make([]byte, n)
-	copy(out, a.slice(addr, n))
-	return out
+// ReadBytes copies the len(dst) bytes starting at addr into dst.
+func (a *Arena) ReadBytes(addr Addr, dst []byte) {
+	a.check(addr, int64(len(dst)))
+	for len(dst) > 0 {
+		c := copy(dst, a.chunk(addr))
+		addr, dst = addr.Add(int64(c)), dst[c:]
+	}
 }
 
 // WriteBytes copies buf into the arena at addr.
 func (a *Arena) WriteBytes(addr Addr, buf []byte) {
-	copy(a.slice(addr, int64(len(buf))), buf)
+	a.check(addr, int64(len(buf)))
+	for len(buf) > 0 {
+		c := copy(a.chunk(addr), buf)
+		addr, buf = addr.Add(int64(c)), buf[c:]
+	}
 }
 
 // PageOf returns the page number containing addr.
@@ -351,3 +458,49 @@ func (a *Arena) PageOf(addr Addr) int64 { return int64(addr) / a.pageSize }
 // SamePage reports whether two addresses share a virtual page, the
 // test ccmalloc uses when deciding whether a hint is still useful.
 func (a *Arena) SamePage(x, y Addr) bool { return a.PageOf(x) == a.PageOf(y) }
+
+// AddrSet is a set of simulated addresses in one flat open-addressing
+// table. The table doubles when half full, so it is sized to what it
+// holds, not to the arena: n addresses cost O(n) host bytes and
+// O(log n) allocations. ccmorph and split detect an element reachable
+// twice (a DAG or cycle) with it. The zero value is an empty set.
+type AddrSet struct {
+	slots []Addr // NilAddr marks a free slot
+	shift uint   // 64 - log2(len(slots))
+	n     int
+}
+
+// Add inserts a, which must not be NilAddr, and reports whether it
+// was absent.
+func (s *AddrSet) Add(a Addr) bool {
+	if 2*(s.n+1) > len(s.slots) {
+		s.grow()
+	}
+	mask := uint64(len(s.slots) - 1)
+	// Fibonacci hashing spreads the aligned addresses allocators hand
+	// out; the top bits of the product pick the home slot.
+	for i := uint64(a) * 0x9E3779B97F4A7C15 >> s.shift; ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case a:
+			return false
+		case NilAddr:
+			s.slots[i] = a
+			s.n++
+			return true
+		}
+	}
+}
+
+func (s *AddrSet) grow() {
+	old := s.slots
+	size := 2 * len(old)
+	if size == 0 {
+		size = 16
+	}
+	s.slots, s.shift, s.n = make([]Addr, size), uint(64-bits.TrailingZeros(uint(size))), 0
+	for _, a := range old {
+		if a != NilAddr {
+			s.Add(a)
+		}
+	}
+}

@@ -134,9 +134,10 @@ func TestCompareGates(t *testing.T) {
 }
 
 // TestCheckedInBaseline validates the repository's BENCH_sim.json: it
-// must be schema-valid, allocation-free on the demand path, and show
-// the tentpole's >=2x improvement over the recorded pre-optimization
-// reference.
+// must be schema-valid, allocation-free on the demand path, show the
+// >=2x hot-path improvement over the recorded pre-optimization
+// reference, and keep Fig10 within 1% of its pre-flat-snapshot
+// allocations.
 func TestCheckedInBaseline(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("..", "..", "BENCH_sim.json"))
 	if err != nil {
@@ -175,6 +176,22 @@ func TestCheckedInBaseline(t *testing.T) {
 	if replay.NsPerOp*2 > refReplay.NsPerOp {
 		t.Fatalf("trace replay no longer 2x the pre-optimization simulator: %.0f vs %.0f ns/op",
 			replay.NsPerOp, refReplay.NsPerOp)
+	}
+	// The chunked arena and flat snapshots took Fig10 from ~1.2M
+	// allocations per run to a few thousand; a regression back to
+	// per-node snapshot records would pass the one-sided alloc gate,
+	// so the baseline itself is held to 1% of the recorded reference.
+	fig10 := find("ccl.BenchmarkFig10ModelValidation")
+	refFig10, ok := rep.Reference["ccl.BenchmarkFig10ModelValidation.pre-flat-snapshot"]
+	if !ok {
+		t.Fatal("baseline lost the pre-flat-snapshot reference for BenchmarkFig10ModelValidation")
+	}
+	if fig10.AllocsPerOp*100 > refFig10.AllocsPerOp {
+		t.Fatalf("Fig10 makes %d allocs/op, more than 1%% of the pre-flat-snapshot %d",
+			fig10.AllocsPerOp, refFig10.AllocsPerOp)
+	}
+	if _, ok := rep.Reference["ccl.BenchmarkCCMorphReorganize.pre-flat-snapshot"]; !ok {
+		t.Fatal("baseline lost the pre-flat-snapshot reference for BenchmarkCCMorphReorganize")
 	}
 	// Every microbenchmark of the demand path is allocation-free, and
 	// so is the whole profiler observer path layered onto it.

@@ -223,8 +223,10 @@ func checkSplitRoundTrip(keys []uint32, frac float64, pinsOnly bool) error {
 			return nil
 		}
 		for _, span := range [][2]int64{{offKey, offLeft}, {offValue, trees.BSTNodeSize}} {
-			ob := m.Arena.ReadBytes(a.Add(span[0]), span[1]-span[0])
-			rb := m.Arena.ReadBytes(b.Add(span[0]), span[1]-span[0])
+			ob := make([]byte, span[1]-span[0])
+			rb := make([]byte, span[1]-span[0])
+			m.Arena.ReadBytes(a.Add(span[0]), ob)
+			m.Arena.ReadBytes(b.Add(span[0]), rb)
 			for i := range ob {
 				if ob[i] != rb[i] {
 					return fmt.Errorf("node %v byte %d+%d: %#x round-tripped to %#x",

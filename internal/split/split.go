@@ -28,6 +28,7 @@ package split
 
 import (
 	"fmt"
+	"slices"
 
 	"ccl/internal/cclerr"
 	"ccl/internal/heap"
@@ -346,14 +347,6 @@ func (p *placer) claimed() int64 {
 	return p.hot.Claimed() + p.cold.Claimed()
 }
 
-// snapElem is the host-side record of one element taken during the
-// snapshot pass.
-type snapElem struct {
-	old  memsys.Addr
-	buf  []byte
-	kids []int64 // child element indices, -1 = nil
-}
-
 // Split rebuilds the tree rooted at root in split (hot SoA / cold
 // overflow) form. kidFields names the hot fields that hold child
 // pointers, in traversal order — each must be a planned hot field of
@@ -429,11 +422,11 @@ func Split(m *machine.Machine, root memsys.Addr, part Partition, kidFields []str
 	// Phase 1: snapshot the structure in BFS order, assigning element
 	// indices at discovery — so index 0 is the root and low indices
 	// are the root-most elements, which the hot budget then covers.
-	elems, err := snapshot(m, root, part, t.kidSlots)
+	snap, err := takeSnapshot(m, root, part, t.kidSlots)
 	if err != nil {
 		return nil, Stats{Aborted: 1}, err
 	}
-	n := int64(len(elems))
+	n := int64(len(snap.old))
 	t.n = n
 	m.Tick(SplitCost * n)
 
@@ -476,8 +469,10 @@ func Split(m *machine.Machine, root memsys.Addr, part Partition, kidFields []str
 	// the commit below is the only point of no return. The cold
 	// fields are packed into one record, written with one store.
 	cold := make([]byte, coldStride)
+	nk := int64(len(t.kidSlots))
 	for i := int64(0); i < n; i++ {
-		e := &elems[i]
+		buf := snap.buf[i*snap.size : (i+1)*snap.size]
+		kids := snap.kids[i*nk : (i+1)*nk]
 		for fi, f := range part.Hot {
 			dst := t.hot[fi].addr(i)
 			if kidIsSlot[fi] {
@@ -488,18 +483,18 @@ func Split(m *machine.Machine, root memsys.Addr, part Partition, kidFields []str
 						continue
 					}
 					v := nilIndex
-					if e.kids[s] >= 0 {
-						v = uint32(e.kids[s])
+					if kids[s] >= 0 {
+						v = uint32(kids[s])
 					}
 					m.Store32(dst, v)
 				}
 				continue
 			}
-			m.WriteBytes(dst, e.buf[f.Offset:f.Offset+f.Size])
+			m.WriteBytes(dst, buf[f.Offset:f.Offset+f.Size])
 		}
 		if coldStride > 0 {
 			for ci, f := range part.Cold {
-				copy(cold[t.coldOffs[ci]:], e.buf[f.Offset:f.Offset+f.Size])
+				copy(cold[t.coldOffs[ci]:], buf[f.Offset:f.Offset+f.Size])
 			}
 			m.WriteBytes(t.cold.addr(i), cold)
 		}
@@ -508,8 +503,8 @@ func Split(m *machine.Machine, root memsys.Addr, part Partition, kidFields []str
 	// Commit: the split copy is complete; only now may the old
 	// elements be reclaimed.
 	if freeOld != nil {
-		for i := range elems {
-			freeOld(elems[i].old)
+		for _, a := range snap.old {
+			freeOld(a)
 		}
 	}
 	stats.NewBytes = pl.claimed() - claimedBefore
@@ -598,40 +593,45 @@ func validate(part Partition, kidFields []string) error {
 	return nil
 }
 
-// snapshot reads the structure once in BFS order, charging the cache
-// for each element read, and resolves child pointers to element
-// indices. An element reachable twice fails with cclerr.ErrNotTree.
-func snapshot(m *machine.Machine, root memsys.Addr, part Partition, kidSlots []int) ([]snapElem, error) {
-	size := part.Source.Size
-	index := map[memsys.Addr]int64{root: 0}
-	queue := []memsys.Addr{root}
-	var elems []snapElem
-	for len(queue) > 0 {
-		a := queue[0]
-		queue = queue[1:]
-		e := snapElem{
-			old:  a,
-			buf:  m.ReadBytes(a, size),
-			kids: make([]int64, len(kidSlots)),
-		}
-		for s, slot := range kidSlots {
+// snapshot is the host-side copy of the structure the read pass
+// takes, held flat: element i, numbered in BFS order, was read from
+// old[i]; its bytes are buf[i*size:(i+1)*size] and its children's
+// indices, one per kid slot, kids[i*len(kidSlots):] (-1 for nil).
+type snapshot struct {
+	size int64
+	old  []memsys.Addr
+	buf  []byte
+	kids []int64
+}
+
+// takeSnapshot reads the structure once in BFS order, charging the
+// cache for each element read: the element's bytes, then each kid
+// slot's pointer. old doubles as the BFS queue, so a child's index is
+// its queue position, fixed when it is discovered. An element
+// reachable twice fails with cclerr.ErrNotTree.
+func takeSnapshot(m *machine.Machine, root memsys.Addr, part Partition, kidSlots []int) (*snapshot, error) {
+	s := &snapshot{size: part.Source.Size, old: []memsys.Addr{root}}
+	var seen memsys.AddrSet
+	seen.Add(root)
+	for i := 0; i < len(s.old); i++ {
+		a := s.old[i]
+		s.buf = slices.Grow(s.buf, int(s.size))[:len(s.buf)+int(s.size)]
+		m.ReadBytes(a, s.buf[int64(i)*s.size:])
+		for _, slot := range kidSlots {
 			ka := m.LoadAddr(a.Add(part.Hot[slot].Offset))
 			if ka.IsNil() {
-				e.kids[s] = -1
+				s.kids = append(s.kids, -1)
 				continue
 			}
-			if _, dup := index[ka]; dup {
+			if !seen.Add(ka) {
 				return nil, cclerr.Errorf(cclerr.ErrNotTree,
 					"split: element %v reachable twice", ka)
 			}
-			idx := int64(len(index))
-			index[ka] = idx
-			e.kids[s] = idx
-			queue = append(queue, ka)
+			s.kids = append(s.kids, int64(len(s.old)))
+			s.old = append(s.old, ka)
 		}
-		elems = append(elems, e)
 	}
-	return elems, nil
+	return s, nil
 }
 
 // Reassemble writes the split structure back into AoS form — the
@@ -670,12 +670,14 @@ func (t *Tree) Reassemble(alloc heap.Allocator) (memsys.Addr, error) {
 				t.m.Arena.StoreAddr(dst.Add(f.Offset), pa)
 				continue
 			}
-			t.m.Arena.WriteBytes(dst.Add(f.Offset),
-				t.m.Arena.ReadBytes(t.hot[fi].addr(i), f.Size))
+			if err := t.m.Arena.Memcpy(dst.Add(f.Offset), t.hot[fi].addr(i), f.Size); err != nil {
+				return memsys.NilAddr, fmt.Errorf("split: Reassemble: element %d: %w", i, err)
+			}
 		}
 		for ci, f := range t.part.Cold {
-			t.m.Arena.WriteBytes(dst.Add(f.Offset),
-				t.m.Arena.ReadBytes(t.cold.addr(i).Add(t.coldOffs[ci]), f.Size))
+			if err := t.m.Arena.Memcpy(dst.Add(f.Offset), t.ColdAddr(ci, i), f.Size); err != nil {
+				return memsys.NilAddr, fmt.Errorf("split: Reassemble: element %d: %w", i, err)
+			}
 		}
 	}
 	return addrs[0], nil

@@ -155,7 +155,8 @@ func TestSplitReassembleRoundTrip(t *testing.T) {
 		if a.IsNil() {
 			return
 		}
-		buf := m.Arena.ReadBytes(a, trees.BSTNodeSize)
+		buf := make([]byte, trees.BSTNodeSize)
+		m.Arena.ReadBytes(a, buf)
 		want[m.Arena.Load32(a)] = buf
 		walk(m.Arena.LoadAddr(a.Add(4)))
 		walk(m.Arena.LoadAddr(a.Add(8)))
@@ -180,7 +181,8 @@ func TestSplitReassembleRoundTrip(t *testing.T) {
 			return
 		}
 		seen++
-		got := m.Arena.ReadBytes(a, trees.BSTNodeSize)
+		got := make([]byte, trees.BSTNodeSize)
+		m.Arena.ReadBytes(a, got)
 		w, ok := want[m.Arena.Load32(a)]
 		if !ok {
 			t.Fatalf("reassembled key %d never existed", m.Arena.Load32(a))

@@ -3,6 +3,7 @@ package trees
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"ccl/internal/cclerr"
@@ -98,6 +99,31 @@ func TestMorphKeepsSemantics(t *testing.T) {
 	}
 	if tr.Search(0) || tr.Search(1001) {
 		t.Fatal("morphed tree finds absent keys")
+	}
+}
+
+// Morph's host allocations grow with the logarithm of the tree, not
+// with its size: the snapshot and cluster lists are flat arrays, and
+// the arena grows in whole chunks. A tree sixteen times larger may
+// cost at most twice the allocations (an allocation per node or per
+// cluster would cost sixteen times).
+func TestMorphAllocationsSublinear(t *testing.T) {
+	morphAllocs := func(n int64) uint64 {
+		m := machine.NewScaled(16)
+		tr := MustBuild(m, heap.New(m.Arena), n, RandomOrder, 3)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := tr.Morph(0.5, nil)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	small, large := morphAllocs(1<<10-1), morphAllocs(1<<14-1)
+	t.Logf("Morph allocations: %d at 1,023 nodes, %d at 16,383", small, large)
+	if large > 2*small {
+		t.Fatalf("Morph of 16,383 nodes made %d allocations, more than twice the %d of 1,023 nodes", large, small)
 	}
 }
 
