@@ -92,9 +92,10 @@ func PaperCache() CacheConfig { return cache.PaperHierarchy() }
 func RSIMCache() CacheConfig { return cache.RSIMHierarchy() }
 
 // Sim is a per-run simulation context: machines built through one
-// share its grow guard and telemetry registry, and two Sims share no
-// mutable state at all — the unit of isolation for running
-// simulations concurrently (one goroutine per Sim; see DESIGN.md §8).
+// share its guard (the fault seam) and telemetry registry, and two
+// Sims share no mutable state at all — the unit of isolation for
+// running simulations concurrently (one goroutine per Sim; see
+// DESIGN.md §8).
 type Sim = sim.Sim
 
 // NewSim returns a fresh run context.

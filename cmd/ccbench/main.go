@@ -129,9 +129,8 @@ func main() {
 
 	newSim := sim.New
 	if *fault != "" {
-		// Only arena-grow has a run-context seam (the grow guard every
-		// arena adopted by a sim.Sim consults); the other points are
-		// armed per structure and exist for tests.
+		// The schedule arms each job's run context (ArmSim); ccbench
+		// accepts arena-grow only, and the tests sweep place-cluster.
 		sched, err := faults.ParseSchedule(*fault, faults.ArenaGrow)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ccbench: -fault: %v\n", err)

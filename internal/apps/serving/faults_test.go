@@ -8,6 +8,7 @@ import (
 	"ccl/internal/cclerr"
 	"ccl/internal/faults"
 	"ccl/internal/machine"
+	"ccl/internal/sim"
 )
 
 // The fault sweep: scheduled arena-growth and cluster-placement
@@ -15,7 +16,9 @@ import (
 // provoked failure must be a typed, fault-classified error; the
 // structure must stay consistent (copy-then-commit), every
 // previously acknowledged write must survive, and once the scheduled
-// fault has fired the structure must serve again.
+// fault has fired the structure must serve again. Every machine is
+// built through a sim.Sim armed by faults.Injector.ArmSim, the one
+// arming call production uses.
 
 // checkInjected fails the test unless err is a classified fault
 // injection.
@@ -29,14 +32,20 @@ func checkInjected(t *testing.T, op string, err error) {
 	}
 }
 
+// armedMachine returns a machine owned by a run context armed to fail
+// the n-th occurrence of point p.
+func armedMachine(p faults.Point, n int64) *machine.Machine {
+	s := sim.New()
+	faults.NewInjector().FailNth(p, n).ArmSim(s)
+	return s.NewScaled(16)
+}
+
 // sweepKV drives puts 1..keys through a store with one scheduled
-// fault and verifies the degradation contract at the failure point.
-func sweepKV(t *testing.T, arm func(*faults.Injector, *machine.Machine) KVConfig, n int64) (faulted bool) {
+// fault at point p and verifies the degradation contract at the
+// failure point.
+func sweepKV(t *testing.T, p faults.Point, cfg KVConfig, n int64) (faulted bool) {
 	t.Helper()
-	m := machine.NewScaled(16)
-	in := faults.NewInjector().FailNth(faults.ArenaGrow, n).FailNth(faults.PlaceCluster, n)
-	cfg := arm(in, m)
-	kv, err := NewKV(m, cfg)
+	kv, err := NewKV(armedMachine(p, n), cfg)
 	if err != nil {
 		checkInjected(t, "NewKV", err)
 		return true
@@ -78,18 +87,12 @@ func sweepKV(t *testing.T, arm func(*faults.Injector, *machine.Machine) KVConfig
 // the doubling resizes, high ones fall after the run (no fault, which
 // is fine — the sweep's job is covering the schedule space).
 func TestKVFaultSweep(t *testing.T) {
-	armGrow := func(in *faults.Injector, m *machine.Machine) KVConfig {
-		in.ArmArena(m.Arena)
-		return KVConfig{Layout: KVSplit, Placement: KVCCMalloc, Slots: 8}
-	}
-	armPlace := func(in *faults.Injector, m *machine.Machine) KVConfig {
-		return KVConfig{Layout: KVSplit, Placement: KVColored, Slots: 8,
-			PlaceGuard: func() error { return in.Check(faults.PlaceCluster) }}
-	}
+	growCfg := KVConfig{Layout: KVSplit, Placement: KVCCMalloc, Slots: 8}
+	placeCfg := KVConfig{Layout: KVSplit, Placement: KVColored, Slots: 8}
 	anyGrow, anyPlace := false, false
 	for n := int64(1); n <= 12; n++ {
-		anyGrow = sweepKV(t, armGrow, n) || anyGrow
-		anyPlace = sweepKV(t, armPlace, n) || anyPlace
+		anyGrow = sweepKV(t, faults.ArenaGrow, growCfg, n) || anyGrow
+		anyPlace = sweepKV(t, faults.PlaceCluster, placeCfg, n) || anyPlace
 	}
 	if !anyGrow {
 		t.Error("no arena-grow schedule ever fired on the KV resize path")
@@ -100,25 +103,21 @@ func TestKVFaultSweep(t *testing.T) {
 	// A placement veto mid-resize must surface as a typed placement
 	// failure, not a silent degradation: colored placement is the
 	// structure's contract.
-	m := machine.NewScaled(16)
-	kv, err := NewKV(m, KVConfig{Layout: KVSplit, Placement: KVColored, Slots: 8,
-		PlaceGuard: func() error { return cclerr.ErrFaultInjected }})
+	kv, err := NewKV(armedMachine(faults.PlaceCluster, 1), placeCfg)
 	if !errors.Is(err, cclerr.ErrPlacementFailed) {
-		t.Fatalf("NewKV with vetoing guard: (%v, %v), want ErrPlacementFailed", kv, err)
+		t.Fatalf("NewKV with a vetoed placement: (%v, %v), want ErrPlacementFailed", kv, err)
 	}
 }
 
 // TestLRUFaultSweep sweeps arena-growth failures across the LRU's
-// insert/evict/rebuild cycle, and place-cluster vetoes across its
-// hinted placements — which degrade to conventional placement rather
-// than fail, mirroring ccmalloc's own contract.
+// insert/evict/rebuild cycle, place-cluster vetoes across its hinted
+// placements — which degrade to conventional placement rather than
+// fail, mirroring ccmalloc's own contract — and a failed index
+// rebuild.
 func TestLRUFaultSweep(t *testing.T) {
 	anyFault := false
 	for n := int64(1); n <= 12; n++ {
-		m := machine.NewScaled(16)
-		in := faults.NewInjector().FailNth(faults.ArenaGrow, n)
-		in.ArmArena(m.Arena)
-		c, err := NewLRU(m, LRUConfig{Capacity: 8, IndexSlots: 32, Placement: LRUCCMalloc, Split: true})
+		c, err := NewLRU(armedMachine(faults.ArenaGrow, n), LRUConfig{Capacity: 8, IndexSlots: 32, Placement: LRUCCMalloc, Split: true})
 		if err != nil {
 			checkInjected(t, "NewLRU", err)
 			anyFault = true
@@ -165,13 +164,13 @@ func TestLRUFaultSweep(t *testing.T) {
 
 	// Place-cluster vetoes degrade hinted placements without failing
 	// the op.
-	m := machine.NewScaled(16)
+	s := sim.New()
 	in := faults.NewInjector()
 	for i := int64(1); i <= 64; i++ {
 		in.FailNth(faults.PlaceCluster, i*2) // every other hinted placement
 	}
-	c, err := NewLRU(m, LRUConfig{Capacity: 16, Placement: LRUCCMalloc,
-		PlaceGuard: func() error { return in.Check(faults.PlaceCluster) }})
+	in.ArmSim(s)
+	c, err := NewLRU(s.NewScaled(16), LRUConfig{Capacity: 16, Placement: LRUCCMalloc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,6 +181,63 @@ func TestLRUFaultSweep(t *testing.T) {
 	}
 	if st := c.Stats(); st.PlaceDegraded == 0 {
 		t.Fatal("no hinted placement was ever degraded")
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	sweepLRURebuild(t)
+}
+
+// sweepLRURebuild fails the growth an index rebuild needs. With a
+// 4 KiB index, the first rebuild's new generation does not fit the
+// index's page, and after warm-up entry allocations recycle freed
+// chunks, so the next arena growth is that rebuild's. Copy-then-commit
+// must leave the old index serving, and the next put must rebuild.
+func sweepLRURebuild(t *testing.T) {
+	t.Helper()
+	s := sim.New()
+	in := faults.NewInjector()
+	in.ArmSim(s)
+	const slots = 512
+	c, err := NewLRU(s.NewScaled(16), LRUConfig{Capacity: 8, IndexSlots: slots})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := uint32(1)
+	for ; k <= 16; k++ {
+		if err := c.Put(k, int64(k)); err != nil {
+			t.Fatalf("warm-up Put(%d): %v", k, err)
+		}
+	}
+	in.FailNth(faults.ArenaGrow, in.Count(faults.ArenaGrow)+1)
+	for ; ; k++ {
+		err := c.Put(k, int64(k))
+		if err != nil {
+			checkInjected(t, fmt.Sprintf("Put(%d)", k), err)
+			break
+		}
+		if k > 100*slots {
+			t.Fatal("no rebuild ever needed arena growth")
+		}
+	}
+	st := c.Stats()
+	if st.Rebuilds != 0 || st.IndexTombs*4 <= slots {
+		t.Fatalf("Put(%d) failed without a due rebuild: %+v", k, st)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatalf("cache inconsistent after the failed rebuild: %v", err)
+	}
+	for r := k - 1; r >= k-uint32(st.Len); r-- {
+		if v, ok := c.Get(r); !ok || v != int64(r) {
+			t.Fatalf("resident key %d lost by the failed rebuild: (%d, %v)", r, v, ok)
+		}
+	}
+	if err := c.Put(k, int64(k)); err != nil {
+		t.Fatalf("Put(%d) after the failed rebuild: %v", k, err)
+	}
+	if st := c.Stats(); st.Rebuilds != 1 {
+		t.Fatalf("Rebuilds = %d after the retried put, want 1", st.Rebuilds)
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)

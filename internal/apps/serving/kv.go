@@ -99,11 +99,6 @@ type KVConfig struct {
 	// ColorFrac is the hot-stripe fraction for KVColored; 0 selects
 	// the 0.5 default.
 	ColorFrac float64
-	// PlaceGuard, when set, is consulted before every cache-conscious
-	// group placement (KVCCMalloc, KVColored) — the fault-injection
-	// seam for the place-cluster point. A guard error aborts the
-	// allocation with cclerr.ErrPlacementFailed.
-	PlaceGuard func() error
 }
 
 // kvTable is one generation of the table: the directory of group
@@ -255,29 +250,21 @@ func (kv *KV) valueAddr(t *kvTable, i int64) memsys.Addr {
 
 func kvHeader(key uint32, state int64) int64 { return int64(key) | state<<32 }
 
-// checkPlace consults the place guard ahead of a cache-conscious
-// placement.
-func (kv *KV) checkPlace() error {
-	if kv.cfg.PlaceGuard == nil || kv.cfg.Placement == KVMalloc {
-		return nil
-	}
-	if err := kv.cfg.PlaceGuard(); err != nil {
-		return fmt.Errorf("serving: kv group placement vetoed: %w: %w", cclerr.ErrPlacementFailed, err)
-	}
-	return nil
-}
-
 // allocGroup places one header group, hint-chained to the previous
-// group under KVCCMalloc.
+// group under KVCCMalloc. A cache-conscious placement (KVCCMalloc,
+// KVColored) first consults the arena's guard: a veto fails the
+// allocation with cclerr.ErrPlacementFailed.
 func (kv *KV) allocGroup(prev memsys.Addr) (memsys.Addr, error) {
-	switch kv.cfg.Placement {
-	case KVCCMalloc:
-		return kv.alloc.AllocHint(kv.groupBytes, prev)
-	case KVColored:
-		return kv.hotSeg.Alloc(kv.groupBytes)
-	default:
+	if kv.cfg.Placement == KVMalloc {
 		return kv.alloc.Alloc(kv.groupBytes)
 	}
+	if err := kv.arena.CheckPlace(kv.groupBytes); err != nil {
+		return memsys.NilAddr, err
+	}
+	if kv.cfg.Placement == KVCCMalloc {
+		return kv.alloc.AllocHint(kv.groupBytes, prev)
+	}
+	return kv.hotSeg.Alloc(kv.groupBytes)
 }
 
 // allocColdGroup places one payload group. Payloads are cold data:
@@ -320,10 +307,6 @@ func (kv *KV) buildTable(slots int64, w machine.Mem) (*kvTable, error) {
 	}
 	prev := memsys.NilAddr
 	for g := int64(0); g < n; g++ {
-		if err := kv.checkPlace(); err != nil {
-			kv.freeGroups(t.groups, t.cold)
-			return nil, err
-		}
 		ga, err := kv.allocGroup(prev)
 		if err != nil {
 			kv.freeGroups(t.groups, t.cold)

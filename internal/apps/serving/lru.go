@@ -77,11 +77,6 @@ type LRUConfig struct {
 	// at least 2*Capacity. 0 selects the smallest power of two at or
 	// above 4*Capacity.
 	IndexSlots int64
-	// PlaceGuard, when set, is consulted before every hinted entry
-	// placement (LRUCCMalloc). A veto degrades that placement to the
-	// conventional path — the op succeeds — mirroring ccmalloc's own
-	// degradation contract.
-	PlaceGuard func() error
 }
 
 // LRUStats summarizes a cache.
@@ -90,7 +85,7 @@ type LRUStats struct {
 	Hits, Misses       int64
 	Inserts, Evictions int64
 	Rebuilds           int64 // index tombstone purges
-	PlaceDegraded      int64 // hinted placements vetoed by the guard
+	PlaceDegraded      int64 // hinted placements vetoed by the arena's guard
 	IndexTombs         int64
 	HeapBytes          int64
 }
@@ -314,10 +309,12 @@ func (c *LRU) evictTail() error {
 	return nil
 }
 
-// allocEntry places a new entry (and, split, its payload). A place
-// guard veto degrades the hinted placement to conventional; an
-// allocation failure frees any partial placement and returns the
-// typed error with the cache untouched.
+// allocEntry places a new entry (and, split, its payload). Every
+// hinted placement (LRUCCMalloc) first consults the arena's guard; a
+// veto degrades it to conventional placement — the op succeeds —
+// mirroring ccmalloc's own degradation contract. An allocation failure
+// frees any partial placement and returns the typed error with the
+// cache untouched.
 func (c *LRU) allocEntry() (e, vp memsys.Addr, err error) {
 	size := int64(lruEntrySize)
 	if c.cfg.Split {
@@ -326,11 +323,9 @@ func (c *LRU) allocEntry() (e, vp memsys.Addr, err error) {
 	hint := memsys.NilAddr
 	if c.cfg.Placement == LRUCCMalloc {
 		hint = c.arena.LoadAddr(c.hdr)
-		if !hint.IsNil() && c.cfg.PlaceGuard != nil {
-			if verr := c.cfg.PlaceGuard(); verr != nil {
-				hint = memsys.NilAddr
-				c.placeDegraded++
-			}
+		if !hint.IsNil() && c.arena.CheckPlace(size) != nil {
+			hint = memsys.NilAddr
+			c.placeDegraded++
 		}
 	}
 	if hint.IsNil() {

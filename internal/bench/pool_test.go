@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"ccl/internal/memsys"
 	"ccl/internal/sim"
 )
 
@@ -238,7 +239,7 @@ func TestPoolFaultInjectionPerJob(t *testing.T) {
 		NewSim: func() *sim.Sim {
 			armed.Add(1)
 			s := sim.New()
-			s.SetGrowGuard(func(int64) error { return errors.New("injected") })
+			s.SetGuard(func(memsys.GuardEvent, int64) error { return errors.New("injected") })
 			return s
 		},
 	}

@@ -147,14 +147,17 @@ func (s Stats) Each(f func(name string, v int64)) {
 // budget. A one-shot Reorganize creates its own; callers morphing
 // many structures against the same cache — like health's periodic
 // per-list reorganization — share one Placer so the structures do not
-// all claim the same hot cache region and conflict.
+// all claim the same hot cache region and conflict. Every cluster
+// placement first consults the arena's guard (memsys.Arena.CheckPlace),
+// so a fault schedule armed on the run's sim.Sim reaches every placer,
+// health's included.
 type Placer struct {
+	arena   *memsys.Arena
 	geo     layout.Geometry
 	hot     *layout.SegmentAllocator
 	cold    *layout.SegmentAllocator
 	bump    *layout.BlockBump
 	hotLeft int64
-	guard   func(size int64) error // optional fault-injection hook
 
 	cur    memsys.Addr // block currently being packed
 	used   int64       // bytes used in cur
@@ -165,7 +168,7 @@ type Placer struct {
 // unusable geometry or coloring fraction fails with the corresponding
 // cclerr sentinel (ErrBadGeometry / ErrInvalidArg).
 func NewPlacer(arena *memsys.Arena, cfg Config) (*Placer, error) {
-	p := &Placer{geo: cfg.Geometry}
+	p := &Placer{arena: arena, geo: cfg.Geometry}
 	if cfg.ColorFrac > 0 {
 		col, err := layout.NewColoring(cfg.Geometry, cfg.ColorFrac)
 		if err != nil {
@@ -188,12 +191,6 @@ func NewPlacer(arena *memsys.Arena, cfg Config) (*Placer, error) {
 	return p, nil
 }
 
-// SetPlaceGuard installs a hook consulted before every cluster
-// placement. A non-nil error from the guard fails the placement with
-// that error wrapped in cclerr.ErrPlacementFailed; internal/faults
-// uses this seam to inject oversized-cluster-style failures.
-func (p *Placer) SetPlaceGuard(g func(size int64) error) { p.guard = g }
-
 // place returns space for one cluster of size bytes. Clusters are
 // packed densely — "laid out linearly" as in Figure 1 — starting a
 // fresh cache block only when the cluster would straddle a block
@@ -201,18 +198,15 @@ func (p *Placer) SetPlaceGuard(g func(size int64) error) { p.guard = g }
 // wasting them. The bool reports whether the space is in the colored
 // hot region. A cluster wider than a cache block cannot be placed and
 // fails with cclerr.ErrPlacementFailed (reachable whenever the
-// element size exceeds the block size); allocator failures propagate.
+// element size exceeds the block size), as does a placement the
+// arena's guard vetoes; allocator failures propagate.
 func (p *Placer) place(size int64) (memsys.Addr, bool, error) {
 	if size > p.geo.BlockSize {
 		return memsys.NilAddr, false, cclerr.Errorf(cclerr.ErrPlacementFailed,
 			"ccmorph: cluster of %d bytes exceeds block size %d", size, p.geo.BlockSize)
 	}
-	if p.guard != nil {
-		if err := p.guard(size); err != nil {
-			return memsys.NilAddr, false, fmt.Errorf(
-				"ccmorph: placement of %d-byte cluster vetoed: %w: %w",
-				size, cclerr.ErrPlacementFailed, err)
-		}
+	if err := p.arena.CheckPlace(size); err != nil {
+		return memsys.NilAddr, false, err
 	}
 	if p.cur.IsNil() || p.used+size > p.geo.BlockSize {
 		blk, hot, err := p.newBlock()

@@ -63,7 +63,10 @@ func TestAbortedReorganizeLeavesInputIntactProperty(t *testing.T) {
 		}
 		failAt := 1 + rng.Int63n(int64(len(before))/3+1)
 		var seen int64
-		placer.SetPlaceGuard(func(size int64) error {
+		m.Arena.SetGuard(func(ev memsys.GuardEvent, size int64) error {
+			if ev != memsys.GuardPlace {
+				return nil
+			}
 			seen++
 			if seen == failAt {
 				return cclerr.Errorf(cclerr.ErrFaultInjected, "degrade property: placement %d", seen)

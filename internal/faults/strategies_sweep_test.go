@@ -11,6 +11,7 @@ import (
 	"ccl/internal/heap"
 	"ccl/internal/layout"
 	"ccl/internal/profile"
+	"ccl/internal/sim"
 	"ccl/internal/split"
 	"ccl/internal/trees"
 )
@@ -49,7 +50,7 @@ func TestStrategyReplayDifferential(t *testing.T) {
 	const n = 500
 	for _, strat := range []ccmorph.Strategy{ccmorph.SubtreeCluster, ccmorph.VEB} {
 		t.Run(strat.String(), func(t *testing.T) {
-			m, rec := sweepMachine()
+			m, rec := sweepMachine(sim.New())
 			tr := trees.MustBuild(m, heap.New(m.Arena), n, trees.RandomOrder, 7)
 			if _, err := tr.MorphStrategy(strat, 0.5, nil); err != nil {
 				t.Fatal(err)
@@ -63,7 +64,7 @@ func TestStrategyReplayDifferential(t *testing.T) {
 	}
 
 	t.Run("hot-cold-split", func(t *testing.T) {
-		m, rec := sweepMachine()
+		m, rec := sweepMachine(sim.New())
 		tr := trees.MustBuild(m, heap.New(m.Arena), n, trees.RandomOrder, 7)
 		st, _, err := tr.Split(searchPartition(t), split.Config{
 			Geometry:  layout.FromLevel(m.Cache.LastLevel()),
@@ -84,7 +85,8 @@ func TestStrategyReplayDifferential(t *testing.T) {
 // placements must abort typed, leave the tree searchable, and the
 // degraded run must still replay.
 func sweepVEBPlace(t *testing.T, seed int64) {
-	m, rec := sweepMachine()
+	in := NewInjector().FailNth(PlaceCluster, 10*seed)
+	m, rec := sweepMachine(armed(in))
 	tr := trees.MustBuild(m, heap.New(m.Arena), 150, trees.RandomOrder, seed)
 
 	placer, err := ccmorph.NewPlacer(m.Arena, ccmorph.Config{
@@ -94,9 +96,6 @@ func sweepVEBPlace(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := NewInjector().FailNth(PlaceCluster, 10*seed)
-	in.ArmPlacer(placer)
-
 	st, merr := tr.MorphStrategyWith(ccmorph.VEB, placer, nil)
 	if merr != nil {
 		if !errors.Is(merr, cclerr.ErrPlacementFailed) {
@@ -106,6 +105,9 @@ func sweepVEBPlace(t *testing.T, seed int64) {
 		if st.Aborted == 0 {
 			t.Fatal("failed vEB morph did not set Stats.Aborted")
 		}
+	}
+	if in.Fired(PlaceCluster) == 0 {
+		t.Fatal("no placement veto fired during the vEB morph")
 	}
 	if cerr := tr.CheckSearchable(); cerr != nil {
 		t.Fatalf("tree unsearchable after vEB morph (aborted=%d): %v", st.Aborted, cerr)
@@ -123,7 +125,8 @@ func sweepVEBPlace(t *testing.T, seed int64) {
 // searchable) or aborts typed with the original untouched; both
 // outcomes replay through the oracle.
 func sweepSplitArenaGrow(t *testing.T, seed int64) {
-	m, rec := sweepMachine()
+	s := sim.New()
+	m, rec := sweepMachine(s)
 	tr := trees.MustBuild(m, heap.New(m.Arena), 200, trees.RandomOrder, seed)
 	part := searchPartition(t)
 
@@ -131,7 +134,7 @@ func sweepSplitArenaGrow(t *testing.T, seed int64) {
 	for i := int64(0); i < 3; i++ {
 		in.FailNth(ArenaGrow, seed+i)
 	}
-	in.ArmArena(m.Arena)
+	in.ArmSim(s)
 
 	st, stats, err := tr.Split(part, split.Config{
 		Geometry:  layout.FromLevel(m.Cache.LastLevel()),

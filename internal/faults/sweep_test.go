@@ -13,17 +13,19 @@ import (
 	"ccl/internal/machine"
 	"ccl/internal/memsys"
 	"ccl/internal/oracle"
-	"ccl/internal/trace"
+	"ccl/internal/sim"
 	"ccl/internal/trees"
 )
 
 // The fault-schedule sweep is the robustness acceptance test: every
-// injection point, against every ccmalloc strategy, under several
-// deterministic schedules, must produce either a typed error or a
-// degraded-but-correct completion — never a panic, never a corrupted
-// structure. Degraded runs additionally replay the access stream they
-// issued through the differential oracle, proving the simulator
-// stayed architecturally consistent through the failure.
+// injection point, and the run's memory budget, against every
+// ccmalloc strategy, under several deterministic schedules, must
+// produce either a typed error or a degraded-but-correct completion —
+// never a panic, never a corrupted structure. Every sweep builds its
+// machine through a sim.Sim, armed with ArmSim as production arms it.
+// Degraded runs additionally replay the access stream they issued
+// through the differential oracle, proving the simulator stayed
+// architecturally consistent through the failure.
 
 // checkTyped fails the test when err carries no cclerr classification:
 // the whole point of the taxonomy is that every failure an injected
@@ -53,23 +55,29 @@ func replayDiff(t *testing.T, rec *machine.Recorder) {
 	}
 }
 
-// sweepMachine returns a machine that records the stream a run
-// issues on it.
-func sweepMachine() (*machine.Machine, *machine.Recorder) {
-	rec := machine.Record(machine.NewScaled(64))
+// sweepMachine returns a machine owned by s that records the stream a
+// run issues on it.
+func sweepMachine(s *sim.Sim) (*machine.Machine, *machine.Recorder) {
+	rec := machine.Record(s.NewScaled(64))
 	return rec.Machine, rec
+}
+
+// armed returns a fresh run context armed with in.
+func armed(in *Injector) *sim.Sim {
+	s := sim.New()
+	in.ArmSim(s)
+	return s
 }
 
 // sweepArenaGrow exercises ccmalloc under scheduled arena-growth
 // failures: allocations either degrade to conventional placement or
 // fail typed, and surviving objects stay readable.
 func sweepArenaGrow(t *testing.T, strat ccmalloc.Strategy, seed int64) {
-	m, rec := sweepMachine()
 	in := NewInjector()
 	for i := int64(0); i < 3; i++ {
 		in.FailNth(ArenaGrow, seed+i*2)
 	}
-	in.ArmArena(m.Arena)
+	m, rec := sweepMachine(armed(in))
 
 	cc, err := ccmalloc.New(m.Arena, layout.FromLevel(m.Cache.LastLevel()), strat, m.Cache)
 	if err != nil {
@@ -102,20 +110,31 @@ func sweepArenaGrow(t *testing.T, strat ccmalloc.Strategy, seed int64) {
 	replayDiff(t, rec)
 }
 
-// sweepAllocBudget builds a search tree on a budgeted allocator: the
-// build either completes searchable or fails typed.
-func sweepAllocBudget(t *testing.T, strat ccmalloc.Strategy, seed int64) {
-	m, rec := sweepMachine()
-	in := NewInjector().FailNth(AllocBudget, 50*seed)
-	budget := in.Budget(heap.New(m.Arena), 4096*seed)
+// sweepBudget builds a search tree on a Sim with a memory budget
+// of seed pages. The 500-node build maps two pages, so the one-page
+// budget runs out partway through it: the build either completes
+// searchable or fails with the budget's typed error.
+func sweepBudget(t *testing.T, strat ccmalloc.Strategy, seed int64) {
+	s := sim.New()
+	budget := sim.NewBudget(seed * memsys.DefaultPageSize)
+	s.SetBudget(budget)
+	m, rec := sweepMachine(s)
 
-	tr, err := trees.Build(m, budget, 150, trees.RandomOrder, seed)
+	tr, err := trees.Build(m, heap.New(m.Arena), 500, trees.RandomOrder, seed)
 	if err != nil {
-		if !errors.Is(err, cclerr.ErrOutOfMemory) {
-			t.Fatalf("budgeted build err = %v, want ErrOutOfMemory", err)
+		if !errors.Is(err, cclerr.ErrBudgetExceeded) || !errors.Is(err, cclerr.ErrOutOfMemory) {
+			t.Fatalf("budgeted build err = %v, want ErrBudgetExceeded and ErrOutOfMemory", err)
 		}
-		checkTyped(t, "Build", err)
+		if cclerr.Class(err) == "" {
+			t.Fatalf("Build returned an unclassified error: %v", err)
+		}
+		if budget.Used() == 0 {
+			t.Fatal("the budget ran out before the build mapped anything")
+		}
 		return
+	}
+	if seed == 1 {
+		t.Fatalf("a %d-byte budget covered the whole build: the sweep never reaches exhaustion", budget.Max())
 	}
 	if cerr := tr.CheckSearchable(); cerr != nil {
 		t.Fatalf("budgeted build produced a broken tree: %v", cerr)
@@ -127,7 +146,8 @@ func sweepAllocBudget(t *testing.T, strat ccmalloc.Strategy, seed int64) {
 // are vetoed on schedule: the morph either commits or aborts, and the
 // tree is searchable either way (copy-then-commit).
 func sweepPlaceCluster(t *testing.T, strat ccmalloc.Strategy, seed int64) {
-	m, rec := sweepMachine()
+	in := NewInjector().FailNth(PlaceCluster, 10*seed)
+	m, rec := sweepMachine(armed(in))
 	tr := trees.MustBuild(m, heap.New(m.Arena), 150, trees.RandomOrder, seed)
 
 	placer, err := ccmorph.NewPlacer(m.Arena, ccmorph.Config{
@@ -137,9 +157,6 @@ func sweepPlaceCluster(t *testing.T, strat ccmalloc.Strategy, seed int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := NewInjector().FailNth(PlaceCluster, 10*seed)
-	in.ArmPlacer(placer)
-
 	st, merr := tr.MorphWith(placer, nil)
 	if merr != nil {
 		if !errors.Is(merr, cclerr.ErrPlacementFailed) {
@@ -149,6 +166,9 @@ func sweepPlaceCluster(t *testing.T, strat ccmalloc.Strategy, seed int64) {
 		if st.Aborted == 0 {
 			t.Fatal("failed morph did not set Stats.Aborted")
 		}
+	}
+	if in.Fired(PlaceCluster) == 0 {
+		t.Fatal("no placement veto fired during the morph")
 	}
 	if cerr := tr.CheckSearchable(); cerr != nil {
 		t.Fatalf("tree unsearchable after morph (aborted=%d): %v", st.Aborted, cerr)
@@ -161,50 +181,26 @@ func sweepPlaceCluster(t *testing.T, strat ccmalloc.Strategy, seed int64) {
 	replayDiff(t, rec)
 }
 
-// sweepTraceRecord corrupts an encoded capture on schedule: Decode
-// either rejects it typed, or — when the flipped byte still parses —
-// the resulting trace must replay cleanly through the oracle.
-func sweepTraceRecord(t *testing.T, strat ccmalloc.Strategy, seed int64) {
-	src, ok := trace.FromBytes([]byte(fmt.Sprintf("sweep-trace-seed-%02d-%032d", seed, seed)))
-	if !ok {
-		t.Fatal("FromBytes rejected seed material")
-	}
-	in := NewInjector().FailNth(TraceRecord, seed).FailNth(TraceRecord, seed+3)
-	bad := in.Corrupt(src.Encode())
-	dec, err := trace.Decode(bad)
-	if err != nil {
-		if !errors.Is(err, cclerr.ErrCorruptTrace) {
-			t.Fatalf("Decode err = %v, want ErrCorruptTrace", err)
-		}
-		return
-	}
-	if d := oracle.Diff(dec); d != nil {
-		t.Fatalf("surviving corrupt trace diverged: %v", d)
-	}
-}
-
 func TestFaultScheduleSweep(t *testing.T) {
-	sweeps := map[Point]func(*testing.T, ccmalloc.Strategy, int64){
-		ArenaGrow:    sweepArenaGrow,
-		AllocBudget:  sweepAllocBudget,
-		PlaceCluster: sweepPlaceCluster,
-		TraceRecord:  sweepTraceRecord,
+	sweeps := []struct {
+		name  string
+		sweep func(*testing.T, ccmalloc.Strategy, int64)
+	}{
+		{string(ArenaGrow), sweepArenaGrow},
+		{"alloc-budget", sweepBudget}, // the run's memory budget, not an injection point
+		{string(PlaceCluster), sweepPlaceCluster},
 	}
-	for _, pt := range Points() {
-		sweep, ok := sweeps[pt]
-		if !ok {
-			t.Fatalf("injection point %s has no sweep; add one", pt)
-		}
+	for _, sw := range sweeps {
 		for _, strat := range []ccmalloc.Strategy{ccmalloc.Closest, ccmalloc.FirstFit, ccmalloc.NewBlock} {
 			for seed := int64(1); seed <= 3; seed++ {
-				pt, strat, seed := pt, strat, seed
-				t.Run(fmt.Sprintf("%s/%s/seed%d", pt, strat, seed), func(t *testing.T) {
+				sw, strat, seed := sw, strat, seed
+				t.Run(fmt.Sprintf("%s/%s/seed%d", sw.name, strat, seed), func(t *testing.T) {
 					defer func() {
 						if r := recover(); r != nil {
 							t.Fatalf("fault sweep panicked: %v", r)
 						}
 					}()
-					sweep(t, strat, seed)
+					sw.sweep(t, strat, seed)
 				})
 			}
 		}
@@ -213,24 +209,25 @@ func TestFaultScheduleSweep(t *testing.T) {
 
 // FuzzFaultSchedule drives the whole placement stack under arbitrary
 // fault schedules: any panic is a finding. Input bytes are consumed
-// as (point, occurrence) pairs.
+// as (point, occurrence) pairs; an even point byte schedules an arena
+// grow, an odd one a placement veto.
 func FuzzFaultSchedule(f *testing.F) {
 	f.Add([]byte{0, 1})             // fail the first arena grow
 	f.Add([]byte{0, 2, 1, 3, 2, 1}) // mixed schedule across points
-	f.Add([]byte{3, 1, 3, 2, 3, 3}) // trace corruption only
-	f.Add([]byte{1, 1, 1, 2, 1, 3, 1, 4})
+	f.Add([]byte{1, 1, 1, 2, 1, 3}) // placement vetoes only
+	f.Add([]byte{0, 1, 0, 2, 0, 3, 0, 4})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := NewInjector()
 		for i := 0; i+1 < len(data); i += 2 {
-			pts := Points()
-			in.FailNth(pts[int(data[i])%len(pts)], int64(data[i+1]%32))
+			p := ArenaGrow
+			if data[i]%2 == 1 {
+				p = PlaceCluster
+			}
+			in.FailNth(p, int64(data[i+1]%32))
 		}
 
-		m := machine.NewScaled(64)
-		in.ArmArena(m.Arena)
-		budget := in.Budget(heap.New(m.Arena), 1<<16)
-
-		tr, err := trees.Build(m, budget, 60, trees.RandomOrder, 1)
+		m := armed(in).NewScaled(64)
+		tr, err := trees.Build(m, heap.New(m.Arena), 60, trees.RandomOrder, 1)
 		if err != nil {
 			if cclerr.Class(err) == "" {
 				t.Fatalf("Build: unclassified error %v", err)
@@ -246,19 +243,11 @@ func FuzzFaultSchedule(f *testing.F) {
 			}
 			return
 		}
-		in.ArmPlacer(placer)
 		if _, merr := tr.MorphWith(placer, nil); merr != nil && cclerr.Class(merr) == "" {
 			t.Fatalf("MorphWith: unclassified error %v", merr)
 		}
 		if cerr := tr.CheckSearchable(); cerr != nil {
 			t.Fatalf("tree unsearchable after faulted morph: %v", cerr)
-		}
-
-		if src, ok := trace.FromBytes(append([]byte("fuzz-fault-schedule-seed"), data...)); ok {
-			if _, derr := trace.Decode(in.Corrupt(src.Encode())); derr != nil &&
-				!errors.Is(derr, cclerr.ErrCorruptTrace) {
-				t.Fatalf("Decode: unclassified error %v", derr)
-			}
 		}
 	})
 }

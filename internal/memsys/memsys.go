@@ -17,11 +17,14 @@
 // straddles a chunk edge, and every bulk operation, walks the chunks.
 //
 // Failure contract (DESIGN.md §7): growth can fail — the simulated
-// address space is 32-bit, like the paper's UltraSPARC, and tests
-// inject growth faults — so Grow and AlignTo return typed errors
-// (cclerr.ErrOutOfMemory). Bounds violations on mapped memory panic
-// with a Fault: they are the simulator's SIGSEGV, and continuing
-// would silently corrupt unrelated structures.
+// address space is 32-bit, like the paper's UltraSPARC, and a guard
+// can veto it — so Grow and AlignTo return typed errors
+// (cclerr.ErrOutOfMemory). The same guard is the repository's one
+// fault seam: it is consulted at every growth and, through
+// CheckPlace, before every cache-conscious placement into the arena.
+// Bounds violations on mapped memory panic with a Fault: they are the
+// simulator's SIGSEGV, and continuing would silently corrupt
+// unrelated structures.
 package memsys
 
 import (
@@ -116,12 +119,29 @@ type Arena struct {
 	chunks   []*[chunkSize]byte // backing store, allocated as the break advances
 	size     uint64             // mapped bytes: the break is arenaBase+size
 	limit    int64              // first address Grow may never reach past
-	guard    func(n int64) error
+	guard    Guard
 }
+
+// GuardEvent names the arena operation a Guard is consulted about.
+type GuardEvent uint8
+
+const (
+	// GuardGrow is a Grow about to map n more bytes: the page-rounded
+	// extent, not the request.
+	GuardGrow GuardEvent = iota
+	// GuardPlace is a cache-conscious placement of n bytes about to be
+	// made (see CheckPlace).
+	GuardPlace
+)
+
+// Guard is consulted before an arena operation; a non-nil error
+// vetoes it. sim.Sim installs one on every arena it adopts, which is
+// how run-wide fault schedules and memory budgets reach the arena.
+type Guard func(ev GuardEvent, n int64) error
 
 // NewArena returns an empty address space with the given page size.
 // A non-positive pageSize selects DefaultPageSize. The arena starts
-// with the full 32-bit address-space limit and no grow guard; this
+// with the full 32-bit address-space limit and no guard; this
 // package holds no mutable state outside Arena instances, so arenas
 // on different goroutines never interfere.
 func NewArena(pageSize int64) *Arena {
@@ -131,13 +151,24 @@ func NewArena(pageSize int64) *Arena {
 	return &Arena{pageSize: pageSize, limit: AddrSpaceLimit}
 }
 
-// SetGrowGuard installs a hook consulted before every growth of this
-// arena. A non-nil error from the guard fails the grow with that
-// error (wrapped in cclerr.ErrOutOfMemory); internal/faults uses this
-// seam to schedule "fail the Nth grow" deterministically, and sim.Sim
-// installs a forwarding guard here so a whole run's arenas share one
-// instance-scoped fault seam.
-func (a *Arena) SetGrowGuard(g func(n int64) error) { a.guard = g }
+// SetGuard installs (or, with nil, removes) the guard consulted
+// before every growth of this arena and every CheckPlace.
+func (a *Arena) SetGuard(g Guard) { a.guard = g }
+
+// CheckPlace consults the guard before a cache-conscious placement of
+// n bytes — a ccmorph cluster, a serving KV group, a hinted LRU entry.
+// A veto is returned wrapped in cclerr.ErrPlacementFailed; the caller
+// decides whether that fails its operation or degrades it to
+// conventional placement. Without a guard it returns nil.
+func (a *Arena) CheckPlace(n int64) error {
+	if a.guard == nil {
+		return nil
+	}
+	if err := a.guard(GuardPlace, n); err != nil {
+		return fmt.Errorf("memsys: placement of %d bytes vetoed: %w: %w", n, cclerr.ErrPlacementFailed, err)
+	}
+	return nil
+}
 
 // SetLimit lowers (or restores, up to AddrSpaceLimit) the first
 // address growth may never reach. Tests use small limits to exercise
@@ -169,7 +200,7 @@ func (a *Arena) Size() int64 { return int64(a.size) }
 // whole number of pages, and returns the first address of the new
 // extent. It fails with cclerr.ErrInvalidArg for negative n and with
 // cclerr.ErrOutOfMemory when the rounded extent would cross the
-// address-space limit or the grow guard vetoes it; on failure the
+// address-space limit or the guard vetoes it; on failure the
 // mapped region is unchanged and no backing store is allocated.
 func (a *Arena) Grow(n int64) (Addr, error) {
 	if n < 0 {
@@ -191,7 +222,7 @@ func (a *Arena) Grow(n int64) (Addr, error) {
 			n, brk, grow, a.limit)
 	}
 	if a.guard != nil {
-		if err := a.guard(n); err != nil {
+		if err := a.guard(GuardGrow, grow); err != nil {
 			return NilAddr, fmt.Errorf("memsys: Grow(%d) vetoed: %w: %w", n, cclerr.ErrOutOfMemory, err)
 		}
 	}

@@ -40,6 +40,48 @@ func TestSbrkGrowsPageGranular(t *testing.T) {
 	}
 }
 
+// TestGuardSeesMappedExtentAndPlacements pins the arena's one fault
+// seam: the guard learns each grow's page-rounded extent (what the
+// arena maps, not what was asked), CheckPlace reports placements as
+// their own event, and each veto carries its operation's sentinel.
+func TestGuardSeesMappedExtentAndPlacements(t *testing.T) {
+	a := NewArena(1024)
+	if err := a.CheckPlace(24); err != nil {
+		t.Fatalf("unguarded CheckPlace = %v", err)
+	}
+	type call struct {
+		ev GuardEvent
+		n  int64
+	}
+	var calls []call
+	boom := errors.New("vetoed")
+	veto := false
+	a.SetGuard(func(ev GuardEvent, n int64) error {
+		calls = append(calls, call{ev, n})
+		if veto {
+			return boom
+		}
+		return nil
+	})
+	a.Sbrk(1)
+	if err := a.CheckPlace(24); err != nil {
+		t.Fatalf("CheckPlace = %v", err)
+	}
+	if want := []call{{GuardGrow, 1024}, {GuardPlace, 24}}; len(calls) != 2 || calls[0] != want[0] || calls[1] != want[1] {
+		t.Fatalf("guard saw %v, want %v", calls, want)
+	}
+	veto = true
+	if _, err := a.Grow(1); !errors.Is(err, boom) || !errors.Is(err, cclerr.ErrOutOfMemory) {
+		t.Fatalf("vetoed grow err = %v, want ErrOutOfMemory wrapping the veto", err)
+	}
+	if err := a.CheckPlace(24); !errors.Is(err, boom) || !errors.Is(err, cclerr.ErrPlacementFailed) {
+		t.Fatalf("vetoed placement err = %v, want ErrPlacementFailed wrapping the veto", err)
+	}
+	if a.Size() != 1024 {
+		t.Fatalf("vetoed operations changed the mapping: Size = %d", a.Size())
+	}
+}
+
 func TestSbrkNegativePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -120,12 +120,9 @@ type sim struct {
 	// uses it to tell leaf (patient) elements from list cells.
 	patients   map[memsys.Addr]bool
 	morphBytes int64
-	// morphSkipped counts lists left in their old layout because a
-	// periodic Reorganize failed (degraded, not fatal).
-	morphSkipped int64
-	nextPatID    uint32
-	treated      uint64
-	checksum     uint64
+	nextPatID  uint32
+	treated    uint64
+	checksum   uint64
 }
 
 // Run executes the simulation and reports the result. The checksum
@@ -408,7 +405,6 @@ func (s *sim) morphAllLists(colorFrac float64) {
 				// Degrade: Reorganize is copy-then-commit, so the
 				// original list is intact — keep walking it in its old
 				// layout this round instead of dying mid-simulation.
-				s.morphSkipped++
 				continue
 			}
 			m.StoreAddr(v.Add(off), newHead)

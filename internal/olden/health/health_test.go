@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"ccl/internal/ccmalloc"
+	"ccl/internal/faults"
 	"ccl/internal/olden"
+	runctx "ccl/internal/sim"
 )
 
 func TestVillageCount(t *testing.T) {
@@ -39,6 +41,28 @@ func TestAllVariantsAgree(t *testing.T) {
 		if got := Run(olden.NewEnv(v, 16), cfg).Check; got != want {
 			t.Errorf("%s: checksum %d, want %d", v.Name(), got, want)
 		}
+	}
+}
+
+// TestSkippedMorphKeepsChecksum reaches health's degradation path: a
+// periodic reorganization whose cluster placement is vetoed leaves
+// that list in its old layout (ccmorph is copy-then-commit) and the
+// simulation runs on with the same result. The vetoes are armed on
+// the run context, as every fault sweep arms them.
+func TestSkippedMorphKeepsChecksum(t *testing.T) {
+	cfg := Config{Levels: 3, Steps: 60, MorphInterval: 12, Seed: 3}
+	want := Run(olden.NewEnv(olden.Base, 16), cfg).Check
+	in := faults.NewInjector()
+	for n := int64(3); n <= 1<<14; n += 7 { // every 7th placement from the 3rd
+		in.FailNth(faults.PlaceCluster, n)
+	}
+	s := runctx.New()
+	in.ArmSim(s)
+	if got := Run(olden.NewEnvIn(s, olden.CCMorphClusterColor, 16), cfg).Check; got != want {
+		t.Fatalf("checksum %d with vetoed placements, want the base variant's %d", got, want)
+	}
+	if in.Fired(faults.PlaceCluster) == 0 {
+		t.Fatal("no placement veto fired: the skipped-morph path was not reached")
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"ccl/internal/cache"
@@ -94,6 +96,44 @@ func TestFixtureBlocksCoveringMinBlock(t *testing.T) {
 	}
 	if d := Diff(tr); d != nil {
 		t.Fatal(d)
+	}
+}
+
+// TestDecodableTraceCorpusReplaysClean replays every input of trace's
+// FuzzTraceRoundTrip corpus that trace.Decode accepts through the
+// oracle. The corpus holds encoded captures with bytes flipped; one
+// that still decodes is a valid trace and must replay oracle-clean.
+// (The fuzz target itself checks that every rejection is a typed
+// ErrCorruptTrace.)
+func TestDecodableTraceCorpusReplaysClean(t *testing.T) {
+	paths, err := filepath.Glob("../trace/testdata/fuzz/FuzzTraceRoundTrip/*")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no trace corpus: %v", err)
+	}
+	decoded := 0
+	for _, path := range paths {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A corpus file is "go test fuzz v1" then one []byte("...") line.
+		_, lit, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+		quoted, ok := strings.CutPrefix(lit, "[]byte(")
+		data, qerr := strconv.Unquote(strings.TrimSuffix(quoted, ")"))
+		if !ok || qerr != nil {
+			t.Fatalf("%s: not a []byte corpus entry: %q", path, lit)
+		}
+		tr, err := trace.Decode([]byte(data))
+		if err != nil {
+			continue
+		}
+		decoded++
+		if d := Diff(tr); d != nil {
+			t.Fatalf("%s: decodable corpus trace diverged: %v", filepath.Base(path), d)
+		}
+	}
+	if decoded == 0 {
+		t.Fatal("no corpus input decoded: the replay checks nothing")
 	}
 }
 

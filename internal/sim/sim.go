@@ -9,11 +9,13 @@
 // the shape of the experiment, ablation, and oracle sweeps.
 //
 // A Sim is the explicit owner of everything that used to be global:
-// the grow guard consulted by every arena the run creates, and a
-// per-run telemetry registry. Each experiment job gets a fresh Sim,
-// builds its machines through it, and shares no mutable state with
-// any other job; the bench worker pool (internal/bench) relies on
-// that isolation for its determinism guarantee. See DESIGN.md §8.
+// the guard consulted by every arena the run creates — the one fault
+// seam, reached at arena growth and at cache-conscious placement — an
+// optional memory budget, and a per-run telemetry registry. Each
+// experiment job gets a fresh Sim, builds its machines through it, and
+// shares no mutable state with any other job; the bench worker pool
+// (internal/bench) relies on that isolation for its determinism
+// guarantee. See DESIGN.md §8.
 //
 // A Sim itself is safe for concurrent use, but the objects built
 // through it (Arena, Machine) are not: each is confined to the one
@@ -35,14 +37,15 @@ import (
 // Sim is one run's simulation context. The zero value is not ready;
 // use New.
 type Sim struct {
-	mu        sync.Mutex
-	growGuard func(n int64) error
-	budget    *Budget
-	registry  *telemetry.Registry
+	mu       sync.Mutex
+	guard    memsys.Guard
+	budget   *Budget
+	registry *telemetry.Registry
 }
 
 // Budget is a cumulative simulated-memory budget: every arena growth
-// of every Sim the budget is attached to draws from it, and once it
+// of every Sim the budget is attached to draws its page-rounded extent
+// from it — the mapped bytes, not the requested ones — and once it
 // is exhausted further growth fails with cclerr.ErrBudgetExceeded
 // (which the arena additionally wraps in ErrOutOfMemory, so existing
 // degradation paths engage unchanged). One Budget may be shared by
@@ -84,14 +87,14 @@ func (b *Budget) Max() int64 { return b.max }
 // telemetry registry.
 func New() *Sim { return &Sim{registry: telemetry.NewRegistry()} }
 
-// SetGrowGuard arms (or, with nil, disarms) the guard every arena
-// created through this context consults before growing — the
-// instance-scoped replacement for the old process-wide default grow
-// guard. Arming is effective immediately, including for arenas
-// created before the call.
-func (s *Sim) SetGrowGuard(g func(n int64) error) {
+// SetGuard arms (or, with nil, disarms) the guard every arena created
+// through this context consults before growing and before each
+// cache-conscious placement (memsys.Arena.CheckPlace). Arming is
+// effective immediately, including for arenas created before the
+// call.
+func (s *Sim) SetGuard(g memsys.Guard) {
 	s.mu.Lock()
-	s.growGuard = g
+	s.guard = g
 	s.mu.Unlock()
 }
 
@@ -106,19 +109,19 @@ func (s *Sim) SetBudget(b *Budget) {
 	s.mu.Unlock()
 }
 
-// checkGrow is the forwarding guard installed on adopted arenas; it
-// reads the current guard under the lock so arming and running can
-// happen on different goroutines.
-func (s *Sim) checkGrow(n int64) error {
+// check is the forwarding guard installed on adopted arenas; it reads
+// the current guard under the lock so arming and running can happen on
+// different goroutines. Only growth draws from the budget.
+func (s *Sim) check(ev memsys.GuardEvent, n int64) error {
 	s.mu.Lock()
-	g, b := s.growGuard, s.budget
+	g, b := s.guard, s.budget
 	s.mu.Unlock()
 	if g != nil {
-		if err := g(n); err != nil {
+		if err := g(ev, n); err != nil {
 			return err
 		}
 	}
-	if b != nil {
+	if b != nil && ev == memsys.GuardGrow {
 		return b.Take(n)
 	}
 	return nil
@@ -129,15 +132,15 @@ func (s *Sim) checkGrow(n int64) error {
 // state.
 func (s *Sim) Registry() *telemetry.Registry { return s.registry }
 
-// Adopt ties an existing machine's arena to this context's grow
-// guard and returns the machine, for call-site chaining.
+// Adopt ties an existing machine's arena to this context's guard and
+// returns the machine, for call-site chaining.
 func (s *Sim) Adopt(m *machine.Machine) *machine.Machine {
 	s.AdoptArena(m.Arena)
 	return m
 }
 
-// AdoptArena ties an arena to this context's grow guard.
-func (s *Sim) AdoptArena(a *memsys.Arena) { a.SetGrowGuard(s.checkGrow) }
+// AdoptArena ties an arena to this context's guard.
+func (s *Sim) AdoptArena(a *memsys.Arena) { a.SetGuard(s.check) }
 
 // NewArena builds an address space owned by this context.
 func (s *Sim) NewArena(pageSize int64) *memsys.Arena {
@@ -163,8 +166,8 @@ func (s *Sim) NewScaled(factor int64) *machine.Machine {
 }
 
 // NewTopology builds an N-core topology (machine.NewTopology), owned
-// by this context: its shared arena obeys the run's grow guard and
-// memory budget like every single-core machine's.
+// by this context: its shared arena obeys the run's guard and memory
+// budget like every single-core machine's.
 func (s *Sim) NewTopology(cfg machine.TopologyConfig) *machine.Topology {
 	t := machine.NewTopology(cfg)
 	s.AdoptArena(t.Arena)

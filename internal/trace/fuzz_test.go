@@ -2,20 +2,32 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
+
+	"ccl/internal/cclerr"
 )
 
 // FuzzTraceRoundTrip checks the codec's two safety properties on
 // arbitrary input: (1) Decode never panics and either rejects the
-// input or returns a validated trace; (2) every trace derived via
-// FromBytes survives Encode/Decode byte- and value-identically.
+// input with an error wrapping cclerr.ErrCorruptTrace or returns a
+// validated trace; (2) every trace derived via FromBytes survives
+// Encode/Decode byte- and value-identically. The checked-in corpus
+// holds encoded captures with bytes flipped (testdata/fuzz/
+// FuzzTraceRoundTrip/corrupt-*); oracle's
+// TestDecodableTraceCorpusReplaysClean replays the ones that still
+// decode.
 func FuzzTraceRoundTrip(f *testing.F) {
 	f.Add(sampleTrace().Encode())
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 255, 254, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if dec, err := Decode(data); err == nil {
+		dec, err := Decode(data)
+		if err != nil && !errors.Is(err, cclerr.ErrCorruptTrace) {
+			t.Fatalf("Decode rejected input with an untyped error: %v", err)
+		}
+		if err == nil {
 			if verr := dec.Config.Validate(); verr != nil {
 				t.Fatalf("Decode accepted invalid config: %v", verr)
 			}
@@ -33,7 +45,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 			return
 		}
 		enc := tr.Encode()
-		dec, err := Decode(enc)
+		dec, err = Decode(enc)
 		if err != nil {
 			t.Fatalf("decoding FromBytes trace: %v", err)
 		}
