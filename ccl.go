@@ -92,7 +92,7 @@ func PaperCache() CacheConfig { return cache.PaperHierarchy() }
 func RSIMCache() CacheConfig { return cache.RSIMHierarchy() }
 
 // Sim is a per-run simulation context: machines built through one
-// share its guard (the fault seam) and telemetry registry, and two
+// share its guard (the fault seam) and memory budget, and two
 // Sims share no mutable state at all — the unit of isolation for
 // running simulations concurrently (one goroutine per Sim; see
 // DESIGN.md §8).
@@ -318,7 +318,7 @@ var (
 func ErrorClass(err error) string { return cclerr.Class(err) }
 
 // Telemetry (miss classification, per-structure attribution, set
-// heatmaps, counter registry).
+// heatmaps).
 type (
 	// Collector observes a cache hierarchy and classifies every
 	// demand miss compulsory/capacity/conflict (the 3C model),
@@ -327,18 +327,12 @@ type (
 	Collector = telemetry.Collector
 	// TelemetryReport is a Collector's JSON-serializable summary.
 	TelemetryReport = telemetry.Report
-	// Registry is a flat namespace of named counters with
-	// snapshot-diffing, fed by the Each methods of the stats types.
-	Registry = telemetry.Registry
 )
 
 // AttachTelemetry installs a fresh Collector as the machine's cache
 // observer and returns it. Detach with m.Cache.SetObserver(nil); with
 // no observer installed the simulator's outputs are unchanged.
 func AttachTelemetry(m *Machine) *Collector { return telemetry.Attach(m.Cache) }
-
-// NewRegistry returns an empty counter registry.
-func NewRegistry() *Registry { return telemetry.NewRegistry() }
 
 // Profiling (field-level miss attribution, phase time series, pprof
 // export; see DESIGN.md §10).

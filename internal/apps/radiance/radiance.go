@@ -349,10 +349,11 @@ func (a *app) morph(colorFrac float64) {
 	// data, Figure 2). With coloring on, item lists and the sphere
 	// records move to the cold region; without it, a plain bump.
 	blockSize := cfg.Geometry.BlockSize
+	var col layout.Coloring
 	var cold *layout.SegmentAllocator
 	var nextBlock func() memsys.Addr
 	if colorFrac > 0 {
-		col := must(layout.NewColoring(cfg.Geometry, colorFrac))
+		col = must(layout.NewColoring(cfg.Geometry, colorFrac))
 		cold = must(layout.NewSegmentAllocator(a.m.Arena, col, false))
 		nextBlock = func() memsys.Addr { return must(cold.Alloc(blockSize)) }
 	} else {
@@ -390,26 +391,13 @@ func (a *app) morph(colorFrac float64) {
 
 	// Relocate the sphere records to a contiguous cold extent (the
 	// intersect path indexes them by id, so contiguity is required).
-	if cold != nil {
-		total := int64(len(a.scene)) * sphereSize
-		col := must(layout.NewColoring(cfg.Geometry, colorFrac))
-		runLen := (col.Sets - col.HotSets) * col.BlockSize
-		for off := int64(0); off < total; {
-			n := total - off
-			if n > runLen {
-				n = runLen
-			}
-			// Spheres are relocated run-sized piece by piece, but
-			// each piece must stay contiguous with the previous to
-			// preserve indexing — so only a single-piece move is
-			// safe. Larger scenes keep their original placement.
-			if off == 0 && n == total {
-				dst := must(cold.Alloc(n))
-				_ = a.m.Copy(dst, a.geom, n) // dst is fresh: no overlap
-				a.geom = dst
-			}
-			off += n
-		}
+	// Only a scene that fits one cold color run can move; larger
+	// scenes keep their original placement.
+	total := int64(len(a.scene)) * sphereSize
+	if cold != nil && total <= (col.Sets-col.HotSets)*col.BlockSize {
+		dst := must(cold.Alloc(total))
+		_ = a.m.Copy(dst, a.geom, total) // dst is fresh: no overlap
+		a.geom = dst
 	}
 }
 

@@ -40,9 +40,8 @@ var metricsRadModes = []radiance.Mode{radiance.Cluster, radiance.ClusterColor}
 // metricsTree runs the tree microbenchmark before and after ccmorph
 // with a collector attached, attributing every miss to the structure
 // that caused it and classifying it compulsory/capacity/conflict. The
-// registry rows publish through the run context's own
-// telemetry.Registry — per-run state, so concurrent metrics jobs
-// never share a namespace.
+// "registry" rows are headline counters read from the typed Stats of
+// the morph and of the ctree phase.
 func metricsTree(s *sim.Sim, full bool) metricsTreeOut {
 	n := int64(1<<15 - 1)
 	searches := 20000
@@ -94,15 +93,12 @@ func metricsTree(s *sim.Sim, full bool) metricsTreeOut {
 	}
 	runPhase("ctree", ctree)
 
-	// The registry path: every ad-hoc stats struct publishes into the
-	// run's namespace, and a few headline counters make it into the
-	// table.
-	reg := s.Registry()
-	reg.Record("cache", m.Stats())
-	reg.Record("morph", morphStats)
-	for _, name := range []string{"morph.nodes", "morph.hot_clusters", "morph.new_bytes", "cache.cycles.total"} {
-		out.rows = append(out.rows, []string{"registry", name, fmt.Sprintf("%d", reg.Get(name))})
-	}
+	out.rows = append(out.rows,
+		[]string{"registry", "morph.nodes", fmt.Sprint(morphStats.Nodes)},
+		[]string{"registry", "morph.hot_clusters", fmt.Sprint(morphStats.HotClusters)},
+		[]string{"registry", "morph.new_bytes", fmt.Sprint(morphStats.NewBytes)},
+		[]string{"registry", "cache.cycles.total", fmt.Sprint(m.Stats().TotalCycles())},
+	)
 	return out
 }
 

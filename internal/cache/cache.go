@@ -1,8 +1,8 @@
 // Package cache implements a parameterized, multi-level, set-associative
 // cache simulator: cycle accounting, per-access telemetry observers
-// (Observer: access/evict/fill callbacks consumed by package telemetry
-// for 3C miss classification, set heatmaps, and per-region
-// attribution), and a batched trace-replay entry point
+// (Observer: access/evict/fill/invalidate callbacks consumed by
+// package telemetry for 3C/4C miss classification, set heatmaps, and
+// per-region attribution), and a batched trace-replay entry point
 // (trace.AccessTrace) for replaying captured access streams at full
 // speed.
 //
@@ -219,21 +219,23 @@ type Observer interface {
 	// prefetch marks fills initiated by a prefetch rather than a
 	// demand access.
 	OnFill(level int, addr memsys.Addr, prefetch bool)
+	// OnInvalidate is reported when Invalidate drops a resident copy
+	// of the span-byte coherence granule at addr — a remote core's
+	// store in a topology. Only a topology's directory calls
+	// Invalidate, so a hierarchy used alone never reports it.
+	OnInvalidate(addr memsys.Addr, span int64)
 }
 
 // line is one cache block's bookkeeping beyond its tag (tags live in
 // the level's dense tag slice so lookups scan contiguous memory). The
 // struct packs into 32 bytes — two lines per 64-byte cache line of the
-// host — and the struct-audit test (struct_audit_test.go) locks that
-// in: the mesi byte rides in padding that was already there, so the
-// multicore seam costs the single-core demand path nothing.
+// host — and the struct-audit test (audit_test.go) locks that in.
 type line struct {
 	lastUse    int64 // for LRU
 	fillReady  int64 // cycle at which the fill completes
 	minStall   int64 // ROB-lead floor on the first demand touch (HW prefetch)
 	dirty      bool
 	prefetched bool // installed by a prefetch, not yet demand-touched
-	mesi       MESI // coherence state stamp (coherent.go); 0 = untracked
 }
 
 // LevelStats holds the per-level counters.
@@ -367,32 +369,6 @@ func (s Stats) TotalCycles() int64 {
 	return s.BusyCycles + s.L1HitCycles + s.LoadStallCycles + s.StoreStall + s.PrefetchIssue
 }
 
-// Each yields every counter as a (name, value) pair — the publishing
-// path telemetry.Registry.Record consumes. Level counters are
-// prefixed with the level name ("L1.misses").
-func (s Stats) Each(f func(name string, v int64)) {
-	for i, l := range s.Levels {
-		p := fmt.Sprintf("L%d.", i+1)
-		f(p+"accesses", l.Accesses)
-		f(p+"hits", l.Hits)
-		f(p+"misses", l.Misses)
-		f(p+"evictions", l.Evictions)
-		f(p+"writebacks", l.Writebacks)
-		f(p+"prefetches", l.Prefetches)
-		f(p+"prefetch_hits", l.PrefetchHit)
-		f(p+"late_hits", l.LateHits)
-	}
-	f("tlb.accesses", s.TLBAccesses)
-	f("tlb.misses", s.TLBMisses)
-	f("cycles.busy", s.BusyCycles)
-	f("cycles.l1_hit", s.L1HitCycles)
-	f("cycles.load_stall", s.LoadStallCycles)
-	f("cycles.store_stall", s.StoreStall)
-	f("cycles.prefetch_issue", s.PrefetchIssue)
-	f("cycles.total", s.TotalCycles())
-	f("mem.accesses", s.MemAccesses)
-}
-
 // probe is one level's descent result, carried from the lookup scan
 // to the install phase so a miss does not redo the set/tag arithmetic
 // or the victim scan (the scan that found no matching tag already saw
@@ -462,9 +438,6 @@ func (h *Hierarchy) Config() Config { return h.cfg }
 // Only one observer can be attached; compose externally if several
 // consumers are needed.
 func (h *Hierarchy) SetObserver(o Observer) { h.obs = o }
-
-// Observer returns the attached observer, or nil.
-func (h *Hierarchy) Observer() Observer { return h.obs }
 
 // Level returns the configuration of level i (0 = L1).
 func (h *Hierarchy) Level(i int) LevelConfig { return h.cfg.Levels[i] }

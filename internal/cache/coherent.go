@@ -1,46 +1,13 @@
 // coherent.go is the snoop/invalidate seam a coherence directory
 // (internal/coherence) drives. The single-core demand path never calls
 // anything in this file: a Hierarchy used alone behaves exactly as
-// before (the per-line MESI byte rides in padding and is never read),
-// so the ~21 ns/op access path guarded by ccperf is untouched. Only a
-// machine.Topology, which wires several private hierarchies to one
-// directory, exercises these methods.
+// before, so the ~21 ns/op access path guarded by ccperf is
+// untouched. Only a machine.Topology, which wires several private
+// hierarchies to one directory, exercises these methods. Coherence
+// state lives in the directory alone; a line carries none.
 package cache
 
 import "ccl/internal/memsys"
-
-// MESI is the coherence state stamped on a resident line by a
-// directory. The zero value doubles as "untracked": a hierarchy that
-// is not part of a topology never stamps its lines, and an absent
-// line reports MESIInvalid.
-type MESI uint8
-
-const (
-	// MESIInvalid marks an absent or invalidated block.
-	MESIInvalid MESI = iota
-	// MESIShared marks a clean copy that other cores may also hold.
-	MESIShared
-	// MESIExclusive marks the only cached copy, still clean.
-	MESIExclusive
-	// MESIModified marks the only cached copy, dirty.
-	MESIModified
-)
-
-// String returns the conventional one-letter state name.
-func (s MESI) String() string {
-	switch s {
-	case MESIInvalid:
-		return "I"
-	case MESIShared:
-		return "S"
-	case MESIExclusive:
-		return "E"
-	case MESIModified:
-		return "M"
-	default:
-		return "?"
-	}
-}
 
 // eachResident calls f with every resident slot covering
 // [addr, addr+span) at every level. span may be larger than a level's
@@ -67,8 +34,9 @@ func (h *Hierarchy) eachResident(addr memsys.Addr, span int64, f func(l *level, 
 // from every level — a remote core's store to the coherence granule.
 // It reports whether any copy was resident and whether any dropped
 // copy was dirty (the caller charges a forced writeback for the
-// latter). Invalidating a non-resident granule is a no-op, mirrored
-// exactly by the oracle's reference model.
+// latter). When a copy was resident the observer sees
+// OnInvalidate(addr, span). Invalidating a non-resident granule is a
+// no-op, mirrored exactly by the oracle's reference model.
 func (h *Hierarchy) Invalidate(addr memsys.Addr, span int64) (valid, dirty bool) {
 	h.eachResident(addr, span, func(l *level, slot int64) {
 		valid = true
@@ -78,43 +46,24 @@ func (h *Hierarchy) Invalidate(addr memsys.Addr, span int64) (valid, dirty bool)
 		l.tags[slot] = -1
 		l.lines[slot] = line{}
 	})
+	if valid && h.obs != nil {
+		h.obs.OnInvalidate(addr, span)
+	}
 	return valid, dirty
 }
 
-// Downgrade demotes every resident block covering [addr, addr+span)
-// to MESIShared, clearing dirty bits — a remote core's load forcing
-// this core's Modified copy back to memory. It reports whether any
-// copy was dirty (the caller charges the forced writeback).
+// Downgrade clears the dirty bit of every resident block covering
+// [addr, addr+span) — a remote core's load forcing this core's
+// Modified copy back to memory. It reports whether any copy was dirty
+// (the caller charges the forced writeback).
 func (h *Hierarchy) Downgrade(addr memsys.Addr, span int64) (dirty bool) {
 	h.eachResident(addr, span, func(l *level, slot int64) {
 		if l.lines[slot].dirty {
 			dirty = true
 			l.lines[slot].dirty = false
 		}
-		l.lines[slot].mesi = MESIShared
 	})
 	return dirty
-}
-
-// SetBlockState stamps st on every resident block covering
-// [addr, addr+span). The directory calls it after granting a state so
-// per-line introspection (BlockState) matches the directory's view.
-func (h *Hierarchy) SetBlockState(addr memsys.Addr, span int64, st MESI) {
-	h.eachResident(addr, span, func(l *level, slot int64) {
-		l.lines[slot].mesi = st
-	})
-}
-
-// BlockState returns the MESI stamp of addr's line at level i, or
-// MESIInvalid when the line is absent. Lines installed outside a
-// topology carry the zero stamp (MESIInvalid) even while resident.
-func (h *Hierarchy) BlockState(i int, addr memsys.Addr) MESI {
-	l := &h.levels[i]
-	set, way := l.lookup(addr)
-	if way < 0 {
-		return MESIInvalid
-	}
-	return l.lines[set*l.assoc+int64(way)].mesi
 }
 
 // MemAccesses returns the running count of demand accesses that

@@ -16,17 +16,6 @@ func coherentConfig() Config {
 	}
 }
 
-func TestMESIString(t *testing.T) {
-	cases := map[MESI]string{
-		MESIInvalid: "I", MESIShared: "S", MESIExclusive: "E", MESIModified: "M", MESI(9): "?",
-	}
-	for st, want := range cases {
-		if got := st.String(); got != want {
-			t.Errorf("MESI(%d).String() = %q, want %q", st, got, want)
-		}
-	}
-}
-
 func TestInvalidateDropsAllLevels(t *testing.T) {
 	h := New(coherentConfig())
 	h.Access(0x100, 8, Store)
@@ -61,18 +50,43 @@ func TestInvalidateSpanCoversSmallBlocks(t *testing.T) {
 	}
 }
 
+// TestInvalidateReportsObserver: the observer sees one
+// OnInvalidate(granule base, span) per Invalidate that dropped a
+// resident copy, however many blocks the granule covered, and none
+// for a non-resident granule or a downgrade.
+func TestInvalidateReportsObserver(t *testing.T) {
+	h := New(coherentConfig())
+	rec := &recObserver{}
+	h.SetObserver(rec)
+	h.Access(0x640, 8, Load)
+	h.Access(0x650, 8, Store) // a second L1 block of the same granule
+	h.Downgrade(0x640, 64)
+	if len(rec.invals) != 0 {
+		t.Fatalf("access/downgrade reported invalidations %v", rec.invals)
+	}
+	h.Invalidate(0x640, 64)
+	if len(rec.invals) != 1 || rec.invals[0] != "0x640+64" {
+		t.Fatalf("invalidations = %v, want [0x640+64]", rec.invals)
+	}
+	// The granule is gone now, and 0x700 was never resident.
+	h.Invalidate(0x640, 64)
+	h.Invalidate(0x700, 64)
+	if len(rec.invals) != 1 {
+		t.Fatalf("non-resident invalidation reported: %v", rec.invals)
+	}
+}
+
+// TestDowngradeClearsDirtyAndStampsShared: a downgraded copy stays
+// resident at every level as a clean (Shared) copy; the directory
+// records the state itself.
 func TestDowngradeClearsDirtyAndStampsShared(t *testing.T) {
 	h := New(coherentConfig())
 	h.Access(0x300, 8, Store)
-	h.SetBlockState(0x300, 64, MESIModified)
 	if !h.Downgrade(0x300, 64) {
 		t.Fatal("Downgrade of a dirty block reported clean")
 	}
-	if got := h.BlockState(0, 0x300); got != MESIShared {
-		t.Fatalf("post-downgrade L1 state = %v, want S", got)
-	}
-	if got := h.BlockState(1, 0x300); got != MESIShared {
-		t.Fatalf("post-downgrade L2 state = %v, want S", got)
+	if !h.Contains(0, 0x300) || !h.Contains(1, 0x300) {
+		t.Fatal("Downgrade dropped the copy; a Shared copy stays resident")
 	}
 	// Downgrade is idempotent and reports clean the second time.
 	if h.Downgrade(0x300, 64) {
@@ -91,22 +105,6 @@ func TestDowngradeClearsDirtyAndStampsShared(t *testing.T) {
 	after := h.Stats().Levels[0].Writebacks
 	if after != before {
 		t.Fatalf("downgraded block caused %d writebacks on eviction", after-before)
-	}
-}
-
-func TestBlockStateAbsent(t *testing.T) {
-	h := New(coherentConfig())
-	if got := h.BlockState(0, 0x400); got != MESIInvalid {
-		t.Fatalf("absent block state = %v, want I", got)
-	}
-	h.Access(0x400, 8, Load)
-	// Lines installed outside a topology carry the zero stamp.
-	if got := h.BlockState(0, 0x400); got != MESIInvalid {
-		t.Fatalf("untracked resident block state = %v, want I", got)
-	}
-	h.SetBlockState(0x400, 16, MESIExclusive)
-	if got := h.BlockState(0, 0x400); got != MESIExclusive {
-		t.Fatalf("stamped block state = %v, want E", got)
 	}
 }
 

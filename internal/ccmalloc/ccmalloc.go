@@ -102,23 +102,6 @@ type Stats struct {
 	LargeBytes     int64 // bytes claimed for page-spanning objects
 }
 
-// Each yields every counter as a (name, value) pair, the publishing
-// path telemetry.Registry.Record consumes.
-func (s Stats) Each(f func(name string, v int64)) {
-	f("allocs", s.Allocs)
-	f("frees", s.Frees)
-	f("hinted_allocs", s.HintedAllocs)
-	f("same_block", s.SameBlock)
-	f("same_page", s.SamePage)
-	f("overflow_page", s.OverflowPage)
-	f("seeded", s.Seeded)
-	f("spills", s.Spills)
-	f("degraded", s.Degraded)
-	f("bytes_requested", s.BytesRequested)
-	f("pages", s.Pages)
-	f("large_bytes", s.LargeBytes)
-}
-
 // extent is a free range within a page, in page-relative offsets.
 type extent struct{ off, len int64 }
 

@@ -131,17 +131,6 @@ type Stats struct {
 	Aborted     int64 // reorganizations that failed and left the original layout in place
 }
 
-// Each yields every counter as a (name, value) pair, the publishing
-// path telemetry.Registry.Record consumes.
-func (s Stats) Each(f func(name string, v int64)) {
-	f("nodes", s.Nodes)
-	f("clusters", s.Clusters)
-	f("hot_clusters", s.HotClusters)
-	f("nodes_per_block", s.NodesPerBlk)
-	f("new_bytes", s.NewBytes)
-	f("aborted", s.Aborted)
-}
-
 // Placer is a reusable placement context: the pair of colored segment
 // allocators (or the uncolored block bump) plus the remaining hot
 // budget. A one-shot Reorganize creates its own; callers morphing

@@ -9,7 +9,10 @@
 // the directory (Transact); the directory snoops the other cores'
 // private caches through the Port seam (cache.Hierarchy implements it
 // directly), invalidating or downgrading remote copies and charging
-// the configured latencies.
+// the configured latencies. The directory is the only record of
+// coherence state: a private cache's lines carry none, and a dropped
+// resident copy reaches telemetry through the cache's own observer
+// (cache.Observer.OnInvalidate).
 //
 // Two deliberate simplifications, mirrored exactly by the oracle's
 // reference model (internal/oracle):
@@ -116,12 +119,13 @@ type Port interface {
 	// Invalidate drops every copy of [addr, addr+span), reporting
 	// whether any copy was resident and whether any was dirty.
 	Invalidate(addr memsys.Addr, span int64) (valid, dirty bool)
-	// Downgrade demotes copies of [addr, addr+span) to Shared,
-	// clearing dirty bits and reporting whether any was dirty.
+	// Downgrade clears the dirty bits of copies of [addr, addr+span)
+	// (the directory records the demotion to Shared), reporting
+	// whether any was dirty.
 	Downgrade(addr memsys.Addr, span int64) (dirty bool)
 }
 
-// Stats counts protocol traffic. Published via Each.
+// Stats counts protocol traffic.
 type Stats struct {
 	Transactions      int64 // directory transactions (bus uses)
 	SharedGrants      int64 // read misses granted Shared
@@ -133,21 +137,6 @@ type Stats struct {
 	ForcedWritebacks  int64 // remote Modified copies flushed
 	CoherenceMisses   int64 // misses to a block invalidated while resident
 	ExtraCycles       int64 // total latency charged by the protocol
-}
-
-// Each yields every counter as a (name, value) pair, prefixed
-// "coh." for the telemetry registry.
-func (s Stats) Each(f func(name string, v int64)) {
-	f("coh.transactions", s.Transactions)
-	f("coh.shared_grants", s.SharedGrants)
-	f("coh.exclusive_grants", s.ExclusiveGrants)
-	f("coh.rfos", s.RFOs)
-	f("coh.upgrades", s.Upgrades)
-	f("coh.invalidations_sent", s.InvalidationsSent)
-	f("coh.copies_invalidated", s.CopiesInvalidated)
-	f("coh.forced_writebacks", s.ForcedWritebacks)
-	f("coh.coherence_misses", s.CoherenceMisses)
-	f("coh.extra_cycles", s.ExtraCycles)
 }
 
 // Action reports what one Transact did, for cycle accounting and for
@@ -182,10 +171,7 @@ type Directory struct {
 	// pending marks granules invalidated while resident: the core's
 	// next transaction on that granule is a coherence miss.
 	pending []map[int64]struct{}
-	// onInvalidate hooks feed telemetry (per-core collectors mark
-	// the granule so the next miss classifies as coherence).
-	onInvalidate []func(addr memsys.Addr, span int64)
-	stats        Stats
+	stats   Stats
 }
 
 // New builds a directory for cores cores. Panics on invalid
@@ -200,12 +186,11 @@ func New(cores int, cfg Config) *Directory {
 		panic(fmt.Sprintf("coherence: cores %d outside [1, 64]", cores))
 	}
 	d := &Directory{
-		cfg:          cfg,
-		shift:        uint(bits.TrailingZeros64(uint64(cfg.BlockSize))),
-		ports:        make([]Port, cores),
-		states:       make([]map[int64]State, cores),
-		pending:      make([]map[int64]struct{}, cores),
-		onInvalidate: make([]func(memsys.Addr, int64), cores),
+		cfg:     cfg,
+		shift:   uint(bits.TrailingZeros64(uint64(cfg.BlockSize))),
+		ports:   make([]Port, cores),
+		states:  make([]map[int64]State, cores),
+		pending: make([]map[int64]struct{}, cores),
 	}
 	for i := range d.states {
 		d.states[i] = make(map[int64]State)
@@ -222,13 +207,6 @@ func (d *Directory) Cores() int { return len(d.ports) }
 
 // SetPort registers core i's private-cache seam.
 func (d *Directory) SetPort(i int, p Port) { d.ports[i] = p }
-
-// SetInvalidationHook registers a callback fired when core i's
-// resident copy is invalidated by a remote store; addr/span name the
-// granule. Telemetry collectors use it for 4C attribution.
-func (d *Directory) SetInvalidationHook(i int, f func(addr memsys.Addr, span int64)) {
-	d.onInvalidate[i] = f
-}
 
 // Stats returns a copy of the accumulated protocol counters.
 func (d *Directory) Stats() Stats { return d.stats }
@@ -344,9 +322,6 @@ func (d *Directory) Transact(core int, addr memsys.Addr, store bool) Action {
 			act.Invalidated |= 1 << uint(p)
 			d.stats.CopiesInvalidated++
 			d.pending[p][g] = struct{}{}
-			if d.onInvalidate[p] != nil {
-				d.onInvalidate[p](base, d.cfg.BlockSize)
-			}
 		}
 		d.states[p][g] = Invalid
 	}

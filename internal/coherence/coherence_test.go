@@ -191,44 +191,22 @@ func TestSilentExclusiveUpgrade(t *testing.T) {
 	}
 }
 
+// TestInvalidationHook checks the directory's side of an
+// invalidation: a copy the core silently evicted is not resident, so
+// invalidating it sets no pending mark and the core's next miss is not
+// a coherence miss. The cache's side, the observer's OnInvalidate
+// event, is cache.TestInvalidateReportsObserver.
 func TestInvalidationHook(t *testing.T) {
-	d, ports := newTestDir(t, 2)
-	var hookAddr memsys.Addr
-	var hookSpan int64
-	d.SetInvalidationHook(0, func(a memsys.Addr, span int64) { hookAddr, hookSpan = a, span })
-	d.Transact(0, 0x640, false)
-	ports[0].hold(0x640/64, false)
-	d.Transact(1, 0x650, true)
-	if hookAddr != 0x640 || hookSpan != 64 {
-		t.Fatalf("hook got (%#x, %d), want (0x640, 64)", int64(hookAddr), hookSpan)
-	}
-	// Invalidation of a silently-evicted (non-resident) copy fires no
-	// hook and sets no pending mark.
+	d, _ := newTestDir(t, 2)
 	d.Transact(0, 0x700, false) // directory says E, but port never held it
-	hookAddr = 0
-	d.Transact(1, 0x700, true)
-	if hookAddr != 0 {
-		t.Fatal("hook fired for a non-resident copy")
+	if act := d.Transact(1, 0x700, true); act.Invalidated != 0 {
+		t.Fatalf("non-resident copy counted as invalidated: %+v", act)
 	}
 	if act := d.Transact(0, 0x700, false); act.CoherenceMiss {
 		t.Fatal("non-resident invalidation left a pending mark")
 	}
-}
-
-func TestStatsEach(t *testing.T) {
-	d, _ := newTestDir(t, 2)
-	d.Transact(0, 0, true)
-	names := map[string]int64{}
-	d.Stats().Each(func(n string, v int64) { names[n] = v })
-	for _, want := range []string{
-		"coh.transactions", "coh.rfos", "coh.coherence_misses", "coh.extra_cycles",
-	} {
-		if _, ok := names[want]; !ok {
-			t.Errorf("Each missing %q", want)
-		}
-	}
-	if names["coh.transactions"] != 1 || names["coh.rfos"] != 1 {
-		t.Fatalf("counters %v", names)
+	if d.Stats().CopiesInvalidated != 0 || d.Stats().CoherenceMisses != 0 {
+		t.Fatalf("stats %+v, want no copies invalidated and no coherence misses", d.Stats())
 	}
 }
 

@@ -104,19 +104,6 @@ type Stats struct {
 	Extends        int64 // sbrk extensions
 }
 
-// Each yields every counter as a (name, value) pair, the publishing
-// path telemetry.Registry.Record consumes.
-func (s Stats) Each(f func(name string, v int64)) {
-	f("allocs", s.Allocs)
-	f("frees", s.Frees)
-	f("bytes_requested", s.BytesRequested)
-	f("bytes_live", s.BytesLive)
-	f("heap_bytes", s.HeapBytes)
-	f("splits", s.Splits)
-	f("coalesces", s.Coalesces)
-	f("extends", s.Extends)
-}
-
 // Malloc is the baseline allocator.
 type Malloc struct {
 	arena *memsys.Arena

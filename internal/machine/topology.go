@@ -46,6 +46,8 @@ func (cfg TopologyConfig) withDefaults() TopologyConfig {
 
 // Validate reports a configuration error, if any. Defaults are
 // applied first, so a config is judged as NewTopology would build it.
+// The private hierarchy may not enable a TLB or hardware prefetch:
+// the multicore model times neither (DESIGN.md §13).
 func (cfg TopologyConfig) Validate() error {
 	cfg = cfg.withDefaults()
 	if cfg.Cores < 1 || cfg.Cores > 64 {
@@ -59,6 +61,9 @@ func (cfg TopologyConfig) Validate() error {
 	}
 	if cfg.MemLatency <= 0 {
 		return fmt.Errorf("machine: topology memory latency must be positive")
+	}
+	if cfg.Private.TLB.Entries != 0 || cfg.Private.HWPrefetch {
+		return fmt.Errorf("machine: topology private hierarchy: TLB and hardware prefetch are single-core features")
 	}
 	for _, l := range cfg.Private.Levels {
 		if l.BlockSize > cfg.LLC.BlockSize {
@@ -171,14 +176,6 @@ func (t *Topology) LLC() *cache.Hierarchy { return t.llc }
 // Directory returns the coherence directory.
 func (t *Topology) Directory() *coherence.Directory { return t.dir }
 
-// SetInvalidationHook forwards to the directory: f fires when core
-// i's resident copy of a granule is invalidated by a remote store.
-// Telemetry collectors use it (Collector.MarkInvalidated) so the next
-// miss on that granule classifies as a coherence miss.
-func (t *Topology) SetInvalidationHook(i int, f func(addr memsys.Addr, span int64)) {
-	t.dir.SetInvalidationHook(i, f)
-}
-
 // CoreCycles returns core i's accumulated cycles: private-hierarchy
 // time plus its share of LLC and coherence-protocol latency.
 func (t *Topology) CoreCycles(i int) int64 { return t.cycles[i] }
@@ -240,8 +237,8 @@ func (t *Topology) access(core int, addr memsys.Addr, size int64, kind cache.Acc
 }
 
 // accessGranule handles one access contained in a single coherence
-// granule: directory transaction, private descent, LLC on a full
-// private miss, and a MESI stamp on the (re)installed lines.
+// granule: directory transaction, private descent, and LLC on a full
+// private miss.
 func (t *Topology) accessGranule(core int, addr memsys.Addr, size int64, kind cache.AccessKind) (int64, AccessDetail) {
 	d := AccessDetail{Core: core, Addr: addr, Size: size, Store: kind == cache.Store}
 	d.Coh = t.dir.Transact(core, addr, d.Store)
@@ -259,11 +256,6 @@ func (t *Topology) accessGranule(core int, addr memsys.Addr, size int64, kind ca
 		cycles += t.llc.Access(base, t.span, kind)
 		d.LLCMiss = t.llc.MemAccesses() > llcBefore
 	}
-
-	// Stamp the granted state on whatever lines are now resident so
-	// per-line introspection matches the directory's view.
-	base := memsys.Addr(int64(addr) &^ (t.span - 1))
-	h.SetBlockState(base, t.span, cache.MESI(d.Coh.Granted))
 
 	cycles += d.Coh.ExtraLatency
 	d.Cycles = cycles

@@ -17,6 +17,11 @@
 //   - TreeSearch: a shared read-only tree, the contrast case where
 //     sharing is harmless (Shared grants, no invalidations).
 //
+// The classifier is an ordinary telemetry collector on each core's
+// private cache (AttachCollectors): the cache reports every resident
+// copy a remote store invalidates to its observer, so no extra wiring
+// is needed.
+//
 // Everything is single-goroutine: cores are Workers stepped by an
 // explicit schedule (round-robin or seeded), so every run is
 // reproducible and the oracle's determinism guarantees extend to
@@ -29,7 +34,6 @@ import (
 
 	"ccl/internal/coherence"
 	"ccl/internal/machine"
-	"ccl/internal/memsys"
 	"ccl/internal/telemetry"
 )
 
@@ -79,15 +83,14 @@ func Shuffled(seed int64, workers ...Worker) int64 {
 	return steps
 }
 
-// AttachCollectors wires one telemetry collector per core, each fed
-// the directory's invalidation marks so misses classify under the
-// full 4C model. Call before driving any accesses.
+// AttachCollectors attaches one telemetry collector to each core's
+// private cache. The cache reports the invalidations a remote store
+// causes to its observer, so misses classify under the full 4C model.
+// Call before driving any accesses.
 func AttachCollectors(tp *machine.Topology) []*telemetry.Collector {
 	cols := make([]*telemetry.Collector, tp.Cores())
 	for i := range cols {
 		cols[i] = telemetry.Attach(tp.PrivateCache(i))
-		col := cols[i]
-		tp.SetInvalidationHook(i, func(a memsys.Addr, span int64) { col.MarkInvalidated(a, span) })
 	}
 	return cols
 }

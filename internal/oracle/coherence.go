@@ -201,8 +201,8 @@ type RefTopology struct {
 // NewRefTopology builds the reference machine for cfg. Pass a
 // Topology.Config() result so both sides see the identical defaulted
 // configuration; the same defaulting is applied here so that is
-// idempotent. Panics on invalid configs and on timing features the
-// multicore model excludes (TLB, hardware prefetch).
+// idempotent. Panics on invalid configs, which include the timing
+// features the multicore model excludes (TLB, hardware prefetch).
 func NewRefTopology(cfg machine.TopologyConfig) *RefTopology {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -212,9 +212,6 @@ func NewRefTopology(cfg machine.TopologyConfig) *RefTopology {
 	}
 	cfg.Coherence.BlockSize = cfg.LLC.BlockSize
 	cfg.Coherence = cfg.Coherence.Defaults()
-	if cfg.Private.TLB.Entries != 0 || cfg.Private.HWPrefetch {
-		panic("oracle: reference topology models neither TLB nor hardware prefetch")
-	}
 	rt := &RefTopology{
 		cfg: cfg,
 		llc: New(cache.Config{

@@ -35,6 +35,10 @@ func (r *Recorder) OnFill(level int, addr memsys.Addr, prefetch bool) {
 	r.Events = append(r.Events, Event{Kind: EvFill, Level: level, Addr: addr, Prefetch: prefetch})
 }
 
+// OnInvalidate implements cache.Observer. Diff replays single-core
+// traces, which never invalidate, so it records nothing.
+func (r *Recorder) OnInvalidate(memsys.Addr, int64) {}
+
 // Reset clears the captured events without releasing the buffer.
 func (r *Recorder) Reset() { r.Events = r.Events[:0] }
 

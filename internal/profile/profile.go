@@ -338,6 +338,11 @@ func (p *Profiler) OnFill(level int, addr memsys.Addr, prefetch bool) {
 	p.inner.OnFill(level, addr, prefetch)
 }
 
+// OnInvalidate implements cache.Observer.
+func (p *Profiler) OnInvalidate(addr memsys.Addr, span int64) {
+	p.inner.OnInvalidate(addr, span)
+}
+
 // CloseEpoch force-closes the open epoch window, recording it even if
 // short — callers mark phase boundaries (e.g. before a Reorganize)
 // with it so windows never straddle phases. A zero-access open epoch

@@ -7,6 +7,7 @@ import (
 
 	"ccl/internal/cache"
 	"ccl/internal/layout"
+	"ccl/internal/machine"
 	"ccl/internal/memsys"
 )
 
@@ -357,5 +358,30 @@ func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
 	if c.SampleEvery != 1 || c.EpochLen != DefaultEpochLen || c.MaxEpochs != DefaultMaxEpochs {
 		t.Errorf("defaults = %+v", c)
+	}
+}
+
+// TestTopologyCoreCoherenceMiss: a profiler on a topology core sees
+// its private cache's invalidations, so a reload after a remote store
+// to the same granule counts exactly one coherence miss, both in the
+// epoch series and in the wrapped collector.
+func TestTopologyCoreCoherenceMiss(t *testing.T) {
+	tp := machine.NewTopology(machine.DefaultTopologyConfig(2))
+	p := Attach(tp.PrivateCache(0), Config{})
+	tp.Arena.AlignBrk(64)
+	a := tp.Arena.Sbrk(64)
+	tp.Core(0).StoreInt(a, 1)
+	tp.Core(1).StoreInt(a.Add(8), 2)
+	tp.Core(0).LoadInt(a)
+
+	var coh int64
+	for _, e := range p.Report().Epochs {
+		coh += e.Coherence
+	}
+	if coh != 1 {
+		t.Fatalf("epoch series coherence misses = %d, want 1", coh)
+	}
+	if _, _, _, c := p.Collector().Misses(0); c != 1 {
+		t.Fatalf("collector L1 coherence misses = %d, want 1", c)
 	}
 }

@@ -10,12 +10,11 @@
 //
 // A Sim is the explicit owner of everything that used to be global:
 // the guard consulted by every arena the run creates — the one fault
-// seam, reached at arena growth and at cache-conscious placement — an
-// optional memory budget, and a per-run telemetry registry. Each
-// experiment job gets a fresh Sim, builds its machines through it, and
-// shares no mutable state with any other job; the bench worker pool
-// (internal/bench) relies on that isolation for its determinism
-// guarantee. See DESIGN.md §8.
+// seam, reached at arena growth and at cache-conscious placement —
+// and an optional memory budget. Each experiment job gets a fresh
+// Sim, builds its machines through it, and shares no mutable state
+// with any other job; the bench worker pool (internal/bench) relies
+// on that isolation for its determinism guarantee. See DESIGN.md §8.
 //
 // A Sim itself is safe for concurrent use, but the objects built
 // through it (Arena, Machine) are not: each is confined to the one
@@ -31,16 +30,14 @@ import (
 	"ccl/internal/cclerr"
 	"ccl/internal/machine"
 	"ccl/internal/memsys"
-	"ccl/internal/telemetry"
 )
 
 // Sim is one run's simulation context. The zero value is not ready;
 // use New.
 type Sim struct {
-	mu       sync.Mutex
-	guard    memsys.Guard
-	budget   *Budget
-	registry *telemetry.Registry
+	mu     sync.Mutex
+	guard  memsys.Guard
+	budget *Budget
 }
 
 // Budget is a cumulative simulated-memory budget: every arena growth
@@ -83,9 +80,8 @@ func (b *Budget) Used() int64 { return b.used.Load() }
 // Max returns the budget's capacity in bytes.
 func (b *Budget) Max() int64 { return b.max }
 
-// New returns a fresh context with no guards armed and an empty
-// telemetry registry.
-func New() *Sim { return &Sim{registry: telemetry.NewRegistry()} }
+// New returns a fresh context with no guard armed and no budget.
+func New() *Sim { return &Sim{} }
 
 // SetGuard arms (or, with nil, disarms) the guard every arena created
 // through this context consults before growing and before each
@@ -126,11 +122,6 @@ func (s *Sim) check(ev memsys.GuardEvent, n int64) error {
 	}
 	return nil
 }
-
-// Registry returns the run's telemetry registry. Everything recorded
-// during the run lands in this per-run instance, never in shared
-// state.
-func (s *Sim) Registry() *telemetry.Registry { return s.registry }
 
 // Adopt ties an existing machine's arena to this context's guard and
 // returns the machine, for call-site chaining.

@@ -154,20 +154,6 @@ type Stats struct {
 	Aborted    int64 // splits that failed and left the original in place
 }
 
-// Each yields every counter as a (name, value) pair, the publishing
-// path telemetry.Registry.Record consumes.
-func (s Stats) Each(f func(name string, v int64)) {
-	f("nodes", s.Nodes)
-	f("hot_fields", s.HotFields)
-	f("cold_fields", s.ColdFields)
-	f("hot_bytes", s.HotBytes)
-	f("cold_bytes", s.ColdBytes)
-	f("hot_chunks", s.HotChunks)
-	f("chunks", s.Chunks)
-	f("new_bytes", s.NewBytes)
-	f("aborted", s.Aborted)
-}
-
 // soaArray is one field's chunked storage: element i lives at
 // chunks[i/perChunk] + (i%perChunk)*elemSize. Chunking keeps every
 // extent inside one color run, so coloring's stripe discipline holds

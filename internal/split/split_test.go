@@ -381,21 +381,3 @@ func TestSplitFreeOld(t *testing.T) {
 	}
 	_ = m
 }
-
-func TestStatsEach(t *testing.T) {
-	s := split.Stats{Nodes: 1, HotFields: 2, ColdFields: 3, HotBytes: 4,
-		ColdBytes: 5, HotChunks: 6, Chunks: 7, NewBytes: 8, Aborted: 9}
-	got := map[string]int64{}
-	s.Each(func(name string, v int64) { got[name] = v })
-	want := map[string]int64{"nodes": 1, "hot_fields": 2, "cold_fields": 3,
-		"hot_bytes": 4, "cold_bytes": 5, "hot_chunks": 6, "chunks": 7,
-		"new_bytes": 8, "aborted": 9}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("Each[%q] = %d, want %d", k, got[k], v)
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("Each yielded %d counters, want %d", len(got), len(want))
-	}
-}

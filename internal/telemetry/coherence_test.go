@@ -24,14 +24,12 @@ func topo2() *machine.Topology {
 	})
 }
 
-// attach wires a collector per core with invalidation hooks, the
+// attachCores attaches a collector to every core's private cache, the
 // pattern the bench multicore experiment uses.
 func attachCores(tp *machine.Topology) []*Collector {
 	cols := make([]*Collector, tp.Cores())
 	for i := range cols {
 		cols[i] = Attach(tp.PrivateCache(i))
-		col := cols[i]
-		tp.SetInvalidationHook(i, func(a memsys.Addr, span int64) { col.MarkInvalidated(a, span) })
 	}
 	return cols
 }

@@ -132,8 +132,8 @@ type Collector struct {
 	lastCls MissClass
 
 	// inval marks coherence granules a remote core's store
-	// invalidated while this core held them (MarkInvalidated, wired
-	// from a topology's directory hooks). The next miss on a marked
+	// invalidated while this core held them (OnInvalidate, reported
+	// by a topology core's private cache). The next miss on a marked
 	// granule classifies as Coherence instead of consulting the
 	// shadow caches; the mark is then consumed. nil (the default) is
 	// the single-core case, tested once per access.
@@ -281,14 +281,13 @@ func (c *Collector) OnFill(level int, addr memsys.Addr, prefetch bool) {
 // per-field classification.
 func (c *Collector) LastLLMissClass() (MissClass, bool) { return c.lastCls, c.lastLL }
 
-// MarkInvalidated records that a remote core's store invalidated the
-// span-byte coherence granule at addr while this collector's core
-// held it. The granule's next miss (at every level it misses)
-// classifies as Coherence, and the invalidation is charged to the
-// region containing the granule base. machine.Topology wires this to
-// the directory's per-core invalidation hooks; span is the coherence
+// OnInvalidate implements cache.Observer: a remote core's store
+// invalidated the span-byte coherence granule at addr while this
+// collector's core held it. The granule's next miss (at every level it
+// misses) classifies as Coherence, and the invalidation is charged to
+// the region containing the granule base. span is the coherence
 // granule (a power of two) and is fixed on first call.
-func (c *Collector) MarkInvalidated(addr memsys.Addr, span int64) {
+func (c *Collector) OnInvalidate(addr memsys.Addr, span int64) {
 	if c.inval == nil {
 		c.inval = make(map[int64]struct{})
 		c.cohShift = uint(bits.TrailingZeros64(uint64(span)))

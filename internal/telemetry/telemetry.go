@@ -16,10 +16,11 @@
 //   - RegionMap, which charges every miss to a labeled address range
 //     ("bst-nodes", "radiance-octree"), giving misses-by-structure
 //     tables before and after reorganization;
-//   - Registry, a named counter/gauge sink with snapshot diffing that
-//     the existing ad-hoc Stats structs (cache, heap, ccmalloc,
-//     ccmorph) publish into through one path.
+//   - the coherence class of the 4C model on a machine.Topology core,
+//     fed by the private cache's OnInvalidate events.
 //
+// The cache.Observer seam is the only way to watch a run; aggregate
+// counters are the typed Stats structs each package returns.
 // Telemetry is strictly opt-in: a hierarchy without an attached
 // observer pays one nil pointer comparison per event site and behaves
 // byte-identically to an uninstrumented simulator.
@@ -27,114 +28,9 @@ package telemetry
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"ccl/internal/cache"
 )
-
-// Publisher is anything that can enumerate its counters as (name,
-// value) pairs. cache.Stats, heap.Stats, ccmalloc.Stats, and
-// ccmorph.Stats all implement it, so every ad-hoc stats struct in the
-// repo publishes into a Registry through the same path.
-type Publisher interface {
-	Each(f func(name string, v int64))
-}
-
-// Registry is a flat namespace of named int64 metrics. Counters and
-// gauges share the same representation; the distinction is in how
-// writers use Add versus Set. The zero-value semantics are those of a
-// counter map: reading an unwritten name yields zero.
-//
-// Concurrency guarantee: a Registry is safe for concurrent use by
-// multiple goroutines. Every method takes the registry's lock, each
-// Add/Set/Record is atomic with respect to every other call, and
-// Snapshot returns a consistent point-in-time copy. Parallel
-// experiment jobs normally publish into per-run registries (one per
-// sim.Sim), but sharing one — e.g. a process-wide metrics sink — is
-// also sound.
-type Registry struct {
-	mu   sync.Mutex
-	vals map[string]int64
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry { return &Registry{vals: map[string]int64{}} }
-
-// Add increments the named counter by delta.
-func (r *Registry) Add(name string, delta int64) {
-	r.mu.Lock()
-	r.vals[name] += delta
-	r.mu.Unlock()
-}
-
-// Set overwrites the named gauge.
-func (r *Registry) Set(name string, v int64) {
-	r.mu.Lock()
-	r.vals[name] = v
-	r.mu.Unlock()
-}
-
-// Get returns the named metric, or zero if it was never written.
-func (r *Registry) Get(name string) int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.vals[name]
-}
-
-// Record publishes every counter of p under prefix (separated by a
-// dot), overwriting previous values — re-recording a stats snapshot
-// refreshes the registry rather than double-counting.
-func (r *Registry) Record(prefix string, p Publisher) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	p.Each(func(name string, v int64) {
-		r.vals[prefix+"."+name] = v
-	})
-}
-
-// Snapshot returns a point-in-time copy of every metric.
-func (r *Registry) Snapshot() Snapshot {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := make(Snapshot, len(r.vals))
-	for k, v := range r.vals {
-		s[k] = v
-	}
-	return s
-}
-
-// Snapshot is an immutable copy of a registry's state.
-type Snapshot map[string]int64
-
-// Diff returns this snapshot minus prev, dropping metrics whose value
-// did not change — the "what did this phase do" view experiments
-// print between workload stages.
-func (s Snapshot) Diff(prev Snapshot) Snapshot {
-	d := Snapshot{}
-	for k, v := range s {
-		if dv := v - prev[k]; dv != 0 {
-			d[k] = dv
-		}
-	}
-	for k, v := range prev {
-		if _, ok := s[k]; !ok && v != 0 {
-			d[k] = -v
-		}
-	}
-	return d
-}
-
-// Names returns the snapshot's metric names, sorted, for deterministic
-// rendering.
-func (s Snapshot) Names() []string {
-	names := make([]string, 0, len(s))
-	for k := range s {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
 
 // Attach builds a Collector for h's geometry and installs it as the
 // hierarchy's observer, returning it for inspection. It is the
@@ -169,9 +65,9 @@ const (
 	// Coherence misses are re-references to a block another core's
 	// store invalidated while it was resident here — the class false
 	// sharing creates and padding/splitting removes. Only collectors
-	// fed invalidation marks (Collector.MarkInvalidated, wired from a
-	// machine.Topology's directory hooks) ever report it; single-core
-	// runs classify exactly as the 3C model did.
+	// attached to a machine.Topology core, whose private cache reports
+	// OnInvalidate, ever report it; single-core runs classify exactly
+	// as the 3C model did.
 	Coherence
 )
 

@@ -1,10 +1,8 @@
 package telemetry
 
 import (
-	"fmt"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"ccl/internal/cache"
@@ -273,86 +271,9 @@ func TestLRUSet(t *testing.T) {
 	}
 }
 
-type fakePublisher map[string]int64
-
-func (p fakePublisher) Each(f func(name string, v int64)) {
-	// Deterministic enough for the test: only one key per map.
-	for k, v := range p {
-		f(k, v)
-	}
-}
-
-func TestRegistryAndSnapshotDiff(t *testing.T) {
-	r := NewRegistry()
-	r.Record("heap", fakePublisher{"allocs": 10})
-	r.Add("custom", 5)
-	r.Set("custom2", 7)
-	if r.Get("heap.allocs") != 10 || r.Get("custom") != 5 || r.Get("custom2") != 7 {
-		t.Fatalf("registry lookups broken: %v", r.Snapshot())
-	}
-
-	before := r.Snapshot()
-	r.Record("heap", fakePublisher{"allocs": 25})
-	r.Add("custom", 1)
-	after := r.Snapshot()
-
-	d := after.Diff(before)
-	if d["heap.allocs"] != 15 || d["custom"] != 1 {
-		t.Errorf("diff = %v, want heap.allocs:15 custom:1", d)
-	}
-	if _, ok := d["custom2"]; ok {
-		t.Error("unchanged counter survived Diff")
-	}
-	if names := d.Names(); len(names) != 2 || names[0] != "custom" || names[1] != "heap.allocs" {
-		t.Errorf("Names() = %v, want sorted [custom heap.allocs]", names)
-	}
-
-	// Snapshots are copies, not views.
-	before["heap.allocs"] = 999
-	if r.Get("heap.allocs") != 25 {
-		t.Error("mutating a snapshot changed the registry")
-	}
-}
-
 func TestMissClassString(t *testing.T) {
 	if Compulsory.String() != "compulsory" || Capacity.String() != "capacity" || Conflict.String() != "conflict" {
 		t.Error("MissClass.String broken")
-	}
-}
-
-// TestRegistryConcurrentUse exercises the documented concurrency
-// guarantee: concurrent Add/Set/Record/Get/Snapshot with the counts
-// adding up exactly. Run under -race this is the safety proof.
-func TestRegistryConcurrentUse(t *testing.T) {
-	r := NewRegistry()
-	const (
-		writers = 8
-		perG    = 1000
-	)
-	var wg sync.WaitGroup
-	for g := 0; g < writers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				r.Add("shared", 1)
-				r.Set(fmt.Sprintf("gauge.%d", g), int64(i))
-				if i%100 == 0 {
-					_ = r.Get("shared")
-					_ = r.Snapshot()
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if got := r.Get("shared"); got != writers*perG {
-		t.Fatalf("shared counter = %d, want %d (lost updates)", got, writers*perG)
-	}
-	s := r.Snapshot()
-	for g := 0; g < writers; g++ {
-		if s[fmt.Sprintf("gauge.%d", g)] != perG-1 {
-			t.Errorf("gauge.%d = %d, want %d", g, s[fmt.Sprintf("gauge.%d", g)], perG-1)
-		}
 	}
 }
 

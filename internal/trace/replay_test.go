@@ -27,6 +27,10 @@ func (e *eventLog) OnFill(level int, addr memsys.Addr, prefetch bool) {
 	e.lines = append(e.lines, fmt.Sprintf("fill L%d %v pf=%v", level, addr, prefetch))
 }
 
+func (e *eventLog) OnInvalidate(addr memsys.Addr, span int64) {
+	e.lines = append(e.lines, fmt.Sprintf("invalidate %v span=%d", addr, span))
+}
+
 // replayBoth runs the same trace batched (AccessTrace) and one record
 // at a time (h.Access) and returns both hierarchies, both event logs,
 // and both cycle totals.
