@@ -56,8 +56,10 @@ func BenchmarkAccessSpanning(b *testing.B) {
 }
 
 // BenchmarkAccessTLB strides by one page over four times the TLB
-// reach, so the TLB misses on a fixed fraction of accesses and the
-// array's scan/evict paths stay hot.
+// reach: a cyclic stream over more pages than entries, so under LRU
+// every access misses the TLB and the set's evict-and-insert path
+// (package lru) stays hot. TestCheckedInBaseline holds its recorded
+// cost to 2x BenchmarkAccessMissStream.
 func BenchmarkAccessTLB(b *testing.B) {
 	cfg := PaperHierarchy()
 	h := New(cfg)

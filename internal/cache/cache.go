@@ -10,7 +10,7 @@
 // played in the paper: every load and store issued by a simulated
 // program is mapped to cache sets by address, hits and misses are
 // charged their configured latencies, and prefetches are modeled with
-// fill timestamps so that latency can be partially hidden by useful
+// fill-ready cycles so that latency can be partially hidden by useful
 // work — the property that makes prefetching competitive on some
 // workloads and layout superior on others (paper §4.4).
 //
@@ -18,18 +18,20 @@
 // experiment's every load and store funnels through Access), so it is
 // engineered to be allocation-free: set/way state lives in one
 // contiguous line slice per level indexed arithmetically, block and
-// set arithmetic uses precomputed shifts and masks, the data TLB is an
-// array (tlb.go) rather than a map, spanning accesses split without
-// building a slice, and the nil-observer path costs one predictable
-// pointer test per event site. TestAccessNoAllocs pins the zero-alloc
-// property; the differential oracle (internal/oracle) pins that none
-// of this diverges from the naive reference simulator.
+// set arithmetic uses precomputed shifts and masks, the data TLB is
+// one flat LRU set (tlb.go, package lru) rather than a map or a
+// scanned array, spanning accesses split without building a slice,
+// and the nil-observer path costs one predictable pointer test per
+// event site. TestAccessNoAllocs pins the zero-alloc property; the
+// differential oracle (internal/oracle) pins that none of this
+// diverges from the naive reference simulator.
 package cache
 
 import (
 	"fmt"
 	"math/bits"
 
+	"ccl/internal/lru"
 	"ccl/internal/memsys"
 )
 
@@ -69,7 +71,8 @@ type LevelConfig struct {
 	// Latency is the number of cycles added when an access is
 	// satisfied at this level (beyond the latencies of the levels
 	// above it). The paper's §4.1 machine: L1 = 1, L2 adds 6,
-	// memory adds 64.
+	// memory adds 64. Never negative: the clock must not run
+	// backward.
 	Latency int64
 	// WriteBack selects write-back with dirty bits; false selects
 	// write-through (dirty blocks never cause writeback traffic).
@@ -84,9 +87,15 @@ func (c LevelConfig) Validate() error {
 	if c.BlockSize&(c.BlockSize-1) != 0 {
 		return fmt.Errorf("cache: level %q: block size %d is not a power of two", c.Name, c.BlockSize)
 	}
-	if c.Size%(c.BlockSize*int64(c.Assoc)) != 0 {
-		return fmt.Errorf("cache: level %q: size %d not divisible by assoc*block (%d)",
-			c.Name, c.Size, c.BlockSize*int64(c.Assoc))
+	// Two divisions instead of Size%(BlockSize*Assoc): the product
+	// overflows for a decoded associativity near 2^60, and a zero
+	// divisor panics.
+	if c.Size%c.BlockSize != 0 || (c.Size/c.BlockSize)%int64(c.Assoc) != 0 {
+		return fmt.Errorf("cache: level %q: size %d not divisible by assoc %d * block %d",
+			c.Name, c.Size, c.Assoc, c.BlockSize)
+	}
+	if c.Latency < 0 {
+		return fmt.Errorf("cache: level %q: negative latency %d", c.Name, c.Latency)
 	}
 	return nil
 }
@@ -109,11 +118,10 @@ type Config struct {
 	// which — like all sequential prefetchers — is of limited use
 	// to pointer-chasing programs (§1); see DESIGN.md §1.
 	HWPrefetch bool
-	// TLB models an array-backed, LRU data TLB when Entries is
-	// positive (fully associative by default; see TLBConfig.Ways).
-	// The paper's placement techniques explicitly trade on page
-	// locality ("putting the items on the same page is likely to
-	// reduce the program's working set, and improve TLB
+	// TLB models a fully-associative LRU data TLB when Entries is
+	// positive. The paper's placement techniques explicitly trade on
+	// page locality ("putting the items on the same page is likely
+	// to reduce the program's working set, and improve TLB
 	// performance", §3.2.1), and §5.4 credits TLB effects for part
 	// of the measured speedup its cache-only model misses.
 	TLB TLBConfig
@@ -394,7 +402,7 @@ type Hierarchy struct {
 	// construction so the access path never allocates.
 	probes []probe
 
-	// tlb is the array-backed data TLB, nil when disabled (tlb.go).
+	// tlb is the data TLB, nil when disabled (tlb.go).
 	tlb *tlb
 }
 
@@ -411,7 +419,7 @@ func New(cfg Config) *Hierarchy {
 	if cfg.ROBLead == 0 {
 		cfg.ROBLead = 16
 	}
-	h := &Hierarchy{cfg: cfg}
+	h := &Hierarchy{cfg: cfg, levels: make([]level, 0, len(cfg.Levels))}
 	minBlock := cfg.Levels[0].BlockSize
 	for _, lc := range cfg.Levels {
 		h.levels = append(h.levels, newLevel(lc))
@@ -467,7 +475,7 @@ func (h *Hierarchy) ResetStats() {
 // Flush invalidates every block in every level and clears the TLB.
 func (h *Hierarchy) Flush() {
 	if h.tlb != nil {
-		h.tlb.reset()
+		h.tlb.set.Reset()
 	}
 	for i := range h.levels {
 		l := &h.levels[i]
@@ -530,12 +538,10 @@ func (h *Hierarchy) Access(addr memsys.Addr, size int64, kind AccessKind) int64 
 func (h *Hierarchy) tlbCharge(addr memsys.Addr) int64 {
 	t := h.tlb
 	h.stats.TLBAccesses++
-	page := t.pageOf(addr)
-	if t.touch(page, h.now) {
+	if t.set.Touch(t.pageOf(addr)) == lru.Resident {
 		return 0
 	}
 	h.stats.TLBMisses++
-	t.insert(page, h.now)
 	return t.penalty
 }
 
@@ -763,7 +769,7 @@ func (h *Hierarchy) prefetchCapped(addr memsys.Addr, cost int64, robCapped bool)
 	// drops them rather than taking a translation fault. The probe
 	// does not refresh the page's recency: a dropped prefetch is
 	// invisible to the translation hardware.
-	if h.tlb != nil && h.tlb.probe(h.tlb.pageOf(addr)) < 0 {
+	if h.tlb != nil && !h.tlb.set.Contains(h.tlb.pageOf(addr)) {
 		return cost
 	}
 
@@ -798,7 +804,7 @@ func (h *Hierarchy) prefetchCapped(addr memsys.Addr, cost int64, robCapped bool)
 	return cost
 }
 
-// setMinStall stamps the ROB-lead floor on the freshly installed
+// setMinStall records the ROB-lead floor on the freshly installed
 // copies of addr's block.
 func (h *Hierarchy) setMinStall(addr memsys.Addr, hitLevel int, floor int64) {
 	top := hitLevel

@@ -32,6 +32,10 @@ func TestConfigValidate(t *testing.T) {
 		{Levels: []LevelConfig{{Size: 64, Assoc: 1, BlockSize: 24}}, MemLatency: 10},
 		{Levels: []LevelConfig{{Size: 100, Assoc: 1, BlockSize: 16}}, MemLatency: 10},
 		{Levels: []LevelConfig{{Size: 256, Assoc: 1, BlockSize: 16}}, MemLatency: 0},
+		// BlockSize*Assoc overflows to 0: must be an error, not a
+		// divide-by-zero panic.
+		{Levels: []LevelConfig{{Size: 1 << 10, Assoc: 1 << 60, BlockSize: 16}}, MemLatency: 10},
+		{Levels: []LevelConfig{{Size: 1 << 10, Assoc: 1, BlockSize: 16, Latency: -5}}, MemLatency: 10},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -445,6 +449,20 @@ func TestPrefetchDroppedOnTLBMiss(t *testing.T) {
 	h.Prefetch(0x9040)
 	if !h.Contains(0, 0x9040) {
 		t.Fatal("prefetch on a TLB-resident page should fill")
+	}
+	// The probe does not refresh recency: with page 9 the LRU of a
+	// full TLB, a prefetch into it must leave it the next victim.
+	h.Access(0xA000, 8, Load)
+	h.Access(0xB000, 8, Load)
+	h.Access(0xC000, 8, Load)
+	h.Prefetch(0x9080)
+	h.Access(0xD000, 8, Load) // evicts page 9, not page A
+	misses := h.Stats().TLBMisses
+	if h.Access(0xA008, 8, Load); h.Stats().TLBMisses != misses {
+		t.Fatal("page A was evicted: the prefetch probe refreshed page 9")
+	}
+	if h.Access(0x9000, 8, Load); h.Stats().TLBMisses != misses+1 {
+		t.Fatal("page 9 still mapped after it should have been evicted")
 	}
 }
 

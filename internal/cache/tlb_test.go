@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"container/list"
+	"math/rand"
 	"testing"
 
 	"ccl/internal/memsys"
@@ -18,8 +20,8 @@ func tlbTestConfig(tc TLBConfig) Config {
 	}
 }
 
-// TestTLBTable drives the array TLB through eviction, associativity,
-// and accounting scenarios. Each step is one demand load; wantMiss
+// TestTLBTable drives the TLB through eviction and accounting
+// scenarios. Each step is one demand load; wantMiss
 // asserts whether the step paid the translation penalty.
 func TestTLBTable(t *testing.T) {
 	// ceil is the last mapped byte below the simulated 32-bit address
@@ -46,23 +48,6 @@ func TestTLBTable(t *testing.T) {
 				{0x2000, true},  // page 2 evicts page 1
 				{0x0010, false}, // page 0 survived
 				{0x1008, true},  // page 1 was the victim
-			},
-		},
-		{
-			name: "set-associative: conflict within a set leaves other sets alone",
-			// 4 entries as 2 sets x 2 ways; page number selects the set.
-			tlb: TLBConfig{Entries: 4, PageSize: 4096, Penalty: 30, Ways: 2},
-			steps: []struct {
-				addr     memsys.Addr
-				wantMiss bool
-			}{
-				{0x0000, true},  // page 0 -> set 0
-				{0x2000, true},  // page 2 -> set 0 (full)
-				{0x1000, true},  // page 1 -> set 1
-				{0x4000, true},  // page 4 -> set 0 evicts page 0 (LRU)
-				{0x1008, false}, // set 1 untouched by set 0's conflict
-				{0x2008, false}, // page 2 survived in set 0
-				{0x0008, true},  // page 0 was the victim
 			},
 		},
 		{
@@ -163,12 +148,8 @@ func TestTLBValidate(t *testing.T) {
 		ok   bool
 	}{
 		{"fully associative default", TLBConfig{Entries: 8, PageSize: 4096, Penalty: 10}, true},
-		{"explicit ways", TLBConfig{Entries: 8, PageSize: 4096, Penalty: 10, Ways: 2}, true},
-		{"ways equal entries", TLBConfig{Entries: 8, PageSize: 4096, Penalty: 10, Ways: 8}, true},
 		{"zero page size", TLBConfig{Entries: 8, Penalty: 10}, false},
 		{"negative penalty", TLBConfig{Entries: 8, PageSize: 4096, Penalty: -1}, false},
-		{"ways not dividing entries", TLBConfig{Entries: 8, PageSize: 4096, Penalty: 10, Ways: 3}, false},
-		{"ways exceeding entries", TLBConfig{Entries: 4, PageSize: 4096, Penalty: 10, Ways: 8}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -183,31 +164,94 @@ func TestTLBValidate(t *testing.T) {
 	}
 }
 
-// TestTLBMoveToFrontPreservesLRU checks the hit-path optimization
-// directly: swapping a hit page to the front of its set must never
-// change which page a later insert evicts.
-func TestTLBMoveToFrontPreservesLRU(t *testing.T) {
-	tl := newTLB(TLBConfig{Entries: 3, PageSize: 4096, Penalty: 1})
-	now := int64(0)
-	use := func(page int64) {
-		now++
-		if !tl.touch(page, now) {
-			tl.insert(page, now)
+// listTLB is the reference TLB the differential compares against: a
+// container/list in recency order plus a map from page to element,
+// the textbook LRU with nothing shared with package lru.
+type listTLB struct {
+	entries int
+	order   *list.List // front = most recent page
+	where   map[int64]*list.Element
+}
+
+func newListTLB(entries int) *listTLB {
+	return &listTLB{entries: entries, order: list.New(), where: map[int64]*list.Element{}}
+}
+
+// access reports whether page was mapped, then makes it most recent.
+func (r *listTLB) access(page int64) bool {
+	if e, ok := r.where[page]; ok {
+		r.order.MoveToFront(e)
+		return true
+	}
+	if r.order.Len() == r.entries {
+		lru := r.order.Back()
+		delete(r.where, r.order.Remove(lru).(int64))
+	}
+	r.where[page] = r.order.PushFront(page)
+	return false
+}
+
+func (r *listTLB) flush() {
+	r.order.Init()
+	clear(r.where)
+}
+
+// TestTLBDifferential replays random page streams through the §4.1
+// machine and checks every access's cycles and the final TLBMisses
+// against the list TLB. A twin hierarchy without a TLB supplies the
+// cache's share of each access, so the remainder is the translation
+// charge alone: 0 on a reference hit, the penalty on a miss. Streams
+// mix a hot page set with a wider cold range, spanning accesses that
+// translate two pages, stores, and an occasional Flush.
+func TestTLBDifferential(t *testing.T) {
+	cfg := PaperHierarchy()
+	bare := cfg
+	bare.TLB = TLBConfig{}
+	page := cfg.TLB.PageSize
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		h, b := New(cfg), New(bare)
+		ref := newListTLB(cfg.TLB.Entries)
+		hot := int64(8 + rng.Intn(80)) // below, near and above the 64 entries
+		wantMisses := int64(0)
+		for i := 0; i < 20_000; i++ {
+			if rng.Intn(5000) == 0 {
+				h.Flush()
+				b.Flush()
+				ref.flush()
+			}
+			pg := rng.Int63n(hot)
+			if rng.Intn(4) == 0 {
+				pg = rng.Int63n(4096) // cold: anywhere in a 32 MiB span
+			}
+			addr := memsys.Addr(pg*page + rng.Int63n(page))
+			size := int64(1 + rng.Intn(8))
+			if rng.Intn(50) == 0 {
+				addr = memsys.Addr((pg+1)*page - 4) // straddles into the next page
+				size = 8
+			}
+			kind := Load
+			if rng.Intn(3) == 0 {
+				kind = Store
+			}
+			want := int64(0)
+			for p := int64(addr) / page; p <= (int64(addr)+size-1)/page; p++ {
+				// Every covered block translates once; a page holds
+				// many blocks, so only the first sub-access of a page
+				// can miss.
+				if !ref.access(p) {
+					want += cfg.TLB.Penalty
+					wantMisses++
+				}
+			}
+			got := h.Access(addr, size, kind) - b.Access(addr, size, kind)
+			if got != want {
+				t.Fatalf("seed %d access %d (%v+%d, page %d): translation charge %d, want %d",
+					seed, i, addr, size, pg, got, want)
+			}
 		}
-	}
-	use(10)
-	use(20)
-	use(30)
-	// Re-touch 10 and 30: 20 is LRU regardless of physical order.
-	use(10)
-	use(30)
-	use(40) // must evict 20
-	if tl.probe(20) >= 0 {
-		t.Fatal("page 20 should have been the LRU victim")
-	}
-	for _, p := range []int64{10, 30, 40} {
-		if tl.probe(p) < 0 {
-			t.Fatalf("page %d should be resident", p)
+		if st := h.Stats(); st.TLBMisses != wantMisses {
+			t.Fatalf("seed %d: TLBMisses = %d, want %d", seed, st.TLBMisses, wantMisses)
 		}
 	}
 }

@@ -136,8 +136,9 @@ func TestCompareGates(t *testing.T) {
 // TestCheckedInBaseline validates the repository's BENCH_sim.json: it
 // must be schema-valid, allocation-free on the demand path, show the
 // >=2x hot-path improvement over the recorded pre-optimization
-// reference, and keep Fig10 within 1% of its pre-flat-snapshot
-// allocations.
+// reference, keep Fig10 within 1% of its pre-flat-snapshot
+// allocations, and hold the TLB and the collector to their rung
+// ratios.
 func TestCheckedInBaseline(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("..", "..", "BENCH_sim.json"))
 	if err != nil {
@@ -212,6 +213,26 @@ func TestCheckedInBaseline(t *testing.T) {
 		"ccl/internal/profile.BenchmarkCollectorOnlyAccess",
 	} {
 		find(key)
+	}
+	// Rung ratios of the flat LRU set (package lru): the TLB and the
+	// collector's shadow caches each cost a small multiple of the
+	// rung below them, measured on the same stream. The pre-flat-lru
+	// references keep what the scanned array TLB and the map-backed
+	// shadow cost (about 5x each).
+	for _, r := range []struct {
+		key, below string
+		max        float64
+	}{
+		{"ccl/internal/cache.BenchmarkAccessTLB", "ccl/internal/cache.BenchmarkAccessMissStream", 2},
+		{"ccl/internal/profile.BenchmarkCollectorOnlyAccess", "ccl/internal/profile.BenchmarkBareAccess", 3},
+	} {
+		got, base := find(r.key), find(r.below)
+		if got.NsPerOp > r.max*base.NsPerOp {
+			t.Errorf("%s records %.1f ns/op, more than %.0fx %s (%.1f)", r.key, got.NsPerOp, r.max, r.below, base.NsPerOp)
+		}
+		if _, ok := rep.Reference[r.key+".pre-flat-lru"]; !ok {
+			t.Errorf("baseline lost the pre-flat-lru reference for %s", r.key)
+		}
 	}
 }
 

@@ -23,15 +23,7 @@ func benchProfiled(b *testing.B, every int64) {
 	h := cache.New(twoLevel())
 	p := Attach(h, Config{SampleEvery: every, EpochLen: 4096, MaxEpochs: 8})
 	registerNodes(p)
-	addrs := benchAddrs()
-	for _, a := range addrs { // warm: regions sampled, shadow populated
-		h.Access(a, 4, cache.Load)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Access(addrs[i&1023], 4, cache.Load)
-	}
+	benchStream(b, h)
 }
 
 // BenchmarkProfiledAccess measures a demand access with the profiler
@@ -49,6 +41,18 @@ func BenchmarkCollectorOnlyAccess(b *testing.B) {
 	h := cache.New(twoLevel())
 	p := New(twoLevel(), Config{})
 	h.SetObserver(p.Collector())
+	benchStream(b, h)
+}
+
+// BenchmarkBareAccess is the same stream with no observer attached:
+// the rung the collector's cost is a ratio of (TestCheckedInBaseline
+// in internal/perf holds the recorded collector to 3x this entry).
+func BenchmarkBareAccess(b *testing.B) { benchStream(b, cache.New(twoLevel())) }
+
+// benchStream warms h on benchAddrs (regions sampled, shadow
+// populated) and times one access per iteration over the same 1,024
+// addresses.
+func benchStream(b *testing.B, h *cache.Hierarchy) {
 	addrs := benchAddrs()
 	for _, a := range addrs {
 		h.Access(a, 4, cache.Load)

@@ -29,6 +29,8 @@ func FuzzWorkloadSpec(f *testing.F) {
 	f.Add([]byte(`{"schema":"ccl-serve/v1","tenant":"acme","experiments":["table1"],"deadline_ms":-5}`))
 	f.Add([]byte(`{"schema":"ccl-serve/v1","tenant":"acme","experiments":["table1"],"unknown":1}`))
 	f.Add([]byte(`{"schema":"ccl-serve/v1","tenant":"acme","trace_b64":"!!notb64!!"}`))
+	f.Add([]byte(`{"schema":"ccl-serve/v1","tenant":"acme","trace_b64":"` +
+		base64.StdEncoding.EncodeToString(overflowUpload()) + `"}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`[]`))
 	f.Add([]byte(`null`))

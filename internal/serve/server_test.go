@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -482,6 +483,45 @@ func TestServeReplayEndpoint(t *testing.T) {
 	}
 	defer resp3.Body.Close()
 	wantRejection(t, resp3, http.StatusBadRequest)
+}
+
+// overflowUpload encodes a trace whose L1 associativity times block
+// size wraps to zero, the geometry that once panicked the decoder
+// inside the HTTP handler.
+func overflowUpload() []byte {
+	cfg := cache.PaperHierarchy()
+	cfg.Levels[0].Assoc = 1 << 60
+	return trace.Trace{Config: cfg, Records: []trace.Record{{Addr: 0x40, Size: 8}}}.Encode()
+}
+
+// TestServeReplayRejectsHostileGeometry checks that decoded geometries
+// the simulator cannot run are typed 400s, on both upload paths,
+// before anything is admitted.
+func TestServeReplayRejectsHostileGeometry(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	negative := cache.PaperHierarchy()
+	negative.Levels[0].Latency = -5
+	huge := cache.PaperHierarchy()
+	huge.Levels[1].Size = 1 << 30
+	recs := []trace.Record{{Addr: 0x40, Size: 8}}
+	for name, body := range map[string][]byte{
+		"assoc*block overflow": overflowUpload(),
+		"negative latency":     trace.Trace{Config: negative, Records: recs}.Encode(),
+		"1 GiB level":          trace.Trace{Config: huge, Records: recs}.Encode(),
+	} {
+		t.Run(name, func(t *testing.T) {
+			resp, err := http.Post(hs.URL+"/v1/replay?tenant=acme", "application/octet-stream", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err) // a panic in the handler drops the connection
+			}
+			defer resp.Body.Close()
+			if eb := wantRejection(t, resp, http.StatusBadRequest); eb.Class != cclerr.Class(cclerr.ErrCorruptTrace) {
+				t.Errorf("class %q, want %q", eb.Class, cclerr.Class(cclerr.ErrCorruptTrace))
+			}
+			resp2 := postSpec(t, hs.URL, Spec{Schema: SpecSchema, Tenant: "acme", TraceB64: base64.StdEncoding.EncodeToString(body)})
+			wantRejection(t, resp2, http.StatusBadRequest)
+		})
+	}
 }
 
 func TestServeExperimentsAndHealth(t *testing.T) {

@@ -4,94 +4,19 @@ import (
 	"math/bits"
 
 	"ccl/internal/cache"
+	"ccl/internal/lru"
 	"ccl/internal/memsys"
 )
 
-// lruEntry is one node of the shadow cache's recency list.
-type lruEntry struct {
-	block      int64
-	prev, next *lruEntry
-}
-
-// lruSet is a fixed-capacity fully-associative LRU set over block
-// numbers: the shadow cache the 3C classifier compares the real
-// (set-indexed) cache against. O(1) touch and evict.
-type lruSet struct {
-	capacity int
-	entries  map[int64]*lruEntry
-	head     *lruEntry // most recently used
-	tail     *lruEntry // least recently used
-}
-
-func newLRUSet(capacity int) *lruSet {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &lruSet{capacity: capacity, entries: make(map[int64]*lruEntry, capacity)}
-}
-
-func (s *lruSet) contains(block int64) bool {
-	_, ok := s.entries[block]
-	return ok
-}
-
-// touch makes block the most recently used entry, inserting it (and
-// evicting the LRU entry if full) when absent.
-func (s *lruSet) touch(block int64) {
-	if e, ok := s.entries[block]; ok {
-		s.unlink(e)
-		s.pushFront(e)
-		return
-	}
-	if len(s.entries) >= s.capacity {
-		// Recycle the evicted entry for the incoming block: a full
-		// shadow set reaches a steady state where touch allocates
-		// nothing, which keeps the whole observer path (collector and
-		// the profiler layered on it) allocation-free under churn.
-		lru := s.tail
-		s.unlink(lru)
-		delete(s.entries, lru.block)
-		lru.block = block
-		s.entries[block] = lru
-		s.pushFront(lru)
-		return
-	}
-	e := &lruEntry{block: block}
-	s.entries[block] = e
-	s.pushFront(e)
-}
-
-func (s *lruSet) unlink(e *lruEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		s.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		s.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (s *lruSet) pushFront(e *lruEntry) {
-	e.next = s.head
-	if s.head != nil {
-		s.head.prev = e
-	}
-	s.head = e
-	if s.tail == nil {
-		s.tail = e
-	}
-}
-
 // levelTel is one cache level's telemetry state.
 type levelTel struct {
-	name      string
-	blockSize int64
-	shadow    *lruSet            // same capacity, fully associative
-	seen      map[int64]struct{} // blocks ever referenced at this level
+	name       string
+	blockShift uint // log2(BlockSize); block sizes are validated powers of two
+	// shadow is a fully-associative LRU of the level's capacity, over
+	// block numbers. It also remembers every block it ever held, so
+	// one Touch tells a first reference from a capacity or conflict
+	// miss.
+	shadow lru.Set
 
 	accesses      int64
 	hits          int64
@@ -149,10 +74,9 @@ func NewCollector(cfg cache.Config) *Collector {
 	c := &Collector{cfg: cfg, regions: NewRegionMap(len(cfg.Levels))}
 	for _, lc := range cfg.Levels {
 		c.levels = append(c.levels, &levelTel{
-			name:      lc.Name,
-			blockSize: lc.BlockSize,
-			shadow:    newLRUSet(int(lc.Size / lc.BlockSize)),
-			seen:      map[int64]struct{}{},
+			name:       lc.Name,
+			blockShift: uint(bits.TrailingZeros64(uint64(lc.BlockSize))),
+			shadow:     lru.New(int(lc.Size / lc.BlockSize)),
 		})
 	}
 	last := cfg.Levels[len(cfg.Levels)-1]
@@ -191,18 +115,15 @@ func (c *Collector) Reset() {
 	c.lastLL, c.lastCls = false, Compulsory
 }
 
-// classify assigns the 3C class of a miss at level li for block blk.
-// The caller has not yet touched the shadow cache for this access.
-func (lt *levelTel) classify(blk int64) MissClass {
-	if _, ok := lt.seen[blk]; !ok {
-		return Compulsory
-	}
-	if lt.shadow.contains(blk) {
-		// A fully-associative cache of the same capacity would have
-		// hit: the set mapping is at fault.
-		return Conflict
-	}
-	return Capacity
+// classOf maps the shadow cache's state for a missing block, before
+// the access touched it, to the block's 3C class (Hill): never
+// referenced is compulsory; still resident in a fully-associative
+// cache of the same capacity means the set mapping is at fault
+// (conflict); referenced but pushed out is capacity.
+var classOf = [...]MissClass{
+	lru.Absent:   Compulsory,
+	lru.Resident: Conflict,
+	lru.Evicted:  Capacity,
 }
 
 // OnAccess implements cache.Observer.
@@ -224,12 +145,13 @@ func (c *Collector) OnAccess(addr memsys.Addr, kind cache.AccessKind, hitLevel i
 			break
 		}
 		lt.accesses++
-		blk := int64(addr) / lt.blockSize
+		blk := int64(addr) >> lt.blockShift
+		prior := lt.shadow.Touch(blk)
 		if i == hitLevel {
 			lt.hits++
 		} else {
 			lt.misses++
-			cls := lt.classify(blk)
+			cls := classOf[prior]
 			if coherent {
 				cls = Coherence
 				consumed = true
@@ -249,8 +171,6 @@ func (c *Collector) OnAccess(addr memsys.Addr, kind cache.AccessKind, hitLevel i
 		if i == last {
 			c.heat.accesses[blk%c.heat.sets]++
 		}
-		lt.seen[blk] = struct{}{}
-		lt.shadow.touch(blk)
 	}
 	if consumed {
 		delete(c.inval, int64(addr)>>c.cohShift)

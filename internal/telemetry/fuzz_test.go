@@ -7,9 +7,11 @@ import (
 )
 
 // FuzzThreeCSum replays fuzz-derived traces (trace.FromBytes) through
-// an observed hierarchy and checks the 3C accounting identity:
-// compulsory + capacity + conflict misses must equal each level's
-// demand miss counter, for any geometry and access stream.
+// an observed hierarchy and checks the 3C classification against the
+// naive reference classifier — every access's LastLLMissClass and
+// each level's class counts — and the accounting identity: compulsory
+// + capacity + conflict misses must equal each level's demand miss
+// counter, for any geometry and access stream.
 func FuzzThreeCSum(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{1, 1, 0, 0, 0, 0, 0, 0, 0, 8, 15})
@@ -19,7 +21,7 @@ func FuzzThreeCSum(f *testing.F) {
 		if !ok {
 			return
 		}
-		if err := checkThreeCSums(tr); err != nil {
+		if err := checkThreeC(tr); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -49,6 +49,11 @@ type RegionMap struct {
 	byLabel map[string]*Region
 	order   []*Region // registration order, for stable reports
 	other   *Region
+	// last is the range find returned most recently. Ranges never
+	// overlap and are never removed, so an address it contains
+	// belongs to it exactly, and consecutive accesses mostly fall in
+	// the same structure.
+	last entry
 }
 
 type entry struct {
@@ -148,9 +153,13 @@ func (m *RegionMap) EachFieldMap(f func(label string, fm *layout.FieldMap)) {
 // find returns the region charged for addr: the registered range
 // containing it, or the implicit "(other)" bucket.
 func (m *RegionMap) find(addr memsys.Addr) *Region {
+	if m.last.r.Contains(addr) {
+		return m.last.reg
+	}
 	i := sort.Search(len(m.sorted), func(i int) bool { return m.sorted[i].r.End > addr })
 	if i < len(m.sorted) && m.sorted[i].r.Contains(addr) {
-		return m.sorted[i].reg
+		m.last = m.sorted[i]
+		return m.last.reg
 	}
 	return m.other
 }

@@ -161,6 +161,41 @@ func TestRegionMultiRange(t *testing.T) {
 	}
 }
 
+// TestRegionRegistrationEdges covers the registration calls no other
+// telemetry test reaches: empty ranges panic like overlaps, and
+// EachFieldMap yields only the regions carrying a field map, in
+// registration order.
+func TestRegionRegistrationEdges(t *testing.T) {
+	m := NewRegionMap(1)
+	for name, f := range map[string]func(){
+		"Register size 0":     func() { m.Register("z", 0x100, 0) },
+		"RegisterRange empty": func() { m.RegisterRange("z", memsys.AddrRange{Start: 0x100, End: 0x100}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+	fm := layout.MustFieldMap("node", 16, layout.Field{Name: "k", Offset: 0, Size: 8})
+	m.Register("plain", 0x1000, 64)
+	m.SetFieldMap("second", fm)
+	m.SetFieldMap("first", fm)
+	var got []string
+	m.EachFieldMap(func(label string, f *layout.FieldMap) {
+		if f.Struct != "node" {
+			t.Errorf("%s: field map %q", label, f.Struct)
+		}
+		got = append(got, label)
+	})
+	if want := []string{"second", "first"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("EachFieldMap yielded %v, want %v", got, want)
+	}
+}
+
 func TestHeatmapCountsAndRender(t *testing.T) {
 	h := cache.New(directMapped())
 	col := Attach(h)
@@ -241,33 +276,6 @@ func TestPrefetchFillsExcludedFrom3C(t *testing.T) {
 	comp, cap, conf, _ := col.Misses(0)
 	if comp+cap+conf != 0 {
 		t.Errorf("prefetch classified as a demand miss: %d/%d/%d", comp, cap, conf)
-	}
-}
-
-func TestLRUSet(t *testing.T) {
-	s := newLRUSet(2)
-	s.touch(1)
-	s.touch(2)
-	if !s.contains(1) || !s.contains(2) {
-		t.Fatal("lruSet dropped a resident block")
-	}
-	s.touch(1) // 2 becomes LRU
-	s.touch(3) // evicts 2
-	if s.contains(2) {
-		t.Fatal("MRU-ordering broken: 2 should have been evicted")
-	}
-	if !s.contains(1) || !s.contains(3) {
-		t.Fatal("lruSet lost a live block")
-	}
-	// Degenerate capacity floors at one block.
-	one := newLRUSet(0)
-	one.touch(7)
-	if !one.contains(7) {
-		t.Fatal("capacity floor broken")
-	}
-	one.touch(8)
-	if one.contains(7) {
-		t.Fatal("single-entry lruSet held two blocks")
 	}
 }
 

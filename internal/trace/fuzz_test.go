@@ -20,6 +20,7 @@ import (
 // decode.
 func FuzzTraceRoundTrip(f *testing.F) {
 	f.Add(sampleTrace().Encode())
+	f.Add(overflowTrace())
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 255, 254, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {

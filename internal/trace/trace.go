@@ -103,6 +103,13 @@ const maxCores = 64
 // adversarial header cannot force a huge allocation.
 const maxDecodeRecords = 1 << 24
 
+// maxLevelSize caps a decoded cache level's capacity. cache.New
+// allocates one tag and one line per block, so an adversarial header
+// could otherwise force a huge allocation inside whatever replays the
+// trace. 64 MiB is 64 times the largest level any experiment builds
+// (the §4.1 machine's 1 MB L2).
+const maxLevelSize = 64 << 20
+
 // multicore reports whether any record names a non-zero core, which
 // selects the version-2 encoding.
 func (t Trace) multicore() bool {
@@ -267,6 +274,11 @@ func decode(data []byte) (Trace, error) {
 	t.Config.MemLatency = int64(mem)
 	if err := t.Config.Validate(); err != nil {
 		return t, fmt.Errorf("trace: decoded config invalid: %w", err)
+	}
+	for _, l := range t.Config.Levels {
+		if l.Size > maxLevelSize {
+			return t, fmt.Errorf("trace: level %q of %d bytes exceeds the %d-byte cap", l.Name, l.Size, maxLevelSize)
+		}
 	}
 	nRec, err := d.uvarint()
 	if err != nil {

@@ -1,12 +1,14 @@
 package trace
 
 import (
+	"errors"
 	"math/rand"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"ccl/internal/cache"
+	"ccl/internal/cclerr"
 )
 
 func sampleTrace() Trace {
@@ -57,11 +59,47 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 }
 
 func TestDecodeRejectsInvalidConfig(t *testing.T) {
-	tr := sampleTrace()
-	tr.Config.Levels[0].BlockSize = 24 // not a power of two
-	if _, err := Decode(tr.Encode()); err == nil {
-		t.Fatal("Decode accepted a config its own validator rejects")
+	cases := []struct {
+		name  string
+		level cache.LevelConfig
+	}{
+		{"block size not a power of two", cache.LevelConfig{Name: "L1", Size: 1 << 10, Assoc: 2, BlockSize: 24, Latency: 1}},
+		// BlockSize*Assoc wraps to 0, which used to panic Validate
+		// with an integer divide by zero.
+		{"assoc*block overflows", cache.LevelConfig{Name: "L1", Size: 1 << 10, Assoc: 1 << 60, BlockSize: 16, Latency: 1}},
+		// A negative latency made a hit cost -5 cycles and ran the
+		// clock backward.
+		{"negative latency", cache.LevelConfig{Name: "L1", Size: 1 << 10, Assoc: 2, BlockSize: 16, Latency: -5}},
+		{"level above maxLevelSize", cache.LevelConfig{Name: "L1", Size: 2 * maxLevelSize, Assoc: 2, BlockSize: 64, Latency: 1}},
 	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tr := sampleTrace()
+			tr.Config.Levels[0] = c.level
+			_, err := Decode(tr.Encode())
+			if err == nil {
+				t.Fatal("Decode accepted an invalid config")
+			}
+			if !errors.Is(err, cclerr.ErrCorruptTrace) {
+				t.Fatalf("rejection %v does not wrap ErrCorruptTrace", err)
+			}
+		})
+	}
+	// The cap itself is allowed.
+	tr := sampleTrace()
+	tr.Config.Levels[1].Size = maxLevelSize
+	if _, err := Decode(tr.Encode()); err != nil {
+		t.Fatalf("a level of exactly maxLevelSize: %v", err)
+	}
+}
+
+// overflowTrace is sampleTrace with an L1 associativity whose product
+// with the block size wraps to zero: the encoding a hostile upload
+// would use to crash a decoder that multiplies them.
+func overflowTrace() []byte {
+	tr := sampleTrace()
+	tr.Config.Levels[0].Assoc = 1 << 60
+	return tr.Encode()
 }
 
 func TestFileRoundTrip(t *testing.T) {
