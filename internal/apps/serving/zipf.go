@@ -4,13 +4,15 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"ccl/internal/cclerr"
 )
 
 // MaxZipfKeys bounds the key-space size a generator will precompute a
 // cumulative table for, so fuzzed parameters cannot force an
-// unbounded allocation.
+// unbounded allocation. It also caps the entries the shared table
+// cache holds (16 MiB of float64s).
 const MaxZipfKeys = 1 << 21
 
 // maxZipfExponent bounds the skew parameter; beyond this every draw
@@ -26,9 +28,52 @@ const maxZipfExponent = 64
 // (seed, s, n).
 type Zipf struct {
 	rng *rand.Rand
-	cum []float64
+	cum []float64 // shared with every generator of the same (s, n); never written
 	n   int64
 	s   float64
+}
+
+// zipfKey names one cumulative table.
+type zipfKey struct {
+	s float64
+	n int64
+}
+
+// zipfTables caches cumulative tables across generators. A table is a
+// pure function of (s, n) and is never written once published, so
+// every generator, in any goroutine, may share it; the workload
+// drivers build a generator per call, and rebuilding the table (one
+// math.Pow per key) would otherwise dominate a short call. held
+// counts the entries of every table in byKey and never exceeds
+// MaxZipfKeys: a table that would pass it first drops the rest.
+var zipfTables struct {
+	mu    sync.Mutex
+	byKey map[zipfKey][]float64
+	held  int64
+}
+
+// zipfTable returns the cumulative table for (s, n), building it on
+// first use.
+func zipfTable(s float64, n int64) []float64 {
+	key := zipfKey{s, n}
+	zipfTables.mu.Lock()
+	defer zipfTables.mu.Unlock()
+	if cum, ok := zipfTables.byKey[key]; ok {
+		return cum
+	}
+	cum := make([]float64, n)
+	total := 0.0
+	for k := int64(1); k <= n; k++ {
+		total += math.Pow(float64(k), -s)
+		cum[k-1] = total
+	}
+	if zipfTables.byKey == nil || zipfTables.held+n > MaxZipfKeys {
+		zipfTables.byKey = map[zipfKey][]float64{}
+		zipfTables.held = 0
+	}
+	zipfTables.byKey[key] = cum
+	zipfTables.held += n
+	return cum
 }
 
 // NewZipf builds a generator over keys [1, n] with skew s, seeded for
@@ -44,13 +89,7 @@ func NewZipf(seed int64, s float64, n int64) (*Zipf, error) {
 		return nil, cclerr.Errorf(cclerr.ErrInvalidArg,
 			"serving: NewZipf: skew %v outside [0, %d]", s, maxZipfExponent)
 	}
-	cum := make([]float64, n)
-	total := 0.0
-	for k := int64(1); k <= n; k++ {
-		total += math.Pow(float64(k), -s)
-		cum[k-1] = total
-	}
-	return &Zipf{rng: rand.New(rand.NewSource(seed)), cum: cum, n: n, s: s}, nil
+	return &Zipf{rng: rand.New(rand.NewSource(seed)), cum: zipfTable(s, n), n: n, s: s}, nil
 }
 
 // N returns the key-space size.

@@ -234,6 +234,22 @@ func TestCheckedInBaseline(t *testing.T) {
 			t.Errorf("baseline lost the pre-flat-lru reference for %s", r.key)
 		}
 	}
+	// Region attribution under per-element registration: with 1,024
+	// ranges registered, the collector stays within 1.5x its cost with
+	// none, because most lookups read one memo slot. A binary search
+	// on every access, as before the memo, recorded 186.1 ns, 2.0x
+	// the recorded CollectorOnlyAccess.
+	regions := find("ccl/internal/profile.BenchmarkCollectorRegionsAccess")
+	alone := find("ccl/internal/profile.BenchmarkCollectorOnlyAccess")
+	if regions.NsPerOp > 1.5*alone.NsPerOp {
+		t.Errorf("CollectorRegionsAccess records %.1f ns/op, more than 1.5x CollectorOnlyAccess (%.1f)",
+			regions.NsPerOp, alone.NsPerOp)
+	}
+	for _, name := range []string{"BenchmarkCollectorOnlyAccess", "BenchmarkProfiledAccess", "BenchmarkProfiledAccessSampled"} {
+		if _, ok := rep.Reference["ccl/internal/profile."+name+".pre-region-memo"]; !ok {
+			t.Errorf("baseline lost the pre-region-memo reference for %s", name)
+		}
+	}
 }
 
 // TestSuitesAreWellFormed keeps the suite list sane: positive fixed

@@ -28,12 +28,24 @@ type levelTel struct {
 
 // heatCounters are the per-set counters of the last-level cache.
 type heatCounters struct {
-	sets      int64
-	blockSize int64
-	accesses  []int64
-	misses    []int64
-	conflicts []int64
-	evictions []int64
+	sets       int64
+	blockShift uint  // log2 of the last level's block size
+	setMask    int64 // sets-1 when sets is a power of two, else -1
+	accesses   []int64
+	misses     []int64
+	conflicts  []int64
+	evictions  []int64
+}
+
+// set returns the last-level set addr maps to: a shift and a mask,
+// or a division when the level's set count is not a power of two
+// (LevelConfig.Validate allows any count).
+func (h *heatCounters) set(addr memsys.Addr) int64 {
+	blk := int64(addr) >> h.blockShift
+	if h.setMask >= 0 {
+		return blk & h.setMask
+	}
+	return blk % h.sets
 }
 
 // Collector implements cache.Observer: it classifies every demand
@@ -80,13 +92,18 @@ func NewCollector(cfg cache.Config) *Collector {
 		})
 	}
 	last := cfg.Levels[len(cfg.Levels)-1]
+	sets := last.Sets()
 	c.heat = heatCounters{
-		sets:      last.Sets(),
-		blockSize: last.BlockSize,
-		accesses:  make([]int64, last.Sets()),
-		misses:    make([]int64, last.Sets()),
-		conflicts: make([]int64, last.Sets()),
-		evictions: make([]int64, last.Sets()),
+		sets:       sets,
+		blockShift: c.levels[len(c.levels)-1].blockShift,
+		setMask:    -1,
+		accesses:   make([]int64, sets),
+		misses:     make([]int64, sets),
+		conflicts:  make([]int64, sets),
+		evictions:  make([]int64, sets),
+	}
+	if sets&(sets-1) == 0 {
+		c.heat.setMask = sets - 1
 	}
 	return c
 }
@@ -145,8 +162,7 @@ func (c *Collector) OnAccess(addr memsys.Addr, kind cache.AccessKind, hitLevel i
 			break
 		}
 		lt.accesses++
-		blk := int64(addr) >> lt.blockShift
-		prior := lt.shadow.Touch(blk)
+		prior := lt.shadow.Touch(int64(addr) >> lt.blockShift)
 		if i == hitLevel {
 			lt.hits++
 		} else {
@@ -161,15 +177,17 @@ func (c *Collector) OnAccess(addr memsys.Addr, kind cache.AccessKind, hitLevel i
 			if i == last {
 				c.lastLL, c.lastCls = true, cls
 				reg.classes[cls]++
-				set := blk % c.heat.sets
-				c.heat.misses[set]++
-				if cls == Conflict {
-					c.heat.conflicts[set]++
-				}
 			}
 		}
 		if i == last {
-			c.heat.accesses[blk%c.heat.sets]++
+			set := c.heat.set(addr)
+			c.heat.accesses[set]++
+			if c.lastLL {
+				c.heat.misses[set]++
+				if c.lastCls == Conflict {
+					c.heat.conflicts[set]++
+				}
+			}
 		}
 	}
 	if consumed {
@@ -180,8 +198,7 @@ func (c *Collector) OnAccess(addr memsys.Addr, kind cache.AccessKind, hitLevel i
 // OnEvict implements cache.Observer.
 func (c *Collector) OnEvict(level int, addr memsys.Addr, dirty bool) {
 	if level == len(c.levels)-1 {
-		set := (int64(addr) / c.heat.blockSize) % c.heat.sets
-		c.heat.evictions[set]++
+		c.heat.evictions[c.heat.set(addr)]++
 	}
 }
 

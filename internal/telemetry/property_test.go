@@ -123,84 +123,192 @@ func TestThreeCShrinksFailingCase(t *testing.T) {
 	}
 }
 
-// TestRegionFindProperty holds RegionMap.find, with its memo of the
-// last range it returned, to a plain search over the registered
-// ranges: after random non-overlapping registrations (RegisterElems
-// batches of one to three ranges) interleaved with lookups, every lookup
-// returns the region the search finds, and Resolve agrees with it and
-// returns the offset into the containing range. Lookups favour the
-// edges of the range found last (one byte before its start, its last
-// byte, its end), where a memo that trusted itself without a
-// containment check would answer wrongly.
+// regRange is one range a region test registered, with its label:
+// the plain record RegionMap's lookups are checked against.
+type regRange struct {
+	rng   memsys.AddrRange
+	label string
+}
+
+// linearFind is the plain search: the label of the registered range
+// containing a and a's offset into it, or (OtherLabel, -1).
+func linearFind(regs []regRange, a memsys.Addr) (string, int64) {
+	for _, r := range regs {
+		if r.rng.Contains(a) {
+			return r.label, int64(a - r.rng.Start)
+		}
+	}
+	return OtherLabel, -1
+}
+
+// overlapsAny reports whether r overlaps a registered range.
+func overlapsAny(regs []regRange, r memsys.AddrRange) bool {
+	for _, o := range regs {
+		if r.Start < o.rng.End && o.rng.Start < r.End {
+			return true
+		}
+	}
+	return false
+}
+
+// registerElems registers a size-byte element at each start under
+// label through RegisterElems, skipping any that would overlap an
+// earlier registration, and records them in regs.
+func registerElems(m *RegionMap, regs []regRange, label string, starts []memsys.Addr, size int64) []regRange {
+	var batch []memsys.Addr
+	for _, a := range starts {
+		r := memsys.AddrRange{Start: a, End: a.Add(size)}
+		if overlapsAny(regs, r) {
+			continue
+		}
+		batch = append(batch, a)
+		regs = append(regs, regRange{r, label})
+	}
+	// RegisterElems sorts its argument in place; hand it a copy.
+	m.RegisterElems(label, append([]memsys.Addr(nil), batch...), size)
+	return regs
+}
+
+// run returns the starts of n elements stride bytes apart from start.
+func run(start memsys.Addr, n int, stride int64) []memsys.Addr {
+	starts := make([]memsys.Addr, n)
+	for i := range starts {
+		starts[i] = start.Add(int64(i) * stride)
+	}
+	return starts
+}
+
+// checkLookup holds find and Resolve at a to the plain search: the same
+// label, and Resolve's offset into the containing range. resolveFirst
+// calls Resolve before find, so Resolve's own memo miss is checked
+// too, not only its hit on the slot find just filled.
+func checkLookup(m *RegionMap, regs []regRange, a memsys.Addr, resolveFirst bool) error {
+	want, wantOff := linearFind(regs, a)
+	resolve := func() error {
+		if r, off := m.Resolve(a); r.Label() != want || off != wantOff {
+			return fmt.Errorf("Resolve(%v) = (%q, %d), want (%q, %d)", a, r.Label(), off, want, wantOff)
+		}
+		return nil
+	}
+	if resolveFirst {
+		if err := resolve(); err != nil {
+			return err
+		}
+	}
+	if got := m.find(a).Label(); got != want {
+		return fmt.Errorf("find(%v) = %q, want %q", a, got, want)
+	}
+	return resolve()
+}
+
+// memoLap is the address distance at which two windows share a memo
+// slot.
+const memoLap = memoSlots << memoShift
+
+// TestRegionFindProperty holds RegionMap's lookup, with its memo of
+// found ranges, to a plain search over the registered ranges: after
+// random non-overlapping RegisterElems batches interleaved with
+// lookups, find returns the region the search finds and Resolve
+// agrees with it and returns the offset into the containing range.
+// Each case aims lookups where a memo that trusted a slot without its
+// containment check would answer wrongly:
+//
+//   - random: sparse ranges; lookups favour the edges of the range
+//     found last (one byte before its start, its last byte, its end).
+//   - packed: 20-byte elements at a 24-byte stride, several to a
+//     memo window; lookups favour the window of the range found last,
+//     header gaps included.
+//   - aliased: ranges in four laps of the memo; lookups jump a whole
+//     number of laps from the range found last, to the same slot.
+//   - resolve: the aliased stream with Resolve called before find, so
+//     its offsets come from its own memo misses and fills.
 func TestRegionFindProperty(t *testing.T) {
-	type reg struct {
-		rng   memsys.AddrRange
-		label string
-	}
-	search := func(regs []reg, a memsys.Addr) (string, int64) {
-		for _, r := range regs {
-			if r.rng.Contains(a) {
-				return r.label, int64(a - r.rng.Start)
-			}
-		}
-		return OtherLabel, -1
-	}
-	free := func(regs []reg, r memsys.AddrRange) bool {
-		for _, o := range regs {
-			if r.Start < o.rng.End && o.rng.Start < r.End {
-				return false
-			}
-		}
-		return true
-	}
 	labels := []string{"a", "b", "c", "d", "e"}
-	for seed := int64(1); seed <= 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		m := NewRegionMap(1)
-		var regs []reg
-		var last memsys.AddrRange
-		for step := 0; step < 2_000; step++ {
-			if rng.Intn(8) == 0 {
-				label := labels[rng.Intn(len(labels))]
-				size := int64(1 + rng.Intn(64))
-				var batch []memsys.Addr
-				for n := 1 + rng.Intn(3); n > 0; n-- {
-					start := memsys.Addr(rng.Intn(1 << 14))
-					r := memsys.AddrRange{Start: start, End: start.Add(size)}
-					if !free(regs, r) {
+	type gen struct {
+		register func(rng *rand.Rand, m *RegionMap, regs []regRange) []regRange
+		probe    func(rng *rand.Rand, last memsys.AddrRange) memsys.Addr
+	}
+	edges := func(rng *rand.Rand, last memsys.AddrRange, a memsys.Addr) memsys.Addr {
+		switch rng.Intn(4) {
+		case 0:
+			a = last.Start - 1
+		case 1:
+			a = last.End - 1
+		case 2:
+			a = last.End
+		}
+		return a
+	}
+	random := gen{
+		register: func(rng *rand.Rand, m *RegionMap, regs []regRange) []regRange {
+			starts := make([]memsys.Addr, 1+rng.Intn(3))
+			for i := range starts {
+				starts[i] = memsys.Addr(rng.Intn(1 << 14))
+			}
+			return registerElems(m, regs, labels[rng.Intn(len(labels))], starts, int64(1+rng.Intn(64)))
+		},
+		probe: func(rng *rand.Rand, last memsys.AddrRange) memsys.Addr {
+			return edges(rng, last, memsys.Addr(rng.Intn(1<<14+256)))
+		},
+	}
+	packed := gen{
+		register: func(rng *rand.Rand, m *RegionMap, regs []regRange) []regRange {
+			start := memsys.Addr(0x1000 + 24*rng.Intn(2048))
+			return registerElems(m, regs, labels[rng.Intn(len(labels))], run(start, 1+rng.Intn(8), 24), 20)
+		},
+		probe: func(rng *rand.Rand, last memsys.AddrRange) memsys.Addr {
+			if rng.Intn(2) == 0 {
+				return last.Start&^(1<<memoShift-1) + memsys.Addr(rng.Intn(1<<memoShift))
+			}
+			return edges(rng, last, memsys.Addr(0x1000+24*rng.Intn(2048)+rng.Intn(24)))
+		},
+	}
+	aliased := gen{
+		register: func(rng *rand.Rand, m *RegionMap, regs []regRange) []regRange {
+			start := memsys.Addr(rng.Intn(4096) + rng.Intn(4)*memoLap)
+			size := int64(1 + rng.Intn(64))
+			return registerElems(m, regs, labels[rng.Intn(len(labels))], run(start, 1+rng.Intn(3), size+int64(rng.Intn(16))), size)
+		},
+		probe: func(rng *rand.Rand, last memsys.AddrRange) memsys.Addr {
+			a := last.Start.Add(int64(rng.Intn(int(last.Len()) + 1)))
+			if rng.Intn(4) == 0 {
+				a = memsys.Addr(rng.Intn(4096))
+			}
+			return a%memoLap + memsys.Addr(rng.Intn(4)*memoLap)
+		},
+	}
+	for _, c := range []struct {
+		name         string
+		gen          gen
+		resolveFirst bool
+	}{
+		{"random", random, false},
+		{"packed", packed, false},
+		{"aliased", aliased, false},
+		{"resolve", aliased, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 20; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				m := NewRegionMap(1)
+				var regs []regRange
+				var last memsys.AddrRange
+				for step := 0; step < 2_000; step++ {
+					if rng.Intn(8) == 0 {
+						regs = c.gen.register(rng, m, regs)
 						continue
 					}
-					batch = append(batch, start)
-					regs = append(regs, reg{r, label})
-				}
-				// RegisterElems sorts its argument in place.
-				m.RegisterElems(label, append([]memsys.Addr(nil), batch...), size)
-				continue
-			}
-			a := memsys.Addr(rng.Intn(1<<14 + 256))
-			switch rng.Intn(4) {
-			case 0:
-				a = last.Start - 1
-			case 1:
-				a = last.End - 1
-			case 2:
-				a = last.End
-			}
-			if a < 0 {
-				a = 0
-			}
-			want, wantOff := search(regs, a)
-			if got := m.find(a).Label(); got != want {
-				t.Fatalf("seed %d step %d: find(%v) = %q, want %q (last range %v)", seed, step, a, got, want, last)
-			}
-			if r, off := m.Resolve(a); r.Label() != want || off != wantOff {
-				t.Fatalf("seed %d step %d: Resolve(%v) = (%q, %d), want (%q, %d)", seed, step, a, r.Label(), off, want, wantOff)
-			}
-			for _, r := range regs {
-				if r.rng.Contains(a) {
-					last = r.rng
+					a := c.gen.probe(rng, last)
+					if err := checkLookup(m, regs, a, c.resolveFirst); err != nil {
+						t.Fatalf("seed %d step %d: %v (last range %v)", seed, step, err, last)
+					}
+					for _, r := range regs {
+						if r.rng.Contains(a) {
+							last = r.rng
+						}
+					}
 				}
 			}
-		}
+		})
 	}
 }

@@ -41,20 +41,29 @@ const OtherLabel = "(other)"
 // RegionMap attributes memory traffic to labeled address ranges: the
 // "misses by structure" view. Experiments register each structure's
 // extents right after building it; every demand access is then
-// charged, via binary search over the sorted ranges, to the structure
-// that caused it.
+// charged, via a memo of recently found ranges and otherwise a binary
+// search over the sorted ranges, to the structure that caused it.
 type RegionMap struct {
 	levels  int
 	sorted  []entry // by Start, non-overlapping
 	byLabel map[string]*Region
 	order   []*Region // registration order, for stable reports
 	other   *Region
-	// last is the range find returned most recently. Ranges never
-	// overlap and are never removed, so an address it contains
-	// belongs to it exactly, and consecutive accesses mostly fall in
-	// the same structure.
-	last entry
+	// memo is a direct-mapped cache of found ranges, indexed by the
+	// address's 64-byte window and holding a copy of the range, so a
+	// hit reads one slot. Ranges never overlap and are never
+	// removed, so a range that contains the address is the answer,
+	// whichever window filled the slot. Structures registered per
+	// element leave thousands of ranges; the memo keeps the elements
+	// a stream revisits one probe away.
+	memo [memoSlots]entry
 }
+
+// The memo's geometry: 1,024 slots (24 KiB) of 64-byte windows.
+const (
+	memoShift = 6
+	memoSlots = 1 << 10
+)
 
 type entry struct {
 	r   memsys.AddrRange
@@ -153,13 +162,8 @@ func (m *RegionMap) EachFieldMap(f func(label string, fm *layout.FieldMap)) {
 // find returns the region charged for addr: the registered range
 // containing it, or the implicit "(other)" bucket.
 func (m *RegionMap) find(addr memsys.Addr) *Region {
-	if m.last.r.Contains(addr) {
-		return m.last.reg
-	}
-	i := sort.Search(len(m.sorted), func(i int) bool { return m.sorted[i].r.End > addr })
-	if i < len(m.sorted) && m.sorted[i].r.Contains(addr) {
-		m.last = m.sorted[i]
-		return m.last.reg
+	if e := m.lookup(addr); e != nil {
+		return e.reg
 	}
 	return m.other
 }
@@ -169,13 +173,28 @@ func (m *RegionMap) find(addr memsys.Addr) *Region {
 // quantity a field map reduces to a member offset. Unregistered
 // addresses resolve to the implicit "(other)" bucket with offset -1.
 // The profiler's sampled path is the intended caller; the lookup is
-// one binary search over the sorted ranges.
+// find's.
 func (m *RegionMap) Resolve(addr memsys.Addr) (*Region, int64) {
-	i := sort.Search(len(m.sorted), func(i int) bool { return m.sorted[i].r.End > addr })
-	if i < len(m.sorted) && m.sorted[i].r.Contains(addr) {
-		return m.sorted[i].reg, int64(addr) - int64(m.sorted[i].r.Start)
+	if e := m.lookup(addr); e != nil {
+		return e.reg, int64(addr) - int64(e.r.Start)
 	}
 	return m.other, -1
+}
+
+// lookup returns the registered range containing addr, or nil: the
+// memo slot of addr's window when its range contains addr, else the
+// binary search, whose answer then fills the slot.
+func (m *RegionMap) lookup(addr memsys.Addr) *entry {
+	slot := &m.memo[(addr>>memoShift)&(memoSlots-1)]
+	if slot.r.Contains(addr) {
+		return slot
+	}
+	i := sort.Search(len(m.sorted), func(i int) bool { return m.sorted[i].r.End > addr })
+	if i < len(m.sorted) && m.sorted[i].r.Contains(addr) {
+		*slot = m.sorted[i]
+		return slot
+	}
+	return nil
 }
 
 // reset zeroes every region's counters, keeping registrations.

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -236,6 +237,104 @@ func TestHeatmapCountsAndRender(t *testing.T) {
 	hot := hm.HotSets(2)
 	if len(hot) == 0 || hot[0][0] != 0 {
 		t.Errorf("HotSets = %v, want set 0 first", hot)
+	}
+}
+
+// heatTally forwards every event to a Collector and tallies the last
+// level's per-set counters itself: the set by division, misses and
+// conflicts by the reference classifier's verdict.
+type heatTally struct {
+	col                                    *Collector
+	ref                                    *refClassifier
+	last                                   int
+	blockSize, sets                        int64
+	accesses, misses, conflicts, evictions []int64
+}
+
+func newHeatTally(cfg cache.Config) *heatTally {
+	ll := cfg.Levels[len(cfg.Levels)-1]
+	sets := ll.Sets()
+	return &heatTally{
+		col: NewCollector(cfg), ref: newRefClassifier(cfg),
+		last: len(cfg.Levels) - 1, blockSize: ll.BlockSize, sets: sets,
+		accesses: make([]int64, sets), misses: make([]int64, sets),
+		conflicts: make([]int64, sets), evictions: make([]int64, sets),
+	}
+}
+
+func (t *heatTally) set(addr memsys.Addr) int64 { return int64(addr) / t.blockSize % t.sets }
+
+func (t *heatTally) OnAccess(addr memsys.Addr, kind cache.AccessKind, hitLevel int) {
+	t.col.OnAccess(addr, kind, hitLevel)
+	t.ref.onAccess(addr, hitLevel)
+	if hitLevel != -1 && hitLevel < t.last {
+		return
+	}
+	s := t.set(addr)
+	t.accesses[s]++
+	if t.ref.lastLL {
+		t.misses[s]++
+		if t.ref.lastCls == Conflict {
+			t.conflicts[s]++
+		}
+	}
+}
+
+func (t *heatTally) OnEvict(level int, addr memsys.Addr, dirty bool) {
+	t.col.OnEvict(level, addr, dirty)
+	if level == t.last {
+		t.evictions[t.set(addr)]++
+	}
+}
+
+func (t *heatTally) OnFill(level int, addr memsys.Addr, prefetch bool) {
+	t.col.OnFill(level, addr, prefetch)
+}
+
+func (t *heatTally) OnInvalidate(addr memsys.Addr, span int64) { t.col.OnInvalidate(addr, span) }
+
+// TestHeatmapMatchesTally holds the collector's last-level per-set
+// counters to a naive tally on two geometries: a last level of 3 sets,
+// where the set index must divide, and one of 8, where it masks.
+func TestHeatmapMatchesTally(t *testing.T) {
+	l1 := cache.LevelConfig{Name: "L1", Size: 128, Assoc: 2, BlockSize: 16, Latency: 1}
+	for _, sets := range []int64{3, 8} {
+		cfg := cache.Config{
+			Levels: []cache.LevelConfig{l1,
+				{Name: "L2", Size: sets * 2 * 32, Assoc: 2, BlockSize: 32, Latency: 4, WriteBack: true}},
+			MemLatency: 20,
+		}
+		h := cache.New(cfg)
+		tally := newHeatTally(cfg)
+		h.SetObserver(tally)
+		rng := rand.New(rand.NewSource(sets))
+		for i := 0; i < 20_000; i++ {
+			kind := cache.Load
+			if rng.Intn(3) == 0 {
+				kind = cache.Store
+			}
+			h.Access(memsys.Addr(rng.Intn(4096)), int64(1+rng.Intn(16)), kind)
+		}
+		hm := tally.col.Report().Heatmap
+		if hm.Sets != sets {
+			t.Fatalf("%d sets: heatmap has %d", sets, hm.Sets)
+		}
+		for _, c := range []struct {
+			name      string
+			got, want []int64
+		}{
+			{"accesses", hm.Accesses, tally.accesses},
+			{"misses", hm.Misses, tally.misses},
+			{"conflicts", hm.Conflicts, tally.conflicts},
+			{"evictions", hm.Evictions, tally.evictions},
+		} {
+			if !reflect.DeepEqual(c.got, c.want) {
+				t.Errorf("%d sets: %s per set %v, tally %v", sets, c.name, c.got, c.want)
+			}
+		}
+		if tally.conflicts[0]+tally.conflicts[1]+tally.conflicts[2] == 0 {
+			t.Errorf("%d sets: the stream made no last-level conflict misses to compare", sets)
+		}
 	}
 }
 
