@@ -147,9 +147,9 @@ type (
 	MorphConfig = ccmorph.Config
 	// MorphStats reports what a reorganization did.
 	MorphStats = ccmorph.Stats
-	// Placer is a shareable placement context for morphing several
-	// structures against one cache partition.
-	Placer = ccmorph.Placer
+	// Placer is a shareable placement region (layout.Region) for
+	// morphing several structures against one cache partition.
+	Placer = layout.Region
 	// MorphStrategy selects CCMorph's placement order: the paper's
 	// subtree clustering or the cache-oblivious vEB order.
 	MorphStrategy = ccmorph.Strategy
@@ -179,10 +179,10 @@ func Reorganize(m *Machine, root Addr, lay StructureLayout, cfg MorphConfig,
 	return ccmorph.Reorganize(m, root, lay, cfg, freeOld)
 }
 
-// NewPlacer builds a shareable placement context over the machine's
+// NewPlacer builds a shareable placement region over the machine's
 // arena. It fails with ErrBadGeometry when cfg's geometry is unusable.
 func NewPlacer(m *Machine, cfg MorphConfig) (*Placer, error) {
-	return ccmorph.NewPlacer(m.Arena, cfg)
+	return layout.NewRegion(m.Arena, cfg.Geometry, cfg.ColorFrac)
 }
 
 // LastLevelGeometry returns the placement geometry of the machine's

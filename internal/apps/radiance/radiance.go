@@ -17,10 +17,12 @@
 package radiance
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 
 	"ccl/internal/cache"
+	"ccl/internal/cclerr"
 	"ccl/internal/ccmorph"
 	"ccl/internal/heap"
 	"ccl/internal/layout"
@@ -347,20 +349,17 @@ func (a *app) morph(colorFrac float64) {
 	// reserved hot region, or it would evict the pinned tree levels
 	// (coloring partitions the cache for ALL contemporaneously hot
 	// data, Figure 2). With coloring on, item lists and the sphere
-	// records move to the cold region; without it, a plain bump.
-	blockSize := cfg.Geometry.BlockSize
-	var col layout.Coloring
-	var cold *layout.SegmentAllocator
-	var nextBlock func() memsys.Addr
-	if colorFrac > 0 {
-		col = must(layout.NewColoring(cfg.Geometry, colorFrac))
-		cold = must(layout.NewSegmentAllocator(a.m.Arena, col, false))
-		nextBlock = func() memsys.Addr { return must(cold.Alloc(blockSize)) }
-	} else {
-		bump := must(layout.NewBlockBump(a.m.Arena, blockSize))
-		nextBlock = func() memsys.Addr { return must(bump.Alloc()) }
+	// records move to the cold region; without it, item lists pack
+	// into plain blocks. Data the region will not place — a list wider
+	// than a block, a scene wider than a cold run, a vetoed placement —
+	// keeps its old placement: nothing is lost, so the checksum holds.
+	region := must(layout.NewRegion(a.m.Arena, cfg.Geometry, colorFrac))
+	kept := func(err error) bool {
+		if err != nil && !errors.Is(err, cclerr.ErrPlacementFailed) {
+			panic(err) // kernel fail-fast policy; see must
+		}
+		return err != nil
 	}
-	cur, used := memsys.NilAddr, int64(0)
 	var relocate func(arr memsys.Addr)
 	relocate = func(arr memsys.Addr) {
 		for o := 0; o < 8; o++ {
@@ -375,14 +374,10 @@ func (a *app) morph(colorFrac float64) {
 			}
 			items := w &^ leafTag
 			n := int64(4 + 4*a.m.Load32(items))
-			if n > blockSize {
-				continue // oversized list: leave it in place
+			dst, _, err := region.Pack(n, false)
+			if kept(err) {
+				continue
 			}
-			if cur.IsNil() || used+n > blockSize {
-				cur, used = nextBlock(), 0
-			}
-			dst := cur.Add(used)
-			used += (n + 3) &^ 3
 			_ = a.m.Copy(dst, items, n) // dst is fresh: no overlap
 			a.m.StoreAddr(slot, dst|leafTag)
 		}
@@ -391,11 +386,11 @@ func (a *app) morph(colorFrac float64) {
 
 	// Relocate the sphere records to a contiguous cold extent (the
 	// intersect path indexes them by id, so contiguity is required).
-	// Only a scene that fits one cold color run can move; larger
-	// scenes keep their original placement.
+	if _, colored := region.Coloring(); !colored {
+		return
+	}
 	total := int64(len(a.scene)) * sphereSize
-	if cold != nil && total <= (col.Sets-col.HotSets)*col.BlockSize {
-		dst := must(cold.Alloc(total))
+	if dst, err := region.Alloc(total, false); !kept(err) {
 		_ = a.m.Copy(dst, a.geom, total) // dst is fresh: no overlap
 		a.geom = dst
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ccl/internal/cclerr"
+	"ccl/internal/ccmalloc"
 	"ccl/internal/faults"
 	"ccl/internal/machine"
 	"ccl/internal/sim"
@@ -179,7 +180,7 @@ func TestLRUFaultSweep(t *testing.T) {
 			t.Fatalf("Put(%d) failed under degrading vetoes: %v", k, err)
 		}
 	}
-	if st := c.Stats(); st.PlaceDegraded == 0 {
+	if st := c.entryAlloc.(*ccmalloc.Allocator).Stats(); st.Degraded == 0 {
 		t.Fatal("no hinted placement was ever degraded")
 	}
 	if err := c.CheckInvariants(); err != nil {

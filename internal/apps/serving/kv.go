@@ -133,11 +133,10 @@ type KV struct {
 	geo   layout.Geometry
 
 	alloc           heap.Allocator // KVMalloc / KVCCMalloc group source
-	hotSeg, coldSeg *layout.SegmentAllocator
-	coloring        layout.Coloring
-	groupSlots      int64 // slots per group
-	groupBytes      int64 // header-group byte size
-	coldGroupBytes  int64 // payload-group byte size (split)
+	region          *layout.Region // KVColored group source
+	groupSlots      int64          // slots per group
+	groupBytes      int64          // header-group byte size
+	coldGroupBytes  int64          // payload-group byte size (split)
 	tab             kvTable
 	resizes, probes int64
 }
@@ -193,20 +192,11 @@ func NewKV(m *machine.Machine, cfg KVConfig) (*KV, error) {
 		if frac == 0 {
 			frac = 0.5
 		}
-		c, err := layout.NewColoring(geo, frac)
+		r, err := layout.NewRegion(m.Arena, geo, frac)
 		if err != nil {
 			return nil, err
 		}
-		kv.coloring = c
-		hot, err := layout.NewSegmentAllocator(m.Arena, c, true)
-		if err != nil {
-			return nil, err
-		}
-		cold, err := layout.NewSegmentAllocator(m.Arena, c, false)
-		if err != nil {
-			return nil, err
-		}
-		kv.hotSeg, kv.coldSeg = hot, cold
+		kv.region = r
 	default:
 		return nil, cclerr.Errorf(cclerr.ErrInvalidArg, "serving: NewKV: unknown placement %d", int(cfg.Placement))
 	}
@@ -250,35 +240,35 @@ func (kv *KV) valueAddr(t *kvTable, i int64) memsys.Addr {
 
 func kvHeader(key uint32, state int64) int64 { return int64(key) | state<<32 }
 
-// allocGroup places one header group, hint-chained to the previous
-// group under KVCCMalloc. A cache-conscious placement (KVCCMalloc,
-// KVColored) first consults the arena's guard: a veto fails the
-// allocation with cclerr.ErrPlacementFailed.
+// allocGroup places one header group: in the hot stripe under
+// KVColored — always, however far past the region's hot budget the
+// table grows, since every probe reads headers — and hint-chained to
+// the previous group under KVCCMalloc. The region consults the
+// arena's guard once per group, and a veto fails the allocation with
+// cclerr.ErrPlacementFailed; ccmalloc degrades a vetoed hinted
+// placement to conventional allocation instead.
 func (kv *KV) allocGroup(prev memsys.Addr) (memsys.Addr, error) {
-	if kv.cfg.Placement == KVMalloc {
-		return kv.alloc.Alloc(kv.groupBytes)
-	}
-	if err := kv.arena.CheckPlace(kv.groupBytes); err != nil {
-		return memsys.NilAddr, err
-	}
-	if kv.cfg.Placement == KVCCMalloc {
+	switch kv.cfg.Placement {
+	case KVColored:
+		return kv.region.Alloc(kv.groupBytes, true)
+	case KVCCMalloc:
 		return kv.alloc.AllocHint(kv.groupBytes, prev)
 	}
-	return kv.hotSeg.Alloc(kv.groupBytes)
+	return kv.alloc.Alloc(kv.groupBytes)
 }
 
 // allocColdGroup places one payload group. Payloads are cold data:
-// they go through the conventional path (or the cold stripe), never
-// hint-chained.
+// they go through the conventional path (or the cold stripe, vetoable
+// like a header group), never hint-chained.
 func (kv *KV) allocColdGroup() (memsys.Addr, error) {
 	if kv.cfg.Placement == KVColored {
-		return kv.coldSeg.Alloc(kv.coldGroupBytes)
+		return kv.region.Alloc(kv.coldGroupBytes, false)
 	}
 	return kv.alloc.Alloc(kv.coldGroupBytes)
 }
 
 // freeGroups releases groups allocated for an uncommitted table
-// generation. Segment extents are one-way (no free list); an aborted
+// generation. Region extents are one-way (no free list); an aborted
 // colored generation abandons its extents, costing footprint but
 // never correctness.
 func (kv *KV) freeGroups(groups, cold []memsys.Addr) {
@@ -492,8 +482,8 @@ func (kv *KV) Stats() KVStats {
 	switch {
 	case kv.alloc != nil:
 		hb = kv.alloc.HeapBytes()
-	case kv.hotSeg != nil:
-		hb = kv.hotSeg.Claimed() + kv.coldSeg.Claimed()
+	case kv.region != nil:
+		hb = kv.region.Claimed()
 	}
 	return KVStats{
 		Slots: kv.tab.slots, Live: kv.tab.live, Tombstones: kv.tab.tombs,
@@ -532,24 +522,10 @@ func (kv *KV) RegisterRegions(rm *telemetry.RegionMap, prefix string) string {
 
 // Coloring returns the stripe assignment when the store is colored.
 func (kv *KV) Coloring() (layout.Coloring, bool) {
-	return kv.coloring, kv.cfg.Placement == KVColored
-}
-
-// HotExtents returns the header-group extents (colored placement) for
-// stripe-discipline assertions.
-func (kv *KV) HotExtents() []memsys.AddrRange {
-	if kv.hotSeg == nil {
-		return nil
+	if kv.region == nil {
+		return layout.Coloring{}, false
 	}
-	return kv.hotSeg.Extents()
-}
-
-// ColdExtents returns the payload-group extents (colored placement).
-func (kv *KV) ColdExtents() []memsys.AddrRange {
-	if kv.coldSeg == nil {
-		return nil
-	}
-	return kv.coldSeg.Extents()
+	return kv.region.Coloring()
 }
 
 // CheckInvariants verifies the table against simulated memory without
@@ -593,15 +569,15 @@ func (kv *KV) CheckInvariants() error {
 			"serving: kv counters live=%d tombs=%d, scan found live=%d tombs=%d",
 			t.live, t.tombs, live, tombs)
 	}
-	if kv.cfg.Placement == KVColored {
+	if col, ok := kv.Coloring(); ok {
 		for _, g := range t.groups {
-			if !kv.coloring.IsHot(g) || !kv.coloring.IsHot(g.Add(kv.groupBytes-1)) {
+			if !col.IsHot(g) || !col.IsHot(g.Add(kv.groupBytes-1)) {
 				return cclerr.Errorf(cclerr.ErrCorruptStructure,
 					"serving: kv header group %v escapes the hot stripe", g)
 			}
 		}
 		for _, g := range t.cold {
-			if kv.coloring.IsHot(g) || kv.coloring.IsHot(g.Add(kv.coldGroupBytes-1)) {
+			if col.IsHot(g) || col.IsHot(g.Add(kv.coldGroupBytes-1)) {
 				return cclerr.Errorf(cclerr.ErrCorruptStructure,
 					"serving: kv payload group %v intrudes on the hot stripe", g)
 			}

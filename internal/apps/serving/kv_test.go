@@ -118,7 +118,7 @@ func TestKVColoredStripeDiscipline(t *testing.T) {
 	if !ok {
 		t.Fatal("colored store reports no coloring")
 	}
-	if len(kv.HotExtents()) == 0 || len(kv.ColdExtents()) == 0 {
+	if len(kv.region.Extents()) == 0 {
 		t.Fatal("colored store reports no claimed extents")
 	}
 	for g, a := range kv.tab.groups {
@@ -134,6 +134,35 @@ func TestKVColoredStripeDiscipline(t *testing.T) {
 				t.Fatalf("payload group %d block %v in hot stripe", g, b)
 			}
 		}
+	}
+	if err := kv.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestKVColoredHeadersOutgrowHotBudget pins what the goldens don't:
+// header groups are placed hot however far the table outgrows the
+// region's hot budget — every probe reads headers, so a header group
+// in the cold stripe would conflict with payload traffic. 8,192 slots
+// carry 64 KiB of headers against the scaled L2's 32 KiB budget.
+func TestKVColoredHeadersOutgrowHotBudget(t *testing.T) {
+	kv, err := NewKV(machine.NewScaled(16), KVConfig{Layout: KVSplit, Placement: KVColored, Slots: 8192})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, _ := kv.Coloring()
+	headers := int64(len(kv.tab.groups)) * kv.groupBytes
+	if budget := col.HotSets * int64(col.Assoc) * col.BlockSize; headers <= budget || kv.region.HotLeft() != 0 {
+		t.Fatalf("%d header bytes against a %d-byte budget (%d left): the case needs headers past the budget",
+			headers, budget, kv.region.HotLeft())
+	}
+	for k := uint32(1); k <= 6000; k++ {
+		if err := kv.Put(k, int64(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if kv.Stats().Resizes != 0 {
+		t.Fatal("the table resized; the case wants the 8,192-slot table")
 	}
 	if err := kv.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -85,7 +85,6 @@ type LRUStats struct {
 	Hits, Misses       int64
 	Inserts, Evictions int64
 	Rebuilds           int64 // index tombstone purges
-	PlaceDegraded      int64 // hinted placements vetoed by the arena's guard
 	IndexTombs         int64
 	HeapBytes          int64
 }
@@ -110,7 +109,7 @@ type LRU struct {
 	idxTombs int64
 	len      int64
 
-	hits, misses, inserts, evictions, rebuilds, placeDegraded int64
+	hits, misses, inserts, evictions, rebuilds int64
 }
 
 // NewLRU builds an empty cache over m's arena. Configuration errors
@@ -309,10 +308,11 @@ func (c *LRU) evictTail() error {
 	return nil
 }
 
-// allocEntry places a new entry (and, split, its payload). Every
-// hinted placement (LRUCCMalloc) first consults the arena's guard; a
-// veto degrades it to conventional placement — the op succeeds —
-// mirroring ccmalloc's own degradation contract. An allocation failure
+// allocEntry places a new entry (and, split, its payload), hinted
+// with the list head: ccmalloc (LRUCCMalloc) co-locates the two, the
+// baseline allocator ignores the hint. ccmalloc consults the arena's
+// guard before every hinted placement and degrades a veto to
+// conventional placement, so the op succeeds. An allocation failure
 // frees any partial placement and returns the typed error with the
 // cache untouched.
 func (c *LRU) allocEntry() (e, vp memsys.Addr, err error) {
@@ -320,19 +320,7 @@ func (c *LRU) allocEntry() (e, vp memsys.Addr, err error) {
 	if c.cfg.Split {
 		size = lruLinkSize
 	}
-	hint := memsys.NilAddr
-	if c.cfg.Placement == LRUCCMalloc {
-		hint = c.arena.LoadAddr(c.hdr)
-		if !hint.IsNil() && c.arena.CheckPlace(size) != nil {
-			hint = memsys.NilAddr
-			c.placeDegraded++
-		}
-	}
-	if hint.IsNil() {
-		e, err = c.entryAlloc.Alloc(size)
-	} else {
-		e, err = c.entryAlloc.AllocHint(size, hint)
-	}
+	e, err = c.entryAlloc.AllocHint(size, c.arena.LoadAddr(c.hdr))
 	if err != nil {
 		return memsys.NilAddr, memsys.NilAddr, err
 	}
@@ -434,7 +422,7 @@ func (c *LRU) Stats() LRUStats {
 		Len: c.len, Capacity: c.cfg.Capacity,
 		Hits: c.hits, Misses: c.misses,
 		Inserts: c.inserts, Evictions: c.evictions,
-		Rebuilds: c.rebuilds, PlaceDegraded: c.placeDegraded,
+		Rebuilds:   c.rebuilds,
 		IndexTombs: c.idxTombs, HeapBytes: hb,
 	}
 }

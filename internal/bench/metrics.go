@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"ccl/internal/apps/radiance"
-	"ccl/internal/ccmorph"
 	"ccl/internal/heap"
 	"ccl/internal/layout"
 	"ccl/internal/sim"
@@ -77,18 +76,15 @@ func metricsTree(s *sim.Sim, full bool) metricsTreeOut {
 	base.Regions().Register("bst-nodes", buildStart, int64(buildEnd)-int64(buildStart))
 	runPhase("bst-base", base)
 
-	// Reorganize through an explicit placer so the new layout's
+	// Reorganize into an explicit region so the new layout's
 	// extents are known and can be labeled.
-	placer := must(ccmorph.NewPlacer(m.Arena, ccmorph.Config{
-		Geometry:  layout.FromLevel(m.Cache.LastLevel()),
-		ColorFrac: 0.5,
-	}))
-	morphStats, merr := t.MorphWith(placer, nil)
+	region := must(layout.NewRegion(m.Arena, layout.FromLevel(m.Cache.LastLevel()), 0.5))
+	morphStats, merr := t.MorphWith(region, nil)
 	check(merr)
 
 	ctree := telemetry.Attach(m.Cache)
 	ctree.Regions().Register("bst-nodes(old)", buildStart, int64(buildEnd)-int64(buildStart))
-	for _, ext := range placer.Extents() {
+	for _, ext := range region.Extents() {
 		ctree.Regions().RegisterRange("ctree-nodes", ext)
 	}
 	runPhase("ctree", ctree)

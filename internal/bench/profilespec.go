@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"strings"
 
-	"ccl/internal/ccmorph"
 	"ccl/internal/heap"
 	"ccl/internal/layout"
 	"ccl/internal/olden"
@@ -57,11 +56,8 @@ func fieldprofTree(s *sim.Sim, full bool) fieldprofOut {
 	search(searches)
 	prof.CloseEpoch() // phase boundary: epochs never straddle the morph
 
-	placer := must(ccmorph.NewPlacer(m.Arena, ccmorph.Config{
-		Geometry:  layout.FromLevel(m.Cache.LastLevel()),
-		ColorFrac: 0.5,
-	}))
-	_, merr := t.MorphWith(placer, nil)
+	region := must(layout.NewRegion(m.Arena, layout.FromLevel(m.Cache.LastLevel()), 0.5))
+	_, merr := t.MorphWith(region, nil)
 	check(merr)
 	t.RegisterNodes(prof.Regions(), "ctree-nodes")
 	search(searches)

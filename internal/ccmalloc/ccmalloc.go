@@ -213,11 +213,13 @@ func (a *Allocator) degrade(size int64, cause error) (memsys.Addr, error) {
 }
 
 // AllocHint allocates size bytes, attempting to co-locate the new
-// object with hint per the configured strategy. A nil hint, or a hint
-// that does not point into this allocator's heap, selects the plain
-// unhinted path. When cache-conscious placement fails (the arena
-// cannot open a fresh page), the allocation degrades to the
-// conventional allocator rather than failing — see degrade.
+// object with hint per the configured strategy. A nil hint, or an
+// object wider than a cache block, selects the plain unhinted path;
+// every other placement is hinted and first consults the arena's
+// guard (memsys.Arena.CheckPlace), once. When a hinted placement
+// fails — the guard vetoes it, or the arena cannot open a fresh page
+// — the allocation degrades to the conventional allocator rather
+// than failing; see degrade.
 func (a *Allocator) AllocHint(size int64, hint memsys.Addr) (memsys.Addr, error) {
 	if size <= 0 {
 		return memsys.NilAddr, cclerr.Errorf(cclerr.ErrInvalidArg,
@@ -235,6 +237,9 @@ func (a *Allocator) AllocHint(size int64, hint memsys.Addr) (memsys.Addr, error)
 		// No hint (or the object cannot share a block): delegate to
 		// the conventional allocator underneath.
 		return a.fallback.Alloc(size)
+	}
+	if err := a.arena.CheckPlace(size); err != nil {
+		return a.degrade(size, err)
 	}
 	a.stats.HintedAllocs++
 

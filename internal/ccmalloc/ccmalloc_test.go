@@ -349,3 +349,41 @@ func TestColocationRate(t *testing.T) {
 		}
 	}
 }
+
+// TestVetoedHintDegrades: every hinted placement consults the arena's
+// guard once, before any hinted bookkeeping; a veto degrades the
+// object to the conventional allocator, and unhinted allocations never
+// reach the guard.
+func TestVetoedHintDegrades(t *testing.T) {
+	arena, a := newAlloc(Closest)
+	seed := seedObj(a, 24)
+	var places []int64
+	arena.SetGuard(func(ev memsys.GuardEvent, n int64) error {
+		if ev != memsys.GuardPlace {
+			return nil
+		}
+		places = append(places, n)
+		return cclerr.Errorf(cclerr.ErrFaultInjected, "veto")
+	})
+	before := a.Stats()
+	p, err := a.AllocHint(20, seed)
+	if err != nil {
+		t.Fatalf("vetoed hinted allocation failed instead of degrading: %v", err)
+	}
+	st := a.Stats()
+	if len(places) != 1 || places[0] != 24 {
+		t.Fatalf("guard saw placements %v, want one of 24 bytes (aligned)", places)
+	}
+	if st.Degraded != before.Degraded+1 || st.HintedAllocs != before.HintedAllocs || st.SameBlock != before.SameBlock {
+		t.Fatalf("stats %+v after a veto (before %+v), want one degradation and no hinted bookkeeping", st, before)
+	}
+	if a.pageOf(p) != nil {
+		t.Fatalf("degraded object %v landed on a ccmalloc page", p)
+	}
+	if _, err := a.Alloc(20); err != nil || len(places) != 1 {
+		t.Fatalf("unhinted Alloc = %v, guard calls %d; want nil and no guard call", err, len(places))
+	}
+	if err := a.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

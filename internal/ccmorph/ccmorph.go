@@ -131,124 +131,6 @@ type Stats struct {
 	Aborted     int64 // reorganizations that failed and left the original layout in place
 }
 
-// Placer is a reusable placement context: the pair of colored segment
-// allocators (or the uncolored block bump) plus the remaining hot
-// budget. A one-shot Reorganize creates its own; callers morphing
-// many structures against the same cache — like health's periodic
-// per-list reorganization — share one Placer so the structures do not
-// all claim the same hot cache region and conflict. Every cluster
-// placement first consults the arena's guard (memsys.Arena.CheckPlace),
-// so a fault schedule armed on the run's sim.Sim reaches every placer,
-// health's included.
-type Placer struct {
-	arena   *memsys.Arena
-	geo     layout.Geometry
-	hot     *layout.SegmentAllocator
-	cold    *layout.SegmentAllocator
-	bump    *layout.BlockBump
-	hotLeft int64
-
-	cur    memsys.Addr // block currently being packed
-	used   int64       // bytes used in cur
-	curHot bool
-}
-
-// NewPlacer builds a placement context for cfg over arena. An
-// unusable geometry or coloring fraction fails with the corresponding
-// cclerr sentinel (ErrBadGeometry / ErrInvalidArg).
-func NewPlacer(arena *memsys.Arena, cfg Config) (*Placer, error) {
-	p := &Placer{arena: arena, geo: cfg.Geometry}
-	if cfg.ColorFrac > 0 {
-		col, err := layout.NewColoring(cfg.Geometry, cfg.ColorFrac)
-		if err != nil {
-			return nil, err
-		}
-		p.hotLeft = col.HotSets * int64(col.Assoc)
-		if p.hot, err = layout.NewSegmentAllocator(arena, col, true); err != nil {
-			return nil, err
-		}
-		if p.cold, err = layout.NewSegmentAllocator(arena, col, false); err != nil {
-			return nil, err
-		}
-	} else {
-		bump, err := layout.NewBlockBump(arena, cfg.Geometry.BlockSize)
-		if err != nil {
-			return nil, err
-		}
-		p.bump = bump
-	}
-	return p, nil
-}
-
-// place returns space for one cluster of size bytes. Clusters are
-// packed densely — "laid out linearly" as in Figure 1 — starting a
-// fresh cache block only when the cluster would straddle a block
-// boundary, so short lists and leaf clusters share blocks instead of
-// wasting them. The bool reports whether the space is in the colored
-// hot region. A cluster wider than a cache block cannot be placed and
-// fails with cclerr.ErrPlacementFailed (reachable whenever the
-// element size exceeds the block size), as does a placement the
-// arena's guard vetoes; allocator failures propagate.
-func (p *Placer) place(size int64) (memsys.Addr, bool, error) {
-	if size > p.geo.BlockSize {
-		return memsys.NilAddr, false, cclerr.Errorf(cclerr.ErrPlacementFailed,
-			"ccmorph: cluster of %d bytes exceeds block size %d", size, p.geo.BlockSize)
-	}
-	if err := p.arena.CheckPlace(size); err != nil {
-		return memsys.NilAddr, false, err
-	}
-	if p.cur.IsNil() || p.used+size > p.geo.BlockSize {
-		blk, hot, err := p.newBlock()
-		if err != nil {
-			return memsys.NilAddr, false, err
-		}
-		p.cur, p.curHot = blk, hot
-		p.used = 0
-	}
-	a := p.cur.Add(p.used)
-	p.used += size
-	return a, p.curHot, nil
-}
-
-// newBlock claims the next cache block: hot while the colored budget
-// lasts, then cold (or from the plain bump when coloring is off).
-func (p *Placer) newBlock() (memsys.Addr, bool, error) {
-	switch {
-	case p.bump != nil:
-		a, err := p.bump.Alloc()
-		return a, false, err
-	case p.hotLeft > 0:
-		a, err := p.hot.Alloc(p.geo.BlockSize)
-		if err != nil {
-			return memsys.NilAddr, false, err
-		}
-		p.hotLeft--
-		return a, true, nil
-	default:
-		a, err := p.cold.Alloc(p.geo.BlockSize)
-		return a, false, err
-	}
-}
-
-// Claimed returns the arena bytes the placer has claimed so far.
-func (p *Placer) Claimed() int64 {
-	if p.bump != nil {
-		return p.bump.Claimed()
-	}
-	return p.hot.Claimed() + p.cold.Claimed()
-}
-
-// Extents returns the arena ranges the placer has claimed so far —
-// the new layout's home — so callers can register the reorganized
-// structure as a telemetry region ("ctree-nodes") and see its misses
-// attributed separately from the old layout's.
-func (p *Placer) Extents() []memsys.AddrRange {
-	if p.bump != nil {
-		return p.bump.Extents()
-	}
-	return append(p.hot.Extents(), p.cold.Extents()...)
-}
-
 // ClusterCost is the busy-cycle charge per element for ccmorph's
 // host-side bookkeeping (queueing, relocation-map maintenance).
 const ClusterCost = 6
@@ -268,22 +150,25 @@ const ClusterCost = 6
 // so degradation is visible through telemetry.
 func Reorganize(m *machine.Machine, root memsys.Addr, lay Layout, cfg Config,
 	freeOld func(memsys.Addr)) (memsys.Addr, Stats, error) {
-	placer, err := NewPlacer(m.Arena, cfg)
+	region, err := layout.NewRegion(m.Arena, cfg.Geometry, cfg.ColorFrac)
 	if err != nil {
 		return root, Stats{Aborted: 1}, err
 	}
-	return ReorganizeWithStrategy(m, root, lay, cfg.Strategy, placer, freeOld)
+	return ReorganizeWithStrategy(m, root, lay, cfg.Strategy, region, freeOld)
 }
 
-// ReorganizeWith is Reorganize with a caller-supplied (shareable)
-// placement context and the default subtree-clustering strategy.
-func ReorganizeWith(m *machine.Machine, root memsys.Addr, lay Layout, placer *Placer,
+// ReorganizeWith is Reorganize into a caller-supplied region with the
+// default subtree-clustering strategy. Callers morphing many
+// structures against the same cache — like health's periodic
+// per-list reorganization — share one region, so the structures do
+// not all claim the same hot cache sets and conflict.
+func ReorganizeWith(m *machine.Machine, root memsys.Addr, lay Layout, region *layout.Region,
 	freeOld func(memsys.Addr)) (memsys.Addr, Stats, error) {
-	return ReorganizeWithStrategy(m, root, lay, SubtreeCluster, placer, freeOld)
+	return ReorganizeWithStrategy(m, root, lay, SubtreeCluster, region, freeOld)
 }
 
-// ReorganizeWithStrategy is Reorganize with a caller-supplied
-// (shareable) placement context and an explicit node-order strategy.
+// ReorganizeWithStrategy is Reorganize into a caller-supplied
+// (shareable) region with an explicit node-order strategy.
 // See Reorganize for the copy-then-commit failure contract: every
 // phase before the final commit only reads the old structure and
 // writes freshly-claimed extents, so an error at any point returns
@@ -297,7 +182,7 @@ func ReorganizeWith(m *machine.Machine, root memsys.Addr, lay Layout, placer *Pl
 // ccmorph copies a structure into contiguous blocks without thrashing
 // the cache it is trying to help.
 func ReorganizeWithStrategy(m *machine.Machine, root memsys.Addr, lay Layout,
-	strat Strategy, placer *Placer,
+	strat Strategy, region *layout.Region,
 	freeOld func(memsys.Addr)) (newRoot memsys.Addr, stats Stats, err error) {
 
 	if err := lay.validate(); err != nil {
@@ -324,7 +209,7 @@ func ReorganizeWithStrategy(m *machine.Machine, root memsys.Addr, lay Layout,
 		}
 	}()
 
-	claimedBefore := placer.Claimed()
+	claimedBefore := region.Claimed()
 
 	// Phase 1: snapshot the structure in preorder.
 	snap, err := takeSnapshot(m, root, lay)
@@ -335,7 +220,7 @@ func ReorganizeWithStrategy(m *machine.Machine, root memsys.Addr, lay Layout,
 
 	// Phase 2: compute the node order, host-side: order lists every
 	// element once, and cluster c is order[ends[c-1]:ends[c]].
-	k := placer.geo.NodesPerBlock(lay.NodeSize)
+	k := region.Geometry().NodesPerBlock(lay.NodeSize)
 	m.Tick(ClusterCost * int64(n))
 	var order, ends []int
 	switch strat {
@@ -357,14 +242,16 @@ func ReorganizeWithStrategy(m *machine.Machine, root memsys.Addr, lay Layout,
 		NodesPerBlk: k,
 	}
 
-	// Phase 3a: place clusters and build the relocation map. Failures
-	// here (oversized cluster, exhausted arena, injected fault) leave
-	// only unreferenced fresh extents behind — the old structure has
-	// not been touched.
+	// Phase 3a: place clusters and build the relocation map. Clusters
+	// are packed densely into cache blocks, hot while a block of the
+	// region's budget is left. Failures here (a cluster wider than a
+	// block, exhausted arena, a vetoed placement) leave only
+	// unreferenced fresh extents behind — the old structure has not
+	// been touched.
 	newAddr := make([]memsys.Addr, n)
 	start := 0
 	for _, end := range ends {
-		base, hot, perr := placer.place(int64(end-start) * lay.NodeSize)
+		base, hot, perr := region.Pack(int64(end-start)*lay.NodeSize, true)
 		if perr != nil {
 			return root, Stats{Aborted: 1}, perr
 		}
@@ -407,7 +294,7 @@ func ReorganizeWithStrategy(m *machine.Machine, root memsys.Addr, lay Layout,
 		}
 	}
 
-	stats.NewBytes = placer.Claimed() - claimedBefore
+	stats.NewBytes = region.Claimed() - claimedBefore
 	return newAddr[0], stats, nil
 }
 
@@ -546,7 +433,7 @@ func clusterize(s *snapshot, k int64) (order, ends []int) {
 }
 
 // vebClusters partitions the van Emde Boas order into clusters the
-// placer packs into cache blocks, returned like clusterize's. Cluster
+// region packs into cache blocks, returned like clusterize's. Cluster
 // boundaries follow the order's recursive-subtree structure rather
 // than fixed k-node runs: a node joins the current cluster only while
 // its parent is already in it (and the cluster has room), so the

@@ -7,6 +7,7 @@ import (
 
 	"ccl/internal/cclerr"
 	"ccl/internal/heap"
+	"ccl/internal/layout"
 	"ccl/internal/machine"
 	"ccl/internal/memsys"
 )
@@ -55,9 +56,9 @@ func TestAbortedReorganizeLeavesInputIntactProperty(t *testing.T) {
 
 		cfg := testConfig()
 		if trial%2 == 0 {
-			cfg.ColorFrac = 0 // exercise both placer shapes
+			cfg.ColorFrac = 0 // exercise both region shapes
 		}
-		placer, err := NewPlacer(m.Arena, cfg)
+		region, err := layout.NewRegion(m.Arena, cfg.Geometry, cfg.ColorFrac)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +75,7 @@ func TestAbortedReorganizeLeavesInputIntactProperty(t *testing.T) {
 			return nil
 		})
 
-		newRoot, st, merr := ReorganizeWith(m, root, binLayout(20, false), placer,
+		newRoot, st, merr := ReorganizeWith(m, root, binLayout(20, false), region,
 			func(a memsys.Addr) { t.Fatalf("trial %d: freeOld called on an aborted reorganize (%v)", trial, a) })
 		if merr == nil {
 			// The schedule outlived the cluster count: the morph

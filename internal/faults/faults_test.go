@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"ccl/internal/cclerr"
-	"ccl/internal/ccmorph"
 	"ccl/internal/heap"
 	"ccl/internal/layout"
 	"ccl/internal/sim"
@@ -85,13 +84,11 @@ func TestArmSimVetoesPlacement(t *testing.T) {
 	m := s.NewScaled(64)
 	tr := trees.MustBuild(m, heap.New(m.Arena), 200, trees.RandomOrder, 1)
 
-	placer, err := ccmorph.NewPlacer(m.Arena, ccmorph.Config{
-		Geometry: layout.Geometry{Sets: 64, Assoc: 1, BlockSize: 64},
-	})
+	region, err := layout.NewRegion(m.Arena, layout.Geometry{Sets: 64, Assoc: 1, BlockSize: 64}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, merr := tr.MorphWith(placer, nil)
+	_, merr := tr.MorphWith(region, nil)
 	if !errors.Is(merr, cclerr.ErrPlacementFailed) || !errors.Is(merr, cclerr.ErrFaultInjected) {
 		t.Fatalf("vetoed placement err = %v, want ErrPlacementFailed and ErrFaultInjected", merr)
 	}

@@ -89,14 +89,11 @@ func sweepVEBPlace(t *testing.T, seed int64) {
 	m, rec := sweepMachine(armed(in))
 	tr := trees.MustBuild(m, heap.New(m.Arena), 150, trees.RandomOrder, seed)
 
-	placer, err := ccmorph.NewPlacer(m.Arena, ccmorph.Config{
-		Geometry:  layout.FromLevel(m.Cache.LastLevel()),
-		ColorFrac: 0.5,
-	})
+	region, err := layout.NewRegion(m.Arena, layout.FromLevel(m.Cache.LastLevel()), 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, merr := tr.MorphStrategyWith(ccmorph.VEB, placer, nil)
+	st, merr := tr.MorphStrategyWith(ccmorph.VEB, region, nil)
 	if merr != nil {
 		if !errors.Is(merr, cclerr.ErrPlacementFailed) {
 			t.Fatalf("vetoed vEB morph err = %v, want ErrPlacementFailed", merr)

@@ -7,7 +7,6 @@ import (
 
 	"ccl/internal/cclerr"
 	"ccl/internal/ccmalloc"
-	"ccl/internal/ccmorph"
 	"ccl/internal/heap"
 	"ccl/internal/layout"
 	"ccl/internal/machine"
@@ -142,7 +141,7 @@ func sweepBudget(t *testing.T, strat ccmalloc.Strategy, seed int64) {
 	replayDiff(t, rec)
 }
 
-// sweepPlaceCluster morphs a tree through a placer whose placements
+// sweepPlaceCluster morphs a tree into a region whose placements
 // are vetoed on schedule: the morph either commits or aborts, and the
 // tree is searchable either way (copy-then-commit).
 func sweepPlaceCluster(t *testing.T, strat ccmalloc.Strategy, seed int64) {
@@ -150,14 +149,11 @@ func sweepPlaceCluster(t *testing.T, strat ccmalloc.Strategy, seed int64) {
 	m, rec := sweepMachine(armed(in))
 	tr := trees.MustBuild(m, heap.New(m.Arena), 150, trees.RandomOrder, seed)
 
-	placer, err := ccmorph.NewPlacer(m.Arena, ccmorph.Config{
-		Geometry:  layout.FromLevel(m.Cache.LastLevel()),
-		ColorFrac: 0.5,
-	})
+	region, err := layout.NewRegion(m.Arena, layout.FromLevel(m.Cache.LastLevel()), 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, merr := tr.MorphWith(placer, nil)
+	st, merr := tr.MorphWith(region, nil)
 	if merr != nil {
 		if !errors.Is(merr, cclerr.ErrPlacementFailed) {
 			t.Fatalf("vetoed morph err = %v, want ErrPlacementFailed", merr)
@@ -234,16 +230,14 @@ func FuzzFaultSchedule(f *testing.F) {
 			}
 			return
 		}
-		placer, perr := ccmorph.NewPlacer(m.Arena, ccmorph.Config{
-			Geometry: layout.FromLevel(m.Cache.LastLevel()),
-		})
+		region, perr := layout.NewRegion(m.Arena, layout.FromLevel(m.Cache.LastLevel()), 0)
 		if perr != nil {
 			if cclerr.Class(perr) == "" {
-				t.Fatalf("NewPlacer: unclassified error %v", perr)
+				t.Fatalf("NewRegion: unclassified error %v", perr)
 			}
 			return
 		}
-		if _, merr := tr.MorphWith(placer, nil); merr != nil && cclerr.Class(merr) == "" {
+		if _, merr := tr.MorphWith(region, nil); merr != nil && cclerr.Class(merr) == "" {
 			t.Fatalf("MorphWith: unclassified error %v", merr)
 		}
 		if cerr := tr.CheckSearchable(); cerr != nil {

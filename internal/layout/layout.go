@@ -1,8 +1,8 @@
 // Package layout holds the placement arithmetic shared by ccmorph,
 // ccmalloc, and the cache-conscious tree implementations: mapping
-// addresses to cache sets, carving a colored virtual address space
-// (paper §2.2, Figure 2), and computing subtree-clustering parameters
-// (paper §2.1, §5.3).
+// addresses to cache sets, and the Region (region.go) — the one
+// primitive that carves a colored virtual address space (paper §2.2,
+// Figure 2) and packs items into cache blocks (paper §2.1).
 package layout
 
 import (
@@ -41,8 +41,8 @@ func (g Geometry) BlockAlign(addr memsys.Addr) memsys.Addr {
 // elements of size elem that fit in one cache block (paper §5.3).
 func (g Geometry) NodesPerBlock(elem int64) int64 {
 	if elem <= 0 {
-		// Panic justification: every caller (PlanSubtrees, ccmorph
-		// layout validation, B-tree sizing) validates the element size
+		// Panic justification: every caller (ccmorph, after its
+		// layout validation) validates the element size
 		// before reaching this arithmetic helper; a non-positive size
 		// here means the validation layer itself is broken.
 		panic("layout: element size must be positive")
@@ -87,251 +87,9 @@ func NewColoring(g Geometry, frac float64) (Coloring, error) {
 	return Coloring{Geometry: g, HotSets: hot}, nil
 }
 
-// HotCapacityNodes returns how many elements of size elem the hot
-// region can hold without self-conflict: p sets x assoc ways x k
-// nodes per block — the paper's (c/2 x |_b/e_| x a) with p = c/2.
-func (c Coloring) HotCapacityNodes(elem int64) int64 {
-	return c.HotSets * int64(c.Assoc) * c.NodesPerBlock(elem)
-}
-
 // IsHot reports whether addr falls in the hot cache region.
 func (c Coloring) IsHot(addr memsys.Addr) bool { return c.SetOf(addr) < c.HotSets }
 
 // wayPeriod returns the number of bytes after which the set mapping
 // repeats: sets x block size.
 func (c Coloring) wayPeriod() int64 { return c.Sets * c.BlockSize }
-
-// SegmentAllocator hands out block-aligned extents restricted to one
-// color region. It implements the address-space striping of Figure 2:
-// within every way-period of the address space, bytes mapping to
-// [0, HotSets) sets belong to the hot allocator and the rest to the
-// cold allocator; each allocator skips the other's stripes.
-type SegmentAllocator struct {
-	coloring Coloring
-	hot      bool
-	arena    *memsys.Arena
-	next     memsys.Addr // next candidate address (block aligned)
-	limit    memsys.Addr // end of the arena extent we own
-	claimed  int64       // bytes of arena claimed (footprint)
-	extents  []memsys.AddrRange
-}
-
-// NewSegmentAllocator returns an allocator for the hot or cold color
-// region over arena. The cache's way period (sets x block size) must
-// be a power of two — true of every real geometry this repo models —
-// so that extents can be aligned to period boundaries; anything else
-// fails with cclerr.ErrBadGeometry.
-func NewSegmentAllocator(arena *memsys.Arena, c Coloring, hot bool) (*SegmentAllocator, error) {
-	if p := c.wayPeriod(); p <= 0 || p&(p-1) != 0 {
-		return nil, cclerr.Errorf(cclerr.ErrBadGeometry,
-			"layout: way period %d is not a power of two", p)
-	}
-	return &SegmentAllocator{coloring: c, hot: hot, arena: arena}, nil
-}
-
-// Claimed returns the arena bytes claimed so far.
-func (s *SegmentAllocator) Claimed() int64 { return s.claimed }
-
-// Extents returns the arena ranges claimed so far, coalesced, so the
-// structures placed here can be registered with telemetry by range.
-func (s *SegmentAllocator) Extents() []memsys.AddrRange {
-	return append([]memsys.AddrRange(nil), s.extents...)
-}
-
-// runEnd returns the exclusive end of the contiguous color run
-// containing addr: the hot run ends where the cold stripe of its way
-// period begins, the cold run at the period boundary.
-func (s *SegmentAllocator) runEnd(addr memsys.Addr) memsys.Addr {
-	c := s.coloring
-	periodStart := (int64(addr) / c.wayPeriod()) * c.wayPeriod()
-	if s.hot {
-		return memsys.Addr(periodStart + c.HotSets*c.BlockSize)
-	}
-	return memsys.Addr(periodStart + c.wayPeriod())
-}
-
-// skipToRegion advances addr (block-aligned) to the next block in the
-// allocator's region.
-func (s *SegmentAllocator) skipToRegion(addr memsys.Addr) memsys.Addr {
-	c := s.coloring
-	set := c.SetOf(addr)
-	if s.hot {
-		if set < c.HotSets {
-			return addr
-		}
-		// Jump to set 0 of the next way period.
-		period := c.wayPeriod()
-		return memsys.Addr(((int64(addr) / period) + 1) * period)
-	}
-	if set >= c.HotSets {
-		return addr
-	}
-	// Jump to the first cold set of this period.
-	periodStart := (int64(addr) / c.wayPeriod()) * c.wayPeriod()
-	return memsys.Addr(periodStart + c.HotSets*c.BlockSize)
-}
-
-// Alloc returns a block-aligned extent of n bytes lying entirely in
-// the allocator's color region. A non-positive n fails with
-// cclerr.ErrInvalidArg; n larger than the region's contiguous run
-// length (HotSets*BlockSize or (Sets-HotSets)*BlockSize) cannot be
-// placed in one color and fails with cclerr.ErrPlacementFailed;
-// arena exhaustion propagates as cclerr.ErrOutOfMemory.
-func (s *SegmentAllocator) Alloc(n int64) (memsys.Addr, error) {
-	if n <= 0 {
-		return memsys.NilAddr, cclerr.Errorf(cclerr.ErrInvalidArg,
-			"layout: SegmentAllocator.Alloc(%d): non-positive size", n)
-	}
-	c := s.coloring
-	runLen := c.HotSets * c.BlockSize
-	if !s.hot {
-		runLen = (c.Sets - c.HotSets) * c.BlockSize
-	}
-	if n > runLen {
-		return memsys.NilAddr, cclerr.Errorf(cclerr.ErrPlacementFailed,
-			"layout: extent of %d bytes exceeds %d-byte color run", n, runLen)
-	}
-	for {
-		if s.limit.IsNil() {
-			if err := s.grow(n); err != nil {
-				return memsys.NilAddr, err
-			}
-		}
-		p := s.skipToRegion(s.next)
-		if p.Add(n) > s.limit {
-			if err := s.grow(n); err != nil {
-				return memsys.NilAddr, err
-			}
-			continue
-		}
-		// The extent must fit inside p's contiguous color run.
-		// Checking only the last block's color is not enough: an
-		// extent can leave the run, cross the other color's stripe,
-		// and end in the next period's run of the right color with
-		// every middle byte miscolored. (Found by the coloring
-		// property test — see TestSegmentAllocatorExtentStaysInRun.)
-		if p.Add(n) <= s.runEnd(p) {
-			s.next = memsys.Addr(alignUp(int64(p)+n, c.BlockSize))
-			return p, nil
-		}
-		// Extent straddles out of the color run: jump to the start
-		// of the next run and retry (n <= runLen guarantees a fit).
-		s.next = s.skipToRegion(s.runEnd(p))
-	}
-}
-
-func alignUp(n, a int64) int64 { return (n + a - 1) &^ (a - 1) }
-
-// grow claims more arena, starting on a way-period boundary so the
-// color stripes of Figure 2 line up — the paper's requirement that
-// coloring gaps be multiples of the VM page size falls out of this
-// alignment for all modeled geometries. A failed grow leaves the
-// allocator's claimed state unchanged (alignment padding already
-// consumed by the arena stays consumed, but is never counted here).
-func (s *SegmentAllocator) grow(n int64) error {
-	period := s.coloring.wayPeriod()
-	start, err := s.arena.AlignTo(period)
-	if err != nil {
-		return err
-	}
-	if _, err := s.arena.Grow(n + period); err != nil { // at least one full period of slack
-		return err
-	}
-	end := s.arena.Brk()
-	s.claimed += int64(end) - int64(start)
-	s.next = start
-	s.limit = end
-	s.extents = appendExtent(s.extents, start, end)
-	return nil
-}
-
-// appendExtent records [start, end), merging with the previous extent
-// when adjacent.
-func appendExtent(exts []memsys.AddrRange, start, end memsys.Addr) []memsys.AddrRange {
-	if n := len(exts); n > 0 && exts[n-1].End == start {
-		exts[n-1].End = end
-		return exts
-	}
-	return append(exts, memsys.AddrRange{Start: start, End: end})
-}
-
-// BlockBump hands out consecutive block-aligned cache blocks from
-// contiguous arena extents. It is the uncolored counterpart of
-// SegmentAllocator, used when clustering is wanted without coloring.
-type BlockBump struct {
-	arena     *memsys.Arena
-	blockSize int64
-	next      memsys.Addr
-	limit     memsys.Addr
-	claimed   int64
-	extents   []memsys.AddrRange
-}
-
-// NewBlockBump returns a block-granular bump allocator over arena. A
-// block size that is not a positive power of two fails with
-// cclerr.ErrBadGeometry.
-func NewBlockBump(arena *memsys.Arena, blockSize int64) (*BlockBump, error) {
-	if blockSize <= 0 || blockSize&(blockSize-1) != 0 {
-		return nil, cclerr.Errorf(cclerr.ErrBadGeometry,
-			"layout: block size %d must be a positive power of two", blockSize)
-	}
-	return &BlockBump{arena: arena, blockSize: blockSize}, nil
-}
-
-// Claimed returns the arena bytes claimed so far.
-func (b *BlockBump) Claimed() int64 { return b.claimed }
-
-// Extents returns the arena ranges claimed so far, coalesced.
-func (b *BlockBump) Extents() []memsys.AddrRange {
-	return append([]memsys.AddrRange(nil), b.extents...)
-}
-
-// Alloc returns the next block-aligned cache block, propagating
-// arena exhaustion (cclerr.ErrOutOfMemory) from the grow path.
-func (b *BlockBump) Alloc() (memsys.Addr, error) {
-	if b.next.IsNil() || b.next.Add(b.blockSize) > b.limit {
-		start, err := b.arena.AlignTo(b.blockSize)
-		if err != nil {
-			return memsys.NilAddr, err
-		}
-		if _, err := b.arena.Grow(64 * b.blockSize); err != nil {
-			return memsys.NilAddr, err
-		}
-		b.claimed += int64(b.arena.Brk()) - int64(start)
-		b.next = start
-		b.limit = b.arena.Brk()
-		b.extents = appendExtent(b.extents, start, b.limit)
-	}
-	p := b.next
-	b.next = b.next.Add(b.blockSize)
-	return p, nil
-}
-
-// SubtreeParams describes how a tree is packed into cache blocks.
-type SubtreeParams struct {
-	ElemSize      int64 // structure element size e
-	NodesPerBlock int64 // k = floor(b/e)
-	HotNodes      int64 // number of root-most nodes colored hot
-}
-
-// PlanSubtrees computes clustering and coloring parameters from the
-// cache geometry, element size, and coloring fraction — the work
-// "ccmorph determines ... from the cache parameters and structure
-// element size" (§3.1.1). It fails with cclerr.ErrInvalidArg for a
-// non-positive element size or an unusable coloring fraction.
-func PlanSubtrees(g Geometry, elemSize int64, colorFrac float64) (SubtreeParams, error) {
-	if elemSize <= 0 {
-		return SubtreeParams{}, cclerr.Errorf(cclerr.ErrInvalidArg,
-			"layout: element size %d must be positive", elemSize)
-	}
-	k := g.NodesPerBlock(elemSize)
-	col, err := NewColoring(g, colorFrac)
-	if err != nil {
-		return SubtreeParams{}, err
-	}
-	return SubtreeParams{
-		ElemSize:      elemSize,
-		NodesPerBlock: k,
-		HotNodes:      col.HotCapacityNodes(elemSize),
-	}, nil
-}

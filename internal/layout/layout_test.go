@@ -89,24 +89,15 @@ func TestNewColoring(t *testing.T) {
 	}
 }
 
-func TestHotCapacityNodes(t *testing.T) {
-	c := must(NewColoring(geom16, 0.5))
-	// 8 sets x 1 way x 3 nodes (20 B in 64 B blocks) = 24.
-	if got := c.HotCapacityNodes(20); got != 24 {
-		t.Fatalf("HotCapacityNodes(20) = %d, want 24", got)
-	}
-	c2 := must(NewColoring(Geometry{Sets: 16, Assoc: 2, BlockSize: 64}, 0.5))
-	if got := c2.HotCapacityNodes(20); got != 48 {
-		t.Fatalf("2-way HotCapacityNodes = %d, want 48", got)
-	}
-}
+// The color allocators are reached through the Region: Alloc(n, true)
+// is the hot stripe's allocator, Alloc(n, false) the cold one's, and
+// both share the region's arena.
 
 func TestSegmentAllocatorHotStaysHot(t *testing.T) {
-	arena := memsys.NewArena(0)
-	col := must(NewColoring(geom16, 0.5))
-	hot := must(NewSegmentAllocator(arena, col, true))
+	r := must(NewRegion(memsys.NewArena(0), geom16, 0.5))
+	col, _ := r.Coloring()
 	for i := 0; i < 200; i++ {
-		p := must(hot.Alloc(64))
+		p := must(r.Alloc(64, true))
 		if !col.IsHot(p) {
 			t.Fatalf("hot alloc %d at %v maps to set %d (hot sets: %d)", i, p, col.SetOf(p), col.HotSets)
 		}
@@ -114,11 +105,10 @@ func TestSegmentAllocatorHotStaysHot(t *testing.T) {
 }
 
 func TestSegmentAllocatorColdStaysCold(t *testing.T) {
-	arena := memsys.NewArena(0)
-	col := must(NewColoring(geom16, 0.5))
-	cold := must(NewSegmentAllocator(arena, col, false))
+	r := must(NewRegion(memsys.NewArena(0), geom16, 0.5))
+	col, _ := r.Coloring()
 	for i := 0; i < 200; i++ {
-		p := must(cold.Alloc(64))
+		p := must(r.Alloc(64, false))
 		if col.IsHot(p) {
 			t.Fatalf("cold alloc %d at %v maps to hot set %d", i, p, col.SetOf(p))
 		}
@@ -126,14 +116,13 @@ func TestSegmentAllocatorColdStaysCold(t *testing.T) {
 }
 
 func TestSegmentAllocatorMultiBlockExtents(t *testing.T) {
-	arena := memsys.NewArena(0)
-	col := must(NewColoring(geom16, 0.5))
+	r := must(NewRegion(memsys.NewArena(0), geom16, 0.5))
+	col, _ := r.Coloring()
 	for _, hot := range []bool{true, false} {
-		s := must(NewSegmentAllocator(arena, col, hot))
 		// 8 sets x 64 B = 512 B runs on both sides of this coloring.
 		for i := 0; i < 50; i++ {
 			n := int64(64 * (1 + i%8))
-			p := must(s.Alloc(n))
+			p := must(r.Alloc(n, hot))
 			if int64(p)%64 != 0 {
 				t.Fatalf("extent %v not block aligned", p)
 			}
@@ -148,9 +137,7 @@ func TestSegmentAllocatorMultiBlockExtents(t *testing.T) {
 }
 
 func TestSegmentAllocatorExtentsDisjoint(t *testing.T) {
-	arena := memsys.NewArena(0)
-	col := must(NewColoring(geom16, 0.25))
-	s := must(NewSegmentAllocator(arena, col, true))
+	r := must(NewRegion(memsys.NewArena(0), geom16, 0.25))
 	type ext struct {
 		p memsys.Addr
 		n int64
@@ -158,7 +145,7 @@ func TestSegmentAllocatorExtentsDisjoint(t *testing.T) {
 	var got []ext
 	for i := 0; i < 100; i++ {
 		n := int64(64 * (1 + i%4))
-		p := must(s.Alloc(n))
+		p := must(r.Alloc(n, true))
 		for _, e := range got {
 			if p < e.p.Add(e.n) && e.p < p.Add(n) {
 				t.Fatalf("extent [%v,+%d) overlaps [%v,+%d)", p, n, e.p, e.n)
@@ -166,29 +153,31 @@ func TestSegmentAllocatorExtentsDisjoint(t *testing.T) {
 		}
 		got = append(got, ext{p, n})
 	}
-	if s.Claimed() <= 0 {
+	if r.Claimed() <= 0 {
 		t.Fatal("Claimed should be positive after allocations")
 	}
 }
 
 func TestSegmentAllocatorOversizeFails(t *testing.T) {
 	arena := memsys.NewArena(0)
-	col := must(NewColoring(geom16, 0.5)) // hot run = 8*64 = 512 bytes
-	s := must(NewSegmentAllocator(arena, col, true))
-	if _, err := s.Alloc(513); !errors.Is(err, cclerr.ErrPlacementFailed) {
+	r := must(NewRegion(arena, geom16, 0.5)) // hot run = 8*64 = 512 bytes
+	guarded := 0
+	arena.SetGuard(func(memsys.GuardEvent, int64) error { guarded++; return nil })
+	if _, err := r.Alloc(513, true); !errors.Is(err, cclerr.ErrPlacementFailed) {
 		t.Fatalf("oversize extent err = %v, want ErrPlacementFailed", err)
+	}
+	if guarded != 0 || r.Claimed() != 0 {
+		t.Fatalf("an invalid request reached the guard (%d calls) or the arena (%d bytes)", guarded, r.Claimed())
 	}
 }
 
 func TestSegmentAllocatorsShareArena(t *testing.T) {
-	arena := memsys.NewArena(0)
-	col := must(NewColoring(geom16, 0.5))
-	hot := must(NewSegmentAllocator(arena, col, true))
-	cold := must(NewSegmentAllocator(arena, col, false))
+	r := must(NewRegion(memsys.NewArena(0), geom16, 0.5))
+	col, _ := r.Coloring()
 	var hots, colds []memsys.Addr
 	for i := 0; i < 50; i++ {
-		hots = append(hots, must(hot.Alloc(64)))
-		colds = append(colds, must(cold.Alloc(128)))
+		hots = append(hots, must(r.Alloc(64, true)))
+		colds = append(colds, must(r.Alloc(128, false)))
 	}
 	seen := map[memsys.Addr]bool{}
 	for _, p := range hots {
@@ -208,12 +197,11 @@ func TestSegmentAllocatorsShareArena(t *testing.T) {
 }
 
 func TestSegmentAllocatorQuick(t *testing.T) {
-	arena := memsys.NewArena(0)
-	col := must(NewColoring(Geometry{Sets: 64, Assoc: 1, BlockSize: 16}, 0.5))
-	hot := must(NewSegmentAllocator(arena, col, true))
+	r := must(NewRegion(memsys.NewArena(0), Geometry{Sets: 64, Assoc: 1, BlockSize: 16}, 0.5))
+	col, _ := r.Coloring()
 	f := func(sz uint8) bool {
 		n := int64(sz%30+1) * 16
-		p := must(hot.Alloc(n))
+		p := must(r.Alloc(n, true))
 		for off := int64(0); off < n; off += 16 {
 			if !col.IsHot(p.Add(off)) {
 				return false
@@ -226,29 +214,20 @@ func TestSegmentAllocatorQuick(t *testing.T) {
 	}
 }
 
-func TestPlanSubtrees(t *testing.T) {
-	p := must(PlanSubtrees(geom16, 20, 0.5))
-	if p.NodesPerBlock != 3 {
-		t.Errorf("NodesPerBlock = %d, want 3", p.NodesPerBlock)
-	}
-	if p.HotNodes != 24 {
-		t.Errorf("HotNodes = %d, want 24", p.HotNodes)
-	}
-	// Paper-scale check (§5.4): 64-byte blocks, ~21-byte nodes,
-	// half of a 1 MB direct-mapped L2 holds 8192 sets x 3 = 24576
-	// nodes = 64 x 384.
-	g := FromLevel(cache.PaperHierarchy().Levels[1])
-	pp := must(PlanSubtrees(g, 20, 0.5))
-	if pp.HotNodes != 64*384 {
-		t.Errorf("paper-scale HotNodes = %d, want %d", pp.HotNodes, 64*384)
-	}
-}
-
 func TestNonPowerOfTwoPeriodFails(t *testing.T) {
 	arena := memsys.NewArena(0)
-	col := Coloring{Geometry: Geometry{Sets: 12, Assoc: 1, BlockSize: 64}, HotSets: 4}
-	if _, err := NewSegmentAllocator(arena, col, true); !errors.Is(err, cclerr.ErrBadGeometry) {
+	if _, err := NewRegion(arena, Geometry{Sets: 12, Assoc: 1, BlockSize: 64}, 0.5); !errors.Is(err, cclerr.ErrBadGeometry) {
 		t.Fatalf("non-power-of-two period err = %v, want ErrBadGeometry", err)
+	}
+	if _, err := NewRegion(arena, Geometry{Sets: 16, Assoc: 1, BlockSize: 0}, 0.5); !errors.Is(err, cclerr.ErrBadGeometry) {
+		t.Fatalf("zero-byte blocks err = %v, want ErrBadGeometry", err)
+	}
+	// Uncolored, only the block size matters.
+	if _, err := NewRegion(arena, Geometry{Sets: 12, Assoc: 1, BlockSize: 48}, 0); !errors.Is(err, cclerr.ErrBadGeometry) {
+		t.Fatalf("non-power-of-two block err = %v, want ErrBadGeometry", err)
+	}
+	if _, err := NewRegion(arena, Geometry{Sets: 12, Assoc: 1, BlockSize: 64}, 0); err != nil {
+		t.Fatalf("uncolored region over 12 sets: %v", err)
 	}
 }
 
@@ -258,15 +237,14 @@ func TestColoredAllocatorsPartitionQuick(t *testing.T) {
 	arena := memsys.NewArena(0)
 	f := func(hotFrac uint8, sizes [6]uint8) bool {
 		frac := 0.1 + 0.8*float64(hotFrac)/255
-		col := must(NewColoring(Geometry{Sets: 128, Assoc: 2, BlockSize: 32}, frac))
-		hot := must(NewSegmentAllocator(arena, col, true))
-		cold := must(NewSegmentAllocator(arena, col, false))
+		r := must(NewRegion(arena, Geometry{Sets: 128, Assoc: 2, BlockSize: 32}, frac))
+		col, _ := r.Coloring()
 		run := col.HotSets * col.BlockSize
 		coldRun := (col.Sets - col.HotSets) * col.BlockSize
 		for _, sz := range sizes {
 			n := (int64(sz%8) + 1) * 32
 			if n <= run {
-				p := must(hot.Alloc(n))
+				p := must(r.Alloc(n, true))
 				for off := int64(0); off < n; off += 32 {
 					if !col.IsHot(p.Add(off)) {
 						return false
@@ -274,7 +252,7 @@ func TestColoredAllocatorsPartitionQuick(t *testing.T) {
 				}
 			}
 			if n <= coldRun {
-				p := must(cold.Alloc(n))
+				p := must(r.Alloc(n, false))
 				for off := int64(0); off < n; off += 32 {
 					if col.IsHot(p.Add(off)) {
 						return false
@@ -297,20 +275,21 @@ func TestColoredAllocatorsPartitionQuick(t *testing.T) {
 // through cold sets [106,128) into the next period. Every byte of
 // every extent must map to the allocator's own color.
 func TestSegmentAllocatorExtentStaysInRun(t *testing.T) {
-	arena := memsys.NewArena(0)
-	col := Coloring{Geometry: Geometry{Sets: 128, Assoc: 2, BlockSize: 16}, HotSets: 106}
-	hot := must(NewSegmentAllocator(arena, col, true))
+	r := must(NewRegion(memsys.NewArena(0), Geometry{Sets: 128, Assoc: 2, BlockSize: 16}, 106.0/128))
+	col, _ := r.Coloring()
+	if col.HotSets != 106 {
+		t.Fatalf("HotSets = %d, want 106", col.HotSets)
+	}
 	for _, n := range []int64{894, 1482} {
-		a := must(hot.Alloc(n))
+		a := must(r.Alloc(n, true))
 		for b := int64(0); b < n; b++ {
 			if !col.IsHot(a.Add(b)) {
 				t.Fatalf("hot extent %v+%d: byte %d in cold set %d", a, n, b, col.SetOf(a.Add(b)))
 			}
 		}
 	}
-	cold := must(NewSegmentAllocator(arena, col, false))
 	for _, n := range []int64{300, 352} {
-		a := must(cold.Alloc(n))
+		a := must(r.Alloc(n, false))
 		for b := int64(0); b < n; b++ {
 			if col.IsHot(a.Add(b)) {
 				t.Fatalf("cold extent %v+%d: byte %d in hot set %d", a, n, b, col.SetOf(a.Add(b)))

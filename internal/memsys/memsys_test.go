@@ -154,7 +154,8 @@ func TestTypedRoundTrips(t *testing.T) {
 
 func TestStoreLoadQuick(t *testing.T) {
 	a := NewArena(0)
-	base := a.Sbrk(1 << 16)
+	// Map the 8 bytes a store at the largest uint16 offset touches.
+	base := a.Sbrk(1<<16 + 8)
 	f := func(off uint16, v uint64) bool {
 		p := base.Add(int64(off))
 		a.Store64(p, v)

@@ -18,6 +18,7 @@ import (
 
 	"ccl/internal/ccmorph"
 	"ccl/internal/heap"
+	"ccl/internal/layout"
 	"ccl/internal/machine"
 	"ccl/internal/memsys"
 	"ccl/internal/olden"
@@ -380,14 +381,14 @@ func (s *sim) cellLayout() ccmorph.Layout {
 
 // morphAllLists reorganizes every hospital list with ccmorph, as the
 // paper's cache-conscious health version does periodically. All lists
-// in one round share a single placement context: with coloring, the
+// in one round share a single placement region: with coloring, the
 // hot cache region is claimed once rather than once per list, so the
 // lists do not conflict with each other. After each copy the back
 // pointers are rewired and the relocated cells and patients are
 // recorded as ccmorph property.
 func (s *sim) morphAllLists(colorFrac float64) {
 	m := s.m
-	placer, err := ccmorph.NewPlacer(m.Arena, olden.MorphConfig(m, colorFrac))
+	region, err := layout.NewRegion(m.Arena, layout.FromLevel(m.Cache.LastLevel()), colorFrac)
 	if err != nil {
 		// Geometry comes from the machine's own last-level cache, so a
 		// failure here is a harness bug: fail fast (DESIGN.md §7).
@@ -400,7 +401,7 @@ func (s *sim) morphAllLists(colorFrac float64) {
 			if head.IsNil() {
 				continue
 			}
-			newHead, _, merr := ccmorph.ReorganizeWith(m, head, lay, placer, s.freeCell)
+			newHead, _, merr := ccmorph.ReorganizeWith(m, head, lay, region, s.freeCell)
 			if merr != nil {
 				// Degrade: Reorganize is copy-then-commit, so the
 				// original list is intact — keep walking it in its old
@@ -419,5 +420,5 @@ func (s *sim) morphAllLists(colorFrac float64) {
 			}
 		}
 	}
-	s.morphBytes += placer.Claimed()
+	s.morphBytes += region.Claimed()
 }

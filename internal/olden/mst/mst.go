@@ -16,6 +16,7 @@ import (
 
 	"ccl/internal/ccmorph"
 	"ccl/internal/heap"
+	"ccl/internal/layout"
 	"ccl/internal/machine"
 	"ccl/internal/memsys"
 	"ccl/internal/olden"
@@ -261,11 +262,11 @@ func entryLayout() ccmorph.Layout {
 }
 
 // morphChains reorganizes every hash chain once after construction
-// (the structure never changes afterwards). One shared placer keeps
+// (the structure never changes afterwards). One shared region keeps
 // the chains from fighting over the hot region.
 func (g *graph) morphChains(colorFrac float64) {
 	m := g.m
-	placer, err := ccmorph.NewPlacer(m.Arena, olden.MorphConfig(m, colorFrac))
+	region, err := layout.NewRegion(m.Arena, layout.FromLevel(m.Cache.LastLevel()), colorFrac)
 	if err != nil {
 		// Geometry comes from the machine's own last-level cache, so a
 		// failure here is a harness bug: fail fast (DESIGN.md §7).
@@ -279,7 +280,7 @@ func (g *graph) morphChains(colorFrac float64) {
 			if head.IsNil() {
 				continue
 			}
-			newHead, _, merr := ccmorph.ReorganizeWith(m, head, entryLayout(), placer, nil)
+			newHead, _, merr := ccmorph.ReorganizeWith(m, head, entryLayout(), region, nil)
 			if merr != nil {
 				// Degrade: the original chain is intact (copy-then-
 				// commit); leave it in its old layout.
@@ -288,5 +289,5 @@ func (g *graph) morphChains(colorFrac float64) {
 			m.StoreAddr(slot, newHead)
 		}
 	}
-	g.morphBytes = placer.Claimed()
+	g.morphBytes = region.Claimed()
 }

@@ -4,11 +4,13 @@ import (
 	"testing"
 
 	"ccl/internal/ccmalloc"
+	"ccl/internal/faults"
 	"ccl/internal/olden"
 	"ccl/internal/olden/health"
 	"ccl/internal/olden/mst"
 	"ccl/internal/olden/perimeter"
 	"ccl/internal/olden/treeadd"
+	"ccl/internal/sim"
 )
 
 func TestVariantStrings(t *testing.T) {
@@ -83,14 +85,27 @@ func TestNewEnvConfigures(t *testing.T) {
 	}
 }
 
-// small configs keep the cross-variant sweep fast.
+// smallRunners run the four benchmarks at small configs, which keep
+// the cross-variant sweeps fast.
+var smallRunners = []func(olden.Env) olden.Result{
+	func(e olden.Env) olden.Result { return treeadd.Run(e, treeadd.Config{Depth: 10, Repeats: 2}) },
+	func(e olden.Env) olden.Result {
+		return health.Run(e, health.Config{Levels: 3, Steps: 40, MorphInterval: 10, Seed: 1})
+	},
+	func(e olden.Env) olden.Result {
+		return mst.Run(e, mst.Config{NumVert: 96, EdgesPer: 8, Buckets: 4, Seed: 3})
+	},
+	func(e olden.Env) olden.Result {
+		return perimeter.Run(e, perimeter.Config{ImageSize: 128, Circles: 6, Repeats: 2, Seed: 5})
+	},
+}
+
 func smallRuns(v olden.Variant) []olden.Result {
-	return []olden.Result{
-		treeadd.Run(olden.NewEnv(v, 16), treeadd.Config{Depth: 10, Repeats: 2}),
-		health.Run(olden.NewEnv(v, 16), health.Config{Levels: 3, Steps: 40, MorphInterval: 10, Seed: 1}),
-		mst.Run(olden.NewEnv(v, 16), mst.Config{NumVert: 96, EdgesPer: 8, Buckets: 4, Seed: 3}),
-		perimeter.Run(olden.NewEnv(v, 16), perimeter.Config{ImageSize: 128, Circles: 6, Repeats: 2, Seed: 5}),
+	rs := make([]olden.Result, len(smallRunners))
+	for i, run := range smallRunners {
+		rs[i] = run(olden.NewEnv(v, 16))
 	}
+	return rs
 }
 
 // TestChecksumsMatchAcrossVariants is the suite's core correctness
@@ -106,6 +121,38 @@ func TestChecksumsMatchAcrossVariants(t *testing.T) {
 			}
 			if r.Benchmark != base[i].Benchmark {
 				t.Errorf("benchmark order mismatch: %s vs %s", r.Benchmark, base[i].Benchmark)
+			}
+		}
+	}
+}
+
+// TestCCMallocVetoesDegrade vetoes every other cache-conscious
+// placement on the run context, as the fault sweeps arm them: ccmalloc
+// must degrade each vetoed hinted allocation to conventional placement
+// (Stats.Degraded), never fail it, so every benchmark computes the
+// base variant's answer under every strategy.
+func TestCCMallocVetoesDegrade(t *testing.T) {
+	const schedule = 1 << 13
+	base := smallRuns(olden.Base)
+	for _, v := range []olden.Variant{olden.CCMallocFirstFit, olden.CCMallocClosest, olden.CCMallocNewBlock} {
+		for i, run := range smallRunners {
+			in := faults.NewInjector()
+			for n := int64(2); n <= schedule; n += 2 {
+				in.FailNth(faults.PlaceCluster, n)
+			}
+			s := sim.New()
+			in.ArmSim(s)
+			env := olden.NewEnvIn(s, v, 16)
+			r := run(env)
+			if r.Check != base[i].Check {
+				t.Errorf("%s/%s: checksum %d under vetoes, want base %d", r.Benchmark, v.Name(), r.Check, base[i].Check)
+			}
+			if n := in.Count(faults.PlaceCluster); n > schedule {
+				t.Fatalf("%s/%s: %d placements outran the %d-entry schedule", r.Benchmark, v.Name(), n, schedule)
+			}
+			st := env.Alloc.(*ccmalloc.Allocator).Stats()
+			if st.Degraded == 0 || st.Degraded < in.Fired(faults.PlaceCluster) {
+				t.Errorf("%s/%s: %d degraded allocations for %d vetoes", r.Benchmark, v.Name(), st.Degraded, in.Fired(faults.PlaceCluster))
 			}
 		}
 	}

@@ -244,15 +244,13 @@ func (t *Tree) Kid(s int, i int64) int64 {
 	return int64(v)
 }
 
-// placer hands out chunk extents: colored (hot budget first, then
-// cold stripes) or plain block-bump when coloring is off.
+// placer hands out chunk extents from one region: hot while both the
+// region's budget and the calling array's share have room, then cold
+// (plain blocks when the region is uncolored).
 type placer struct {
-	hot     *layout.SegmentAllocator
-	cold    *layout.SegmentAllocator
-	bump    *layout.BlockBump
-	hotLeft int64 // remaining global hot budget in bytes
-	share   int64 // per-array hot budget in bytes
-	chunk   int64 // chunk payload capacity in bytes
+	region *layout.Region
+	share  int64 // per-array hot budget in bytes
+	chunk  int64 // chunk payload capacity in bytes
 }
 
 // newPlacer builds the chunk allocator. numHot is how many arrays
@@ -267,70 +265,36 @@ func newPlacer(arena *memsys.Arena, cfg Config, numHot int) (*placer, error) {
 		return nil, cclerr.Errorf(cclerr.ErrBadGeometry,
 			"split: unusable geometry %+v", g)
 	}
-	if cfg.ColorFrac > 0 {
-		col, err := layout.NewColoring(g, cfg.ColorFrac)
-		if err != nil {
-			return nil, err
-		}
-		p := &placer{hotLeft: col.HotSets * int64(col.Assoc) * g.BlockSize}
-		if p.hot, err = layout.NewSegmentAllocator(arena, col, true); err != nil {
-			return nil, err
-		}
-		if p.cold, err = layout.NewSegmentAllocator(arena, col, false); err != nil {
-			return nil, err
-		}
-		p.share = p.hotLeft / int64(numHot)
+	r, err := layout.NewRegion(arena, g, cfg.ColorFrac)
+	if err != nil {
+		return nil, err
+	}
+	p := &placer{region: r, chunk: g.BlockSize}
+	if col, ok := r.Coloring(); ok {
+		p.share = r.HotLeft() / int64(numHot)
 		// A chunk must fit inside one contiguous color run of either
 		// color, so hot and cold arrays share one chunk geometry; it
 		// must also fit the per-array hot share, or no chunk could
 		// ever land hot.
 		hotRun := col.HotSets * g.BlockSize
 		coldRun := (g.Sets - col.HotSets) * g.BlockSize
-		p.chunk = hotRun
-		if coldRun < p.chunk {
-			p.chunk = coldRun
-		}
+		p.chunk = min(hotRun, coldRun)
 		if p.share < p.chunk {
 			p.chunk = p.share &^ (g.BlockSize - 1)
 		}
-		if p.chunk < g.BlockSize {
-			p.chunk = g.BlockSize
-		}
-		return p, nil
+		p.chunk = max(p.chunk, g.BlockSize)
 	}
-	bump, err := layout.NewBlockBump(arena, g.BlockSize)
-	if err != nil {
-		return nil, err
-	}
-	return &placer{bump: bump, chunk: g.BlockSize}, nil
+	return p, nil
 }
 
 // alloc returns an extent of size bytes. wantHot asks for the colored
-// hot region; it is honored while both the global budget and the
+// hot region; it is honored while both the region's budget and the
 // calling array's share (spent tracks it) have room. The bool reports
 // where the extent landed.
 func (p *placer) alloc(size int64, wantHot bool, spent int64) (memsys.Addr, bool, error) {
-	if p.bump != nil {
-		a, err := p.bump.Alloc()
-		return a, false, err
-	}
-	if wantHot && p.hotLeft >= size && spent+size <= p.share {
-		a, err := p.hot.Alloc(size)
-		if err != nil {
-			return memsys.NilAddr, false, err
-		}
-		p.hotLeft -= size
-		return a, true, nil
-	}
-	a, err := p.cold.Alloc(size)
-	return a, false, err
-}
-
-func (p *placer) claimed() int64 {
-	if p.bump != nil {
-		return p.bump.Claimed()
-	}
-	return p.hot.Claimed() + p.cold.Claimed()
+	hot := wantHot && p.region.HotLeft() >= size && spent+size <= p.share
+	a, err := p.region.Alloc(size, hot)
+	return a, hot, err
 }
 
 // Split rebuilds the tree rooted at root in split (hot SoA / cold
@@ -430,7 +394,7 @@ func Split(m *machine.Machine, root memsys.Addr, part Partition, kidFields []str
 	// order (hottest field first) so the colored budget covers the
 	// fields the profile ranked highest; the cold overflow array is
 	// always cold.
-	claimedBefore := pl.claimed()
+	claimedBefore := pl.region.Claimed()
 	t.hot = make([]soaArray, len(part.Hot))
 	for i, f := range part.Hot {
 		a, hotChunks, aerr := placeArray(pl, f.Size, n, true)
@@ -493,7 +457,7 @@ func Split(m *machine.Machine, root memsys.Addr, part Partition, kidFields []str
 			freeOld(a)
 		}
 	}
-	stats.NewBytes = pl.claimed() - claimedBefore
+	stats.NewBytes = pl.region.Claimed() - claimedBefore
 	return t, stats, nil
 }
 

@@ -298,19 +298,19 @@ func (t *BST) MorphStrategy(strat ccmorph.Strategy, colorFrac float64,
 	return st, err
 }
 
-// MorphWith is Morph with a caller-supplied placement context. The
-// telemetry experiments use it to learn where the new layout lives
-// (Placer.Extents) so the reorganized structure can be registered as
+// MorphWith is Morph into a caller-supplied region. The telemetry
+// experiments use it to learn where the new layout lives
+// (Region.Extents) so the reorganized structure can be registered as
 // its own miss-attribution region.
-func (t *BST) MorphWith(placer *ccmorph.Placer, freeOld func(memsys.Addr)) (ccmorph.Stats, error) {
-	return t.MorphStrategyWith(ccmorph.SubtreeCluster, placer, freeOld)
+func (t *BST) MorphWith(region *layout.Region, freeOld func(memsys.Addr)) (ccmorph.Stats, error) {
+	return t.MorphStrategyWith(ccmorph.SubtreeCluster, region, freeOld)
 }
 
 // MorphStrategyWith combines MorphStrategy's explicit strategy with
-// MorphWith's caller-supplied placement context.
-func (t *BST) MorphStrategyWith(strat ccmorph.Strategy, placer *ccmorph.Placer,
+// MorphWith's caller-supplied region.
+func (t *BST) MorphStrategyWith(strat ccmorph.Strategy, region *layout.Region,
 	freeOld func(memsys.Addr)) (ccmorph.Stats, error) {
-	newRoot, st, err := ccmorph.ReorganizeWithStrategy(t.m, t.root, Layout(), strat, placer, freeOld)
+	newRoot, st, err := ccmorph.ReorganizeWithStrategy(t.m, t.root, Layout(), strat, region, freeOld)
 	t.root = newRoot
 	return st, err
 }

@@ -41,10 +41,7 @@ type BTree struct {
 	n         int64 // live keys
 	height    int
 
-	hot, cold  *layout.SegmentAllocator // colored allocation (optional)
-	bump       *layout.BlockBump        // uncolored allocation
-	hotLeft    int64                    // hot blocks remaining
-	claimedVia func() int64
+	region *layout.Region // one block per node, root-most hot
 }
 
 // MaxKeysFor returns the internal-node separator capacity for a
@@ -88,34 +85,17 @@ func NewBTree(m *machine.Machine, colorFrac float64) (*BTree, error) {
 		return nil, cclerr.Errorf(cclerr.ErrBadGeometry,
 			"trees: block size %d too small for a B-tree", geo.BlockSize)
 	}
-	t := &BTree{
+	region, err := layout.NewRegion(m.Arena, geo, colorFrac)
+	if err != nil {
+		return nil, err
+	}
+	return &BTree{
 		m:         m,
 		blockSize: geo.BlockSize,
 		maxKeys:   MaxKeysFor(geo.BlockSize),
 		leafCap:   LeafKeysFor(geo.BlockSize),
-	}
-	if colorFrac > 0 {
-		col, err := layout.NewColoring(geo, colorFrac)
-		if err != nil {
-			return nil, err
-		}
-		if t.hot, err = layout.NewSegmentAllocator(m.Arena, col, true); err != nil {
-			return nil, err
-		}
-		if t.cold, err = layout.NewSegmentAllocator(m.Arena, col, false); err != nil {
-			return nil, err
-		}
-		t.hotLeft = col.HotSets * int64(col.Assoc)
-		t.claimedVia = func() int64 { return t.hot.Claimed() + t.cold.Claimed() }
-	} else {
-		bump, err := layout.NewBlockBump(m.Arena, geo.BlockSize)
-		if err != nil {
-			return nil, err
-		}
-		t.bump = bump
-		t.claimedVia = t.bump.Claimed
-	}
-	return t, nil
+		region:    region,
+	}, nil
 }
 
 // field offsets
@@ -148,23 +128,12 @@ func (t *BTree) rawSetChild(n memsys.Addr, i int, c memsys.Addr) {
 	t.m.Arena.StoreAddr(n.Add(t.childOff(i)), c)
 }
 
-// newNode allocates a block-aligned node; hot while the colored
-// budget lasts (construction is top-down for bulk loads, so the
-// budget covers the root-most levels). Allocation failures propagate.
+// newNode places a node in a block of its own; hot while a block of
+// the region's budget is left (construction is top-down for bulk
+// loads, so the budget covers the root-most levels). Placement
+// failures — a vetoed placement, arena exhaustion — propagate.
 func (t *BTree) newNode(leaf bool) (memsys.Addr, error) {
-	var a memsys.Addr
-	var err error
-	switch {
-	case t.bump != nil:
-		a, err = t.bump.Alloc()
-	case t.hotLeft > 0:
-		a, err = t.hot.Alloc(t.blockSize)
-		if err == nil {
-			t.hotLeft--
-		}
-	default:
-		a, err = t.cold.Alloc(t.blockSize)
-	}
+	a, _, err := t.region.Pack(t.blockSize, true)
 	if err != nil {
 		return memsys.NilAddr, err
 	}
@@ -180,7 +149,7 @@ func (t *BTree) N() int64 { return t.n }
 func (t *BTree) Height() int { return t.height }
 
 // HeapBytes returns the arena bytes claimed for nodes.
-func (t *BTree) HeapBytes() int64 { return t.claimedVia() }
+func (t *BTree) HeapBytes() int64 { return t.region.Claimed() }
 
 // BulkLoad builds the tree from n sorted keys 1..n, filling each node
 // to ceil(maxKeys*fill) keys. The paper's point about B-trees
@@ -277,9 +246,10 @@ func (t *BTree) BulkLoad(n int64, fill float64) error {
 	}
 
 	// Allocate top-down (root level first) so the hot budget covers
-	// the root-most blocks, then write everything. An allocation
-	// failure aborts before the root is set, leaving the tree empty
-	// and reloadable.
+	// the root-most blocks, then write everything. A placement
+	// failure — a vetoed placement (cclerr.ErrPlacementFailed) or
+	// arena exhaustion — aborts before the root is set, leaving the
+	// tree empty and reloadable.
 	addrs := make([][]memsys.Addr, len(levels))
 	for li := len(levels) - 1; li >= 0; li-- {
 		addrs[li] = make([]memsys.Addr, len(levels[li]))
@@ -523,27 +493,23 @@ func (t *BTree) morphLayout() ccmorph.Layout {
 // node-order strategy. Each node is exactly one cache block, so
 // clustering degenerates to k = 1 and the interesting effect is the
 // order itself: VEB keeps the bottom levels of a descent on one page.
-// Old blocks are not reclaimed (the segment/bump allocators have no
-// free path); on error the tree keeps its original layout
-// (Reorganize is copy-then-commit).
+// Old blocks are not reclaimed (a layout.Region has no free path); on
+// error the tree keeps its original layout (Reorganize is
+// copy-then-commit).
 func (t *BTree) Morph(strat ccmorph.Strategy, colorFrac float64) (ccmorph.Stats, error) {
-	placer, err := ccmorph.NewPlacer(t.m.Arena, ccmorph.Config{
-		Geometry:  layout.FromLevel(t.m.Cache.LastLevel()),
-		ColorFrac: colorFrac,
-		Strategy:  strat,
-	})
+	region, err := layout.NewRegion(t.m.Arena, layout.FromLevel(t.m.Cache.LastLevel()), colorFrac)
 	if err != nil {
 		return ccmorph.Stats{Aborted: 1}, err
 	}
-	return t.MorphWith(strat, placer)
+	return t.MorphWith(strat, region)
 }
 
-// MorphWith is Morph with a caller-supplied placement context.
-func (t *BTree) MorphWith(strat ccmorph.Strategy, placer *ccmorph.Placer) (ccmorph.Stats, error) {
+// MorphWith is Morph into a caller-supplied region.
+func (t *BTree) MorphWith(strat ccmorph.Strategy, region *layout.Region) (ccmorph.Stats, error) {
 	if t.root.IsNil() {
 		return ccmorph.Stats{}, nil
 	}
-	newRoot, st, err := ccmorph.ReorganizeWithStrategy(t.m, t.root, t.morphLayout(), strat, placer, nil)
+	newRoot, st, err := ccmorph.ReorganizeWithStrategy(t.m, t.root, t.morphLayout(), strat, region, nil)
 	t.root = newRoot
 	return st, err
 }
