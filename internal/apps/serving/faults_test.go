@@ -12,14 +12,14 @@ import (
 	"ccl/internal/sim"
 )
 
-// The fault sweep: scheduled arena-growth and cluster-placement
-// failures across the KV resize and LRU evict/rebuild paths. Every
-// provoked failure must be a typed, fault-classified error; the
-// structure must stay consistent (copy-then-commit), every
-// previously acknowledged write must survive, and once the scheduled
-// fault has fired the structure must serve again. Every machine is
-// built through a sim.Sim armed by faults.Injector.ArmSim, the one
-// arming call production uses.
+// The fault sweeps: scheduled arena-growth and cluster-placement
+// failures across KV construction and the LRU evict/rebuild paths.
+// Every provoked failure must be a typed, fault-classified error; a
+// structure that survives must stay consistent (copy-then-commit),
+// every previously acknowledged write must survive, and once the
+// scheduled fault has fired the structure must serve again. Every
+// machine is built through a sim.Sim armed by faults.Injector.ArmSim,
+// the one arming call production uses.
 
 // checkInjected fails the test unless err is a classified fault
 // injection.
@@ -41,72 +41,63 @@ func armedMachine(p faults.Point, n int64) *machine.Machine {
 	return s.NewScaled(16)
 }
 
-// sweepKV drives puts 1..keys through a store with one scheduled
-// fault at point p and verifies the degradation contract at the
-// failure point.
-func sweepKV(t *testing.T, p faults.Point, cfg KVConfig, n int64) (faulted bool) {
-	t.Helper()
-	kv, err := NewKV(armedMachine(p, n), cfg)
-	if err != nil {
-		checkInjected(t, "NewKV", err)
-		return true
-	}
-	acked := map[uint32]int64{}
-	const keys = 400
-	recovered := false
-	for k := uint32(1); k <= keys; k++ {
-		v := valueFor(k, int64(k))
-		if err := kv.Put(k, v); err != nil {
-			checkInjected(t, fmt.Sprintf("Put(%d)", k), err)
-			faulted = true
-			if ierr := kv.CheckInvariants(); ierr != nil {
-				t.Fatalf("store inconsistent after injected Put(%d) failure: %v", k, ierr)
+// TestKVFaultSweep fails every arena growth and every group placement
+// of KV construction in turn. NewKV places the whole fixed-capacity
+// table up front, so construction is where a KV meets either fault,
+// and a fault there must fail NewKV with the point's typed error —
+// unless ccmalloc degrades it to conventional placement, in which
+// case the store must be whole. Colored placement never degrades: a
+// fault at any ordinal fails it. The first ordinal past construction
+// must build a store; every store built must take its full load.
+func TestKVFaultSweep(t *testing.T) {
+	const slots = 512
+	for _, tc := range []struct {
+		p        faults.Point
+		cfg      KVConfig
+		want     error
+		degrades bool
+	}{
+		{faults.ArenaGrow, KVConfig{Layout: KVSplit, Placement: KVCCMalloc, Slots: slots}, cclerr.ErrOutOfMemory, true},
+		{faults.ArenaGrow, KVConfig{Layout: KVSplit, Placement: KVColored, Slots: slots}, cclerr.ErrOutOfMemory, false},
+		{faults.PlaceCluster, KVConfig{Layout: KVSplit, Placement: KVColored, Slots: slots}, cclerr.ErrPlacementFailed, false},
+	} {
+		name := fmt.Sprintf("%s/%v", tc.p, tc.cfg.Placement)
+		s := sim.New()
+		counter := faults.NewInjector()
+		counter.ArmSim(s)
+		if _, err := NewKV(s.NewScaled(16), tc.cfg); err != nil {
+			t.Fatal(err)
+		}
+		count := counter.Count(tc.p)
+		failed := int64(0)
+		for n := int64(1); n <= count+1; n++ {
+			kv, err := NewKV(armedMachine(tc.p, n), tc.cfg)
+			if err != nil {
+				checkInjected(t, fmt.Sprintf("%s:%d NewKV", name, n), err)
+				if !errors.Is(err, tc.want) || kv != nil || n > count {
+					t.Fatalf("%s:%d: NewKV = (%v, %v), want a nil store and %v within %d ordinals",
+						name, n, kv, err, tc.want, count)
+				}
+				failed++
+				continue
 			}
-			for ak, av := range acked {
-				if got, ok := kv.Get(ak); !ok || got != av {
-					t.Fatalf("acked key %d lost after injected failure: (%d, %v)", ak, got, ok)
+			for k := uint32(1); k < slots; k++ {
+				if err := kv.Put(k, valueFor(k, 0)); err != nil {
+					t.Fatalf("%s:%d: Put(%d): %v", name, n, k, err)
 				}
 			}
-			continue
+			for k := uint32(1); k < slots; k++ {
+				if got, ok := kv.Get(k); !ok || got != valueFor(k, 0) {
+					t.Fatalf("%s:%d: Get(%d) = (%d, %v)", name, n, k, got, ok)
+				}
+			}
+			if err := kv.CheckInvariants(); err != nil {
+				t.Fatalf("%s:%d: %v", name, n, err)
+			}
 		}
-		if faulted {
-			recovered = true
+		if failed == 0 || (!tc.degrades && failed != count) {
+			t.Fatalf("%s: %d of the %d faults inside construction failed NewKV", name, failed, count)
 		}
-		acked[k] = v
-	}
-	if faulted && !recovered {
-		t.Fatal("store never recovered after the scheduled fault")
-	}
-	if err := kv.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	return faulted
-}
-
-// TestKVFaultSweep sweeps the fault ordinal across the resize path
-// for both failure points. Low ordinals hit construction, middle ones
-// the doubling resizes, high ones fall after the run (no fault, which
-// is fine — the sweep's job is covering the schedule space).
-func TestKVFaultSweep(t *testing.T) {
-	growCfg := KVConfig{Layout: KVSplit, Placement: KVCCMalloc, Slots: 8}
-	placeCfg := KVConfig{Layout: KVSplit, Placement: KVColored, Slots: 8}
-	anyGrow, anyPlace := false, false
-	for n := int64(1); n <= 12; n++ {
-		anyGrow = sweepKV(t, faults.ArenaGrow, growCfg, n) || anyGrow
-		anyPlace = sweepKV(t, faults.PlaceCluster, placeCfg, n) || anyPlace
-	}
-	if !anyGrow {
-		t.Error("no arena-grow schedule ever fired on the KV resize path")
-	}
-	if !anyPlace {
-		t.Error("no place-cluster schedule ever fired on the KV placement path")
-	}
-	// A placement veto mid-resize must surface as a typed placement
-	// failure, not a silent degradation: colored placement is the
-	// structure's contract.
-	kv, err := NewKV(armedMachine(faults.PlaceCluster, 1), placeCfg)
-	if !errors.Is(err, cclerr.ErrPlacementFailed) {
-		t.Fatalf("NewKV with a vetoed placement: (%v, %v), want ErrPlacementFailed", kv, err)
 	}
 }
 

@@ -13,8 +13,10 @@ import (
 // machine, as a serving process would — from raw bytes. The first
 // byte picks the layout/placement variants, then each 3-byte group
 // becomes one op. The replay must never panic, every failure must be
-// a typed cclerr error, results must match the reference models, and
-// the structural invariants must hold at every checkpoint.
+// a typed cclerr error, results must match the reference models (the
+// 8-slot KV takes 7 keys and refuses the next new one with
+// ErrOutOfMemory), and the structural invariants must hold at every
+// checkpoint.
 func FuzzServingOps(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x01, 0x05, 0x00, 0x00, 0x05, 0x00})
@@ -22,15 +24,15 @@ func FuzzServingOps(f *testing.F) {
 	f.Add([]byte{0x44,
 		0x01, 0x05, 0x10, // kv put
 		0x00, 0x05, 0x00, // kv get
-		0x02, 0x05, 0x00, // kv delete
+		0x02, 0x06, 0x11, // kv put
 		0x04, 0x07, 0x22, // lru put
 		0x03, 0x07, 0x00, // lru get
 		0x05, 0x30, 0x31, // pq push
 		0x06, 0x00, 0x00, // pq pop
 		0x07, 0x00, 0x00, // invariants
 	})
-	// Fill-heavy stream: drives eviction, resize, and the full-queue
-	// guard.
+	// Fill-heavy stream: drives eviction and the full-table and
+	// full-queue guards.
 	f.Add([]byte{0x13,
 		0x01, 0x01, 0x01, 0x01, 0x02, 0x02, 0x01, 0x03, 0x03, 0x01, 0x04, 0x04,
 		0x01, 0x05, 0x05, 0x01, 0x06, 0x06, 0x01, 0x07, 0x07, 0x01, 0x08, 0x08,
@@ -85,19 +87,20 @@ func FuzzServingOps(f *testing.F) {
 				if ok != wok || (ok && got != want) {
 					t.Fatalf("kv.Get(%d) = (%d, %v), model (%d, %v)", key, got, ok, want, wok)
 				}
-			case 1:
-				if err := kv.Put(key, val); err != nil {
+			case 1, 2:
+				_, resident := kvModel[key]
+				err := kv.Put(key, val)
+				if !resident && len(kvModel) == int(kvCfg.Slots)-1 {
+					if !errors.Is(err, cclerr.ErrOutOfMemory) {
+						t.Fatalf("kv.Put(%d) into a full table: %v, want ErrOutOfMemory", key, err)
+					}
+					break
+				}
+				if err != nil {
 					typed("kv.Put", err)
 					break
 				}
 				kvModel[key] = val
-			case 2:
-				ok := kv.Delete(key)
-				_, wok := kvModel[key]
-				if ok != wok {
-					t.Fatalf("kv.Delete(%d) = %v, model %v", key, ok, wok)
-				}
-				delete(kvModel, key)
 			case 3:
 				got, ok := lru.Get(key)
 				want, wok := lruModel.get(key)

@@ -86,27 +86,45 @@ const (
 
 	kvStateEmpty = 0
 	kvStateLive  = 1
-	kvStateTomb  = 2
 )
 
 // KVConfig configures a store.
 type KVConfig struct {
 	Layout    KVLayout
 	Placement KVPlacement
-	// Slots is the initial table capacity: a power of two. The table
-	// grows by doubling when live+tombstone occupancy crosses 3/4.
+	// Slots is the table's fixed capacity: a power of two. The table
+	// holds at most Slots-1 keys, since one empty slot must remain to
+	// end every probe; size it for the keys it will hold.
 	Slots int64
 	// ColorFrac is the hot-stripe fraction for KVColored; 0 selects
 	// the 0.5 default.
 	ColorFrac float64
 }
 
-// kvTable is one generation of the table: the directory of group
-// addresses plus occupancy counters. Resize builds a complete new
-// generation and commits it with a single swap.
-type kvTable struct {
-	slots, mask int64
-	live, tombs int64
+// KVStats summarizes a store.
+type KVStats struct {
+	Slots, Live int64
+	Probes      int64 // total header loads across all ops
+	HeapBytes   int64 // arena bytes claimed for the table
+}
+
+// KV is an open-addressing (linear probing) hash table of fixed
+// capacity over the simulated heap, the serving family's key/value
+// store. All runtime accesses go through a machine.Mem.
+type KV struct {
+	m     machine.Mem
+	arena *memsys.Arena
+	cfg   KVConfig
+	geo   layout.Geometry
+
+	alloc          heap.Allocator // KVMalloc / KVCCMalloc group source
+	region         *layout.Region // KVColored group source
+	groupSlots     int64          // slots per group
+	groupBytes     int64          // header-group byte size
+	coldGroupBytes int64          // payload-group byte size (split)
+
+	mask         int64 // Slots-1: the table index is the hash's low bits
+	live, probes int64
 	// groups holds the slot groups (AoS) or header groups (split),
 	// one block-sized group of groupSlots slots each.
 	groups []memsys.Addr
@@ -115,37 +133,12 @@ type kvTable struct {
 	cold []memsys.Addr
 }
 
-// KVStats summarizes a store.
-type KVStats struct {
-	Slots, Live, Tombstones int64
-	Resizes                 int64
-	Probes                  int64 // total header loads across all ops
-	HeapBytes               int64 // arena bytes claimed for the table
-}
-
-// KV is an open-addressing (linear probing, tombstone deletion)
-// hash table over the simulated heap, the serving family's key/value
-// store. All runtime accesses go through a machine.Mem.
-type KV struct {
-	m     machine.Mem
-	arena *memsys.Arena
-	cfg   KVConfig
-	geo   layout.Geometry
-
-	alloc           heap.Allocator // KVMalloc / KVCCMalloc group source
-	region          *layout.Region // KVColored group source
-	groupSlots      int64          // slots per group
-	groupBytes      int64          // header-group byte size
-	coldGroupBytes  int64          // payload-group byte size (split)
-	tab             kvTable
-	resizes, probes int64
-}
-
-// NewKV builds an empty store over m's arena. Construction writes are
-// uncharged (setup phase); pass the returned store a stream of ops to
-// generate measured traffic. Configuration errors are typed
-// cclerr.ErrInvalidArg; allocation failures propagate the allocator's
-// typed error.
+// NewKV builds an empty store of cfg.Slots slots over m's arena.
+// Construction writes are uncharged (setup phase); pass the returned
+// store a stream of ops to generate measured traffic. Configuration
+// errors are typed cclerr.ErrInvalidArg; allocation failures — arena
+// exhaustion, a vetoed placement — propagate the allocator's typed
+// error.
 func NewKV(m *machine.Machine, cfg KVConfig) (*KV, error) {
 	if cfg.Slots <= 0 || cfg.Slots&(cfg.Slots-1) != 0 {
 		return nil, cclerr.Errorf(cclerr.ErrInvalidArg,
@@ -200,11 +193,9 @@ func NewKV(m *machine.Machine, cfg KVConfig) (*KV, error) {
 	default:
 		return nil, cclerr.Errorf(cclerr.ErrInvalidArg, "serving: NewKV: unknown placement %d", int(cfg.Placement))
 	}
-	t, err := kv.buildTable(cfg.Slots, machine.Uncharged(m.Arena))
-	if err != nil {
+	if err := kv.buildTable(); err != nil {
 		return nil, err
 	}
-	kv.tab = *t
 	return kv, nil
 }
 
@@ -220,29 +211,29 @@ func kvHash(key uint32) int64 {
 	return int64(h)
 }
 
-// headerAddr returns the address of slot i's header word in t.
-func (kv *KV) headerAddr(t *kvTable, i int64) memsys.Addr {
+// headerAddr returns the address of slot i's header word.
+func (kv *KV) headerAddr(i int64) memsys.Addr {
 	g, r := i/kv.groupSlots, i%kv.groupSlots
 	if kv.cfg.Layout == KVAoS {
-		return t.groups[g].Add(r * kvAoSSlot)
+		return kv.groups[g].Add(r * kvAoSSlot)
 	}
-	return t.groups[g].Add(r * kvHeaderBytes)
+	return kv.groups[g].Add(r * kvHeaderBytes)
 }
 
-// valueAddr returns the address of slot i's payload in t.
-func (kv *KV) valueAddr(t *kvTable, i int64) memsys.Addr {
+// valueAddr returns the address of slot i's payload.
+func (kv *KV) valueAddr(i int64) memsys.Addr {
 	g, r := i/kv.groupSlots, i%kv.groupSlots
 	if kv.cfg.Layout == KVAoS {
-		return t.groups[g].Add(r*kvAoSSlot + kvHeaderBytes)
+		return kv.groups[g].Add(r*kvAoSSlot + kvHeaderBytes)
 	}
-	return t.cold[g].Add(r * kv.geo.BlockSize)
+	return kv.cold[g].Add(r * kv.geo.BlockSize)
 }
 
 func kvHeader(key uint32, state int64) int64 { return int64(key) | state<<32 }
 
 // allocGroup places one header group: in the hot stripe under
 // KVColored — always, however far past the region's hot budget the
-// table grows, since every probe reads headers — and hint-chained to
+// table reaches, since every probe reads headers — and hint-chained to
 // the previous group under KVCCMalloc. The region consults the
 // arena's guard once per group, and a veto fails the allocation with
 // cclerr.ErrPlacementFailed; ccmalloc degrades a vetoed hinted
@@ -267,75 +258,56 @@ func (kv *KV) allocColdGroup() (memsys.Addr, error) {
 	return kv.alloc.Alloc(kv.coldGroupBytes)
 }
 
-// freeGroups releases groups allocated for an uncommitted table
-// generation. Region extents are one-way (no free list); an aborted
-// colored generation abandons its extents, costing footprint but
-// never correctness.
-func (kv *KV) freeGroups(groups, cold []memsys.Addr) {
-	if kv.alloc == nil {
-		return
-	}
-	for _, g := range groups {
-		_ = kv.alloc.Free(g)
-	}
-	for _, g := range cold {
-		_ = kv.alloc.Free(g)
-	}
-}
-
-// buildTable allocates and zeroes a table generation of the given
-// slot count, writing through w (the arena at construction, the
-// machine during a charged resize). On failure every group already
-// placed is released and the error — always typed — is returned with
-// the live table untouched.
-func (kv *KV) buildTable(slots int64, w machine.Mem) (*kvTable, error) {
-	n := slots / kv.groupSlots
-	t := &kvTable{slots: slots, mask: slots - 1}
-	t.groups = make([]memsys.Addr, 0, n)
+// buildTable places and zeroes the table's groups, writing through
+// the arena (construction is uncharged). A failed placement returns
+// its typed error; NewKV then discards the half-built store.
+func (kv *KV) buildTable() error {
+	n := kv.cfg.Slots / kv.groupSlots
+	kv.mask = kv.cfg.Slots - 1
+	kv.groups = make([]memsys.Addr, 0, n)
 	if kv.cfg.Layout == KVSplit {
-		t.cold = make([]memsys.Addr, 0, n)
+		kv.cold = make([]memsys.Addr, 0, n)
 	}
 	prev := memsys.NilAddr
 	for g := int64(0); g < n; g++ {
 		ga, err := kv.allocGroup(prev)
 		if err != nil {
-			kv.freeGroups(t.groups, t.cold)
-			return nil, fmt.Errorf("serving: kv table of %d slots: %w", slots, err)
+			return fmt.Errorf("serving: kv table of %d slots: %w", kv.cfg.Slots, err)
 		}
-		t.groups = append(t.groups, ga)
+		kv.groups = append(kv.groups, ga)
 		prev = ga
 		if kv.cfg.Layout == KVSplit {
 			ca, err := kv.allocColdGroup()
 			if err != nil {
-				kv.freeGroups(t.groups, t.cold)
-				return nil, fmt.Errorf("serving: kv table of %d slots: %w", slots, err)
+				return fmt.Errorf("serving: kv table of %d slots: %w", kv.cfg.Slots, err)
 			}
-			t.cold = append(t.cold, ca)
+			kv.cold = append(kv.cold, ca)
 		}
 	}
-	for i := int64(0); i < slots; i++ {
-		w.StoreInt(kv.headerAddr(t, i), kvHeader(0, kvStateEmpty))
+	w := machine.Uncharged(kv.arena)
+	for i := int64(0); i < kv.cfg.Slots; i++ {
+		w.StoreInt(kv.headerAddr(i), kvHeader(0, kvStateEmpty))
 	}
-	return t, nil
+	return nil
 }
 
-// find probes t for a live slot holding key, charging one header load
-// and one compare cycle per step. The table always keeps at least one
-// empty slot, so the probe terminates.
-func (kv *KV) find(t *kvTable, w machine.Mem, key uint32) (int64, bool) {
-	i := kvHash(key) & t.mask
+// find probes for the slot holding key, charging one header load and
+// one compare cycle per step, and returns it — or, when key is absent,
+// the empty slot that ended the probe. The table always keeps at least
+// one empty slot, so the probe terminates.
+func (kv *KV) find(key uint32) (int64, bool) {
+	i := kvHash(key) & kv.mask
 	for {
-		w.Tick(1)
+		kv.m.Tick(1)
 		kv.probes++
-		h := w.LoadInt(kv.headerAddr(t, i))
-		state := h >> 32
-		if state == kvStateEmpty {
-			return 0, false
+		h := kv.m.LoadInt(kv.headerAddr(i))
+		if h>>32 == kvStateEmpty {
+			return i, false
 		}
-		if state == kvStateLive && uint32(h) == key {
+		if uint32(h) == key {
 			return i, true
 		}
-		i = (i + 1) & t.mask
+		i = (i + 1) & kv.mask
 	}
 }
 
@@ -344,137 +316,53 @@ func (kv *KV) find(t *kvTable, w machine.Mem, key uint32) (int64, bool) {
 // verify a payload against its key without host-side shadow state.
 func kvSalt(key uint32) int64 { return int64(uint64(key) * 0x9e3779b97f4a7c15) }
 
-func (kv *KV) writeValue(t *kvTable, w machine.Mem, i int64, key uint32, val int64) {
-	base := kv.valueAddr(t, i)
+func (kv *KV) writeValue(i int64, key uint32, val int64) {
+	base := kv.valueAddr(i)
 	salt := kvSalt(key)
 	for j := int64(0); j < kvValueWords; j++ {
-		w.StoreInt(base.Add(j*8), val^(salt*j))
+		kv.m.StoreInt(base.Add(j*8), val^(salt*j))
 	}
 }
 
 // readValue reads the full payload (a response copy) and returns the
 // value word.
-func (kv *KV) readValue(t *kvTable, w machine.Mem, i int64) int64 {
-	base := kv.valueAddr(t, i)
-	v := w.LoadInt(base)
+func (kv *KV) readValue(i int64) int64 {
+	base := kv.valueAddr(i)
+	v := kv.m.LoadInt(base)
 	for j := int64(1); j < kvValueWords; j++ {
-		_ = w.LoadInt(base.Add(j * 8))
+		_ = kv.m.LoadInt(base.Add(j * 8))
 	}
 	return v
 }
 
-// putInto inserts or overwrites key in t through w. An insert that
-// would consume the table's last empty slot fails with
-// cclerr.ErrOutOfMemory: the empty slot is what terminates probes.
-func (kv *KV) putInto(t *kvTable, w machine.Mem, key uint32, val int64) error {
-	i := kvHash(key) & t.mask
-	ins := int64(-1)
-	for {
-		w.Tick(1)
-		kv.probes++
-		h := w.LoadInt(kv.headerAddr(t, i))
-		state := h >> 32
-		if state == kvStateEmpty {
-			if ins < 0 {
-				if t.live+t.tombs+1 >= t.slots {
-					return cclerr.Errorf(cclerr.ErrOutOfMemory,
-						"serving: kv table full at %d/%d slots", t.live+t.tombs, t.slots)
-				}
-				ins = i
-			}
-			break
-		}
-		if state == kvStateLive && uint32(h) == key {
-			kv.writeValue(t, w, i, key, val)
-			return nil
-		}
-		if state == kvStateTomb && ins < 0 {
-			ins = i
-		}
-		i = (i + 1) & t.mask
-	}
-	h := w.LoadInt(kv.headerAddr(t, ins))
-	if h>>32 == kvStateTomb {
-		t.tombs--
-	}
-	w.StoreInt(kv.headerAddr(t, ins), kvHeader(key, kvStateLive))
-	kv.writeValue(t, w, ins, key, val)
-	t.live++
-	return nil
-}
-
-// maybeResize grows (or rehashes in place, purging tombstones) when
-// occupancy crosses 3/4. The resize is copy-then-commit: the new
-// generation is fully built and populated before the one-swap commit,
-// so any failure leaves the live table exactly as it was.
-func (kv *KV) maybeResize() error {
-	if (kv.tab.live+kv.tab.tombs)*4 < kv.tab.slots*3 {
-		return nil
-	}
-	newSlots := kv.tab.slots
-	if kv.tab.live*2 >= kv.tab.slots {
-		newSlots *= 2
-	}
-	return kv.resize(newSlots)
-}
-
-func (kv *KV) resize(newSlots int64) error {
-	nt, err := kv.buildTable(newSlots, kv.m)
-	if err != nil {
-		return err
-	}
-	for i := int64(0); i < kv.tab.slots; i++ {
-		kv.m.Tick(1)
-		h := kv.m.LoadInt(kv.headerAddr(&kv.tab, i))
-		if h>>32 != kvStateLive {
-			continue
-		}
-		key := uint32(h)
-		val := kv.readValue(&kv.tab, kv.m, i)
-		if err := kv.putInto(nt, kv.m, key, val); err != nil {
-			kv.freeGroups(nt.groups, nt.cold)
-			return err
-		}
-	}
-	old := kv.tab
-	kv.tab = *nt
-	kv.resizes++
-	kv.freeGroups(old.groups, old.cold)
-	return nil
-}
-
 // Get looks key up, reading the full payload on a hit.
 func (kv *KV) Get(key uint32) (int64, bool) {
-	i, ok := kv.find(&kv.tab, kv.m, key)
+	i, ok := kv.find(key)
 	if !ok {
 		return 0, false
 	}
-	return kv.readValue(&kv.tab, kv.m, i), true
+	return kv.readValue(i), true
 }
 
-// Put inserts or overwrites key. Failures (resize allocation,
-// placement veto, full table) are typed and leave the store intact.
+// Put inserts or overwrites key. An insert that would take the table's
+// last empty slot — the slot that ends every probe — fails with
+// cclerr.ErrOutOfMemory and leaves the store unchanged.
 func (kv *KV) Put(key uint32, val int64) error {
-	if err := kv.maybeResize(); err != nil {
-		return err
-	}
-	return kv.putInto(&kv.tab, kv.m, key, val)
-}
-
-// Delete tombstones key, reporting whether it was present.
-func (kv *KV) Delete(key uint32) bool {
-	i, ok := kv.find(&kv.tab, kv.m, key)
+	i, ok := kv.find(key)
 	if !ok {
-		return false
+		if kv.live+1 >= kv.cfg.Slots {
+			return cclerr.Errorf(cclerr.ErrOutOfMemory,
+				"serving: kv table full at %d/%d slots", kv.live, kv.cfg.Slots)
+		}
+		kv.m.StoreInt(kv.headerAddr(i), kvHeader(key, kvStateLive))
+		kv.live++
 	}
-	kv.m.StoreInt(kv.headerAddr(&kv.tab, i), kvHeader(key, kvStateTomb))
-	kv.tab.live--
-	kv.tab.tombs++
-	return true
+	kv.writeValue(i, key, val)
+	return nil
 }
 
 // Len returns the number of live keys.
-func (kv *KV) Len() int64 { return kv.tab.live }
+func (kv *KV) Len() int64 { return kv.live }
 
 // Stats summarizes the store.
 func (kv *KV) Stats() KVStats {
@@ -485,10 +373,7 @@ func (kv *KV) Stats() KVStats {
 	case kv.region != nil:
 		hb = kv.region.Claimed()
 	}
-	return KVStats{
-		Slots: kv.tab.slots, Live: kv.tab.live, Tombstones: kv.tab.tombs,
-		Resizes: kv.resizes, Probes: kv.probes, HeapBytes: hb,
-	}
+	return KVStats{Slots: kv.cfg.Slots, Live: kv.live, Probes: kv.probes, HeapBytes: hb}
 }
 
 // RegisterRegions registers the table's extents with rm for
@@ -498,7 +383,7 @@ func (kv *KV) Stats() KVStats {
 func (kv *KV) RegisterRegions(rm *telemetry.RegionMap, prefix string) string {
 	if kv.cfg.Layout == KVAoS {
 		label := prefix + ".buckets"
-		rm.RegisterElems(label, append([]memsys.Addr(nil), kv.tab.groups...), kv.groupBytes)
+		rm.RegisterElems(label, append([]memsys.Addr(nil), kv.groups...), kv.groupBytes)
 		rm.SetFieldMap(label, layout.MustFieldMap("kv-slot", kvAoSSlot,
 			layout.Field{Name: "key", Offset: 0, Size: 4},
 			layout.Field{Name: "state", Offset: 4, Size: 4},
@@ -507,13 +392,13 @@ func (kv *KV) RegisterRegions(rm *telemetry.RegionMap, prefix string) string {
 		return label
 	}
 	hot := prefix + ".keys"
-	rm.RegisterElems(hot, append([]memsys.Addr(nil), kv.tab.groups...), kv.groupBytes)
+	rm.RegisterElems(hot, append([]memsys.Addr(nil), kv.groups...), kv.groupBytes)
 	rm.SetFieldMap(hot, layout.MustFieldMap("kv-key", kvHeaderBytes,
 		layout.Field{Name: "key", Offset: 0, Size: 4},
 		layout.Field{Name: "state", Offset: 4, Size: 4},
 	))
 	cold := prefix + ".values"
-	rm.RegisterElems(cold, append([]memsys.Addr(nil), kv.tab.cold...), kv.coldGroupBytes)
+	rm.RegisterElems(cold, append([]memsys.Addr(nil), kv.cold...), kv.coldGroupBytes)
 	rm.SetFieldMap(cold, layout.MustFieldMap("kv-value", kv.geo.BlockSize,
 		layout.Field{Name: "value", Offset: 0, Size: KVValueBytes},
 	))
@@ -529,24 +414,21 @@ func (kv *KV) Coloring() (layout.Coloring, bool) {
 }
 
 // CheckInvariants verifies the table against simulated memory without
-// charging the cache: occupancy counters match a full scan, every
-// live key is reachable from its hash bucket, payloads carry their
-// key's salt, and colored placements respect the stripe discipline.
-// Violations fail with cclerr.ErrCorruptStructure.
+// charging the cache: the live counter matches a full scan and leaves
+// an empty slot, every live key is reachable from its hash bucket,
+// payloads carry their key's salt, and colored placements respect the
+// stripe discipline. Violations fail with cclerr.ErrCorruptStructure.
 func (kv *KV) CheckInvariants() error {
 	w := machine.Uncharged(kv.arena)
-	t := &kv.tab
-	live, tombs := int64(0), int64(0)
-	for i := int64(0); i < t.slots; i++ {
-		h := w.LoadInt(kv.headerAddr(t, i))
+	live := int64(0)
+	for i := int64(0); i < kv.cfg.Slots; i++ {
+		h := w.LoadInt(kv.headerAddr(i))
 		key, state := uint32(h), h>>32
 		switch state {
 		case kvStateEmpty:
-		case kvStateTomb:
-			tombs++
 		case kvStateLive:
 			live++
-			base := kv.valueAddr(t, i)
+			base := kv.valueAddr(i)
 			v := w.LoadInt(base)
 			salt := kvSalt(key)
 			for j := int64(1); j < kvValueWords; j++ {
@@ -555,7 +437,7 @@ func (kv *KV) CheckInvariants() error {
 						"serving: kv slot %d key %d: payload word %d is %#x, want %#x", i, key, j, got, v^(salt*j))
 				}
 			}
-			if j, ok := kv.findUncharged(t, key); !ok || j != i {
+			if j, ok := kv.findUncharged(key); !ok || j != i {
 				return cclerr.Errorf(cclerr.ErrCorruptStructure,
 					"serving: kv key %d at slot %d unreachable from its probe chain", key, i)
 			}
@@ -564,19 +446,18 @@ func (kv *KV) CheckInvariants() error {
 				"serving: kv slot %d: invalid state %d", i, state)
 		}
 	}
-	if live != t.live || tombs != t.tombs {
+	if live != kv.live || live >= kv.cfg.Slots {
 		return cclerr.Errorf(cclerr.ErrCorruptStructure,
-			"serving: kv counters live=%d tombs=%d, scan found live=%d tombs=%d",
-			t.live, t.tombs, live, tombs)
+			"serving: kv counter live=%d, scan found live=%d of %d slots", kv.live, live, kv.cfg.Slots)
 	}
 	if col, ok := kv.Coloring(); ok {
-		for _, g := range t.groups {
+		for _, g := range kv.groups {
 			if !col.IsHot(g) || !col.IsHot(g.Add(kv.groupBytes-1)) {
 				return cclerr.Errorf(cclerr.ErrCorruptStructure,
 					"serving: kv header group %v escapes the hot stripe", g)
 			}
 		}
-		for _, g := range t.cold {
+		for _, g := range kv.cold {
 			if col.IsHot(g) || col.IsHot(g.Add(kv.coldGroupBytes-1)) {
 				return cclerr.Errorf(cclerr.ErrCorruptStructure,
 					"serving: kv payload group %v intrudes on the hot stripe", g)
@@ -588,18 +469,17 @@ func (kv *KV) CheckInvariants() error {
 
 // findUncharged is find against the arena: no cache charges, no
 // probe-counter noise.
-func (kv *KV) findUncharged(t *kvTable, key uint32) (int64, bool) {
+func (kv *KV) findUncharged(key uint32) (int64, bool) {
 	w := machine.Uncharged(kv.arena)
-	i := kvHash(key) & t.mask
+	i := kvHash(key) & kv.mask
 	for {
-		h := w.LoadInt(kv.headerAddr(t, i))
-		state := h >> 32
-		if state == kvStateEmpty {
+		h := w.LoadInt(kv.headerAddr(i))
+		if h>>32 == kvStateEmpty {
 			return 0, false
 		}
-		if state == kvStateLive && uint32(h) == key {
+		if uint32(h) == key {
 			return i, true
 		}
-		i = (i + 1) & t.mask
+		i = (i + 1) & kv.mask
 	}
 }

@@ -1,10 +1,12 @@
 package serving
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"ccl/internal/cclerr"
 	"ccl/internal/machine"
 	"ccl/internal/shrink"
 	"ccl/internal/telemetry"
@@ -22,43 +24,47 @@ func kvVariants() []KVConfig {
 }
 
 type kvOp struct {
-	Kind byte // 0 get, 1 put, 2 delete
-	Key  uint32
-	Val  int64
+	Put bool // a Put, else a Get
+	Key uint32
+	Val int64
 }
+
+// kvModelSlots is the model test's table: 16 slots under a 24-key
+// range, so probe chains collide and the table fills.
+const kvModelSlots = 16
 
 // kvMismatch replays ops against a fresh store and a Go map,
 // returning a description of the first divergence ("" when
-// equivalent). The key range is tiny so probe chains collide, deletes
-// leave tombstones, and the 8-slot initial table resizes repeatedly.
+// equivalent). The model holds at most kvModelSlots-1 keys: a Put of
+// a new key into a full table must fail with ErrOutOfMemory and
+// change nothing.
 func kvMismatch(cfg KVConfig, ops []kvOp) string {
 	m := machine.NewScaled(16)
-	cfg.Slots = 8
+	cfg.Slots = kvModelSlots
 	kv, err := NewKV(m, cfg)
 	if err != nil {
 		return fmt.Sprintf("NewKV: %v", err)
 	}
 	model := map[uint32]int64{}
 	for i, op := range ops {
-		switch op.Kind % 3 {
-		case 0:
+		if !op.Put {
 			got, ok := kv.Get(op.Key)
 			want, wok := model[op.Key]
 			if ok != wok || (ok && got != want) {
 				return fmt.Sprintf("op %d: Get(%d) = (%d, %v), model (%d, %v)", i, op.Key, got, ok, want, wok)
 			}
-		case 1:
-			if err := kv.Put(op.Key, op.Val); err != nil {
+		} else {
+			_, resident := model[op.Key]
+			full := !resident && len(model) == kvModelSlots-1
+			err := kv.Put(op.Key, op.Val)
+			switch {
+			case full && !errors.Is(err, cclerr.ErrOutOfMemory):
+				return fmt.Sprintf("op %d: Put(%d) into a full table: %v, want ErrOutOfMemory", i, op.Key, err)
+			case !full && err != nil:
 				return fmt.Sprintf("op %d: Put(%d): %v", i, op.Key, err)
+			case !full:
+				model[op.Key] = op.Val
 			}
-			model[op.Key] = op.Val
-		case 2:
-			ok := kv.Delete(op.Key)
-			_, wok := model[op.Key]
-			if ok != wok {
-				return fmt.Sprintf("op %d: Delete(%d) = %v, model %v", i, op.Key, ok, wok)
-			}
-			delete(model, op.Key)
 		}
 		if kv.Len() != int64(len(model)) {
 			return fmt.Sprintf("op %d: Len %d, model %d", i, kv.Len(), len(model))
@@ -84,7 +90,7 @@ func TestKVPropertyModelEquivalence(t *testing.T) {
 			gen := func(rng *rand.Rand) []kvOp {
 				ops := make([]kvOp, 150+rng.Intn(100))
 				for i := range ops {
-					ops[i] = kvOp{Kind: byte(rng.Intn(3)), Key: uint32(rng.Intn(48) + 1), Val: rng.Int63()}
+					ops[i] = kvOp{Put: rng.Intn(2) == 0, Key: uint32(rng.Intn(24) + 1), Val: rng.Int63()}
 				}
 				return ops
 			}
@@ -94,15 +100,15 @@ func TestKVPropertyModelEquivalence(t *testing.T) {
 	}
 }
 
-// TestKVColoredStripeDiscipline asserts every live header group of a
+// TestKVColoredStripeDiscipline asserts every header group of a
 // colored store lives entirely in the hot stripe and every payload
-// group entirely in the cold remainder, across resizes. The segment
-// allocators' claimed extents legitimately span both stripes (grow
-// claims whole way periods and skips the wrong-color gaps), so the
-// discipline holds for allocated groups, not raw extents.
+// group entirely in the cold remainder. The segment allocators'
+// claimed extents legitimately span both stripes (grow claims whole
+// way periods and skips the wrong-color gaps), so the discipline
+// holds for allocated groups, not raw extents.
 func TestKVColoredStripeDiscipline(t *testing.T) {
 	m := machine.NewScaled(16)
-	kv, err := NewKV(m, KVConfig{Layout: KVSplit, Placement: KVColored, Slots: 8})
+	kv, err := NewKV(m, KVConfig{Layout: KVSplit, Placement: KVColored, Slots: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,9 +117,6 @@ func TestKVColoredStripeDiscipline(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if kv.Stats().Resizes == 0 {
-		t.Fatal("expected at least one resize")
-	}
 	col, ok := kv.Coloring()
 	if !ok {
 		t.Fatal("colored store reports no coloring")
@@ -121,14 +124,14 @@ func TestKVColoredStripeDiscipline(t *testing.T) {
 	if len(kv.region.Extents()) == 0 {
 		t.Fatal("colored store reports no claimed extents")
 	}
-	for g, a := range kv.tab.groups {
+	for g, a := range kv.groups {
 		for b := a; b < a.Add(kv.groupBytes); b = b.Add(col.BlockSize) {
 			if !col.IsHot(b) {
 				t.Fatalf("header group %d block %v in cold stripe", g, b)
 			}
 		}
 	}
-	for g, a := range kv.tab.cold {
+	for g, a := range kv.cold {
 		for b := a; b < a.Add(kv.coldGroupBytes); b = b.Add(col.BlockSize) {
 			if col.IsHot(b) {
 				t.Fatalf("payload group %d block %v in hot stripe", g, b)
@@ -151,7 +154,7 @@ func TestKVColoredHeadersOutgrowHotBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	col, _ := kv.Coloring()
-	headers := int64(len(kv.tab.groups)) * kv.groupBytes
+	headers := int64(len(kv.groups)) * kv.groupBytes
 	if budget := col.HotSets * int64(col.Assoc) * col.BlockSize; headers <= budget || kv.region.HotLeft() != 0 {
 		t.Fatalf("%d header bytes against a %d-byte budget (%d left): the case needs headers past the budget",
 			headers, budget, kv.region.HotLeft())
@@ -160,9 +163,6 @@ func TestKVColoredHeadersOutgrowHotBudget(t *testing.T) {
 		if err := kv.Put(k, int64(k)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if kv.Stats().Resizes != 0 {
-		t.Fatal("the table resized; the case wants the 8,192-slot table")
 	}
 	if err := kv.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -203,8 +203,7 @@ func TestKVRegionRegistrationNonOverlap(t *testing.T) {
 	}
 }
 
-// TestKVFullTable drives a store into the no-empty-slot guard: with
-// growth made impossible the put must fail typed, not hang.
+// TestKVTypedErrors: invalid configurations fail NewKV.
 func TestKVTypedErrors(t *testing.T) {
 	m := machine.NewScaled(16)
 	if _, err := NewKV(m, KVConfig{Slots: 7}); err == nil {
@@ -212,5 +211,60 @@ func TestKVTypedErrors(t *testing.T) {
 	}
 	if _, err := NewKV(m, KVConfig{Layout: KVAoS, Placement: KVColored, Slots: 8}); err == nil {
 		t.Fatal("colored AoS accepted")
+	}
+}
+
+// TestKVFixedCapacity pins the fixed-capacity contract on both
+// layouts and placements the benchmarks race: a table of n slots
+// takes exactly n-1 distinct keys, since one empty slot must remain
+// to end every probe, and the next new key fails with ErrOutOfMemory
+// and changes nothing. Overwrites of resident keys still succeed.
+func TestKVFixedCapacity(t *testing.T) {
+	for _, cfg := range []KVConfig{
+		{Layout: KVAoS, Placement: KVMalloc},
+		{Layout: KVSplit, Placement: KVColored},
+	} {
+		for _, slots := range []int64{8, 64} {
+			cfg.Slots = slots
+			name := fmt.Sprintf("%v-%v/%d", cfg.Layout, cfg.Placement, slots)
+			kv, err := NewKV(machine.NewScaled(16), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Keys spaced by 7 land all over the table, so the last
+			// insert probes around the wrap.
+			key := func(i int64) uint32 { return uint32(7*i + 1) }
+			for i := int64(0); i < slots-1; i++ {
+				if err := kv.Put(key(i), int64(i)); err != nil {
+					t.Fatalf("%s: Put of key %d of %d: %v", name, i+1, slots-1, err)
+				}
+			}
+			if err := kv.Put(key(slots-1), 0); !errors.Is(err, cclerr.ErrOutOfMemory) {
+				t.Fatalf("%s: Put of key %d into a full table: %v, want ErrOutOfMemory", name, slots, err)
+			}
+			if kv.Len() != slots-1 {
+				t.Fatalf("%s: Len %d after the refused Put, want %d", name, kv.Len(), slots-1)
+			}
+			for i := int64(0); i < slots-1; i += 2 {
+				if err := kv.Put(key(i), -i); err != nil {
+					t.Fatalf("%s: overwrite of resident key %d: %v", name, key(i), err)
+				}
+			}
+			for i := int64(0); i < slots-1; i++ {
+				want := int64(i)
+				if i%2 == 0 {
+					want = -i
+				}
+				if got, ok := kv.Get(key(i)); !ok || got != want {
+					t.Fatalf("%s: Get(%d) = (%d, %v), want (%d, true)", name, key(i), got, ok, want)
+				}
+			}
+			if _, ok := kv.Get(key(slots - 1)); ok {
+				t.Fatalf("%s: the refused key %d reads back", name, key(slots-1))
+			}
+			if err := kv.CheckInvariants(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
 	}
 }

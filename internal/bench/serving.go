@@ -22,11 +22,10 @@ import (
 // 64 KB direct-mapped last level with 64-byte blocks.
 const servingScale = 16
 
-// servingParams sizes the workloads. The KV table is sized so the
-// warm phase leaves occupancy at 2/3 with no resize during the
-// measured run: the split header array (32 KB) fits the last level,
-// the AoS slot array (256 KB) does not — the layout choice is the
-// whole working-set story.
+// servingParams sizes the workloads. The fixed-capacity KV table is
+// sized so the warm phase leaves occupancy at 2/3: the split header
+// array (32 KB) fits the last level, the AoS slot array (256 KB) does
+// not — the layout choice is the whole working-set story.
 type servingParams struct {
 	kvKeys, kvSlots, kvOps  int64
 	lruKeys, lruCap, lruIdx int64

@@ -37,13 +37,11 @@ func TestAccessNoAllocs(t *testing.T) {
 	}
 }
 
-// TestPrefetchNoAllocs covers the software- and hardware-prefetch
+// TestPrefetchNoAllocs covers the software- and pointer-prefetch
 // install paths, which share the demand path's state but run through
-// install/prefetchInto rather than installProbed.
+// install rather than installProbed.
 func TestPrefetchNoAllocs(t *testing.T) {
-	cfg := RSIMHierarchy()
-	cfg.HWPrefetch = true
-	h := New(cfg)
+	h := New(RSIMHierarchy())
 	var addr memsys.Addr
 	allocs := testing.AllocsPerRun(10_000, func() {
 		h.Prefetch(addr)

@@ -108,16 +108,6 @@ type Config struct {
 	Levels []LevelConfig
 	// MemLatency is charged when an access misses every level.
 	MemLatency int64
-	// PrefetchIssue is the cycle cost of issuing one software
-	// prefetch instruction (default 1 when zero).
-	PrefetchIssue int64
-	// HWPrefetch enables a miss-triggered sequential next-block
-	// hardware prefetcher at the last level: a demand miss
-	// prefetches the following block. This conservative scheme
-	// stands in for the paper's hardware prefetching baseline,
-	// which — like all sequential prefetchers — is of limited use
-	// to pointer-chasing programs (§1); see DESIGN.md §1.
-	HWPrefetch bool
 	// TLB models a fully-associative LRU data TLB when Entries is
 	// positive. The paper's placement techniques explicitly trade on
 	// page locality ("putting the items on the same page is likely
@@ -125,14 +115,20 @@ type Config struct {
 	// performance", §3.2.1), and §5.4 credits TLB effects for part
 	// of the measured speedup its cache-only model misses.
 	TLB TLBConfig
-	// ROBLead caps how many cycles of miss latency a hardware
-	// (free) prefetch can hide. The paper's hardware scheme
-	// prefetches addresses of loads already in the reorder buffer,
-	// so its lead time is bounded by the ROB window — a few tens of
-	// cycles — no matter how early the address value was produced.
-	// Zero selects the default of 16 cycles.
-	ROBLead int64
 }
+
+// Prefetch timing (paper §4.4).
+const (
+	// prefetchIssue is the cycle cost of issuing one software
+	// prefetch instruction.
+	prefetchIssue = 1
+	// robLead caps how many cycles of miss latency a hardware (free)
+	// prefetch can hide. The paper's hardware scheme prefetches
+	// addresses of loads already in the reorder buffer, so its lead
+	// time is bounded by the ROB window — a few tens of cycles — no
+	// matter how early the address value was produced.
+	robLead = 16
+)
 
 // Validate reports a configuration error, if any.
 func (c Config) Validate() error {
@@ -241,7 +237,7 @@ type Observer interface {
 type line struct {
 	lastUse    int64 // for LRU
 	fillReady  int64 // cycle at which the fill completes
-	minStall   int64 // ROB-lead floor on the first demand touch (HW prefetch)
+	minStall   int64 // ROB-lead floor on the first demand touch (PrefetchFree)
 	dirty      bool
 	prefetched bool // installed by a prefetch, not yet demand-touched
 }
@@ -412,12 +408,6 @@ type Hierarchy struct {
 func New(cfg Config) *Hierarchy {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
-	}
-	if cfg.PrefetchIssue == 0 {
-		cfg.PrefetchIssue = 1
-	}
-	if cfg.ROBLead == 0 {
-		cfg.ROBLead = 16
 	}
 	h := &Hierarchy{cfg: cfg, levels: make([]level, 0, len(cfg.Levels))}
 	minBlock := cfg.Levels[0].BlockSize
@@ -624,9 +614,6 @@ func (h *Hierarchy) accessOne(addr memsys.Addr, kind AccessKind) int64 {
 	if hitLevel == -1 {
 		latency += h.cfg.MemLatency
 		h.stats.MemAccesses++
-		if h.cfg.HWPrefetch {
-			h.prefetchInto(addr.Add(h.LastLevel().BlockSize), h.now+latency)
-		}
 	}
 
 	// Extra stall for an in-flight fill (late prefetch).
@@ -662,12 +649,8 @@ func (h *Hierarchy) accessOne(addr memsys.Addr, kind AccessKind) int64 {
 
 // installProbed places the accessed block into levels [0, hitLevel) —
 // or all levels when hitLevel is -1 — reusing the demand descent's
-// probes. The one case where a probe's victim can be stale is a total
-// miss with the hardware prefetcher on: prefetchInto ran between the
-// descent and this install and may have filled the very way the probe
-// chose at the last level, so that level's victim is re-picked against
-// current state (matching the seed simulator, which always chose
-// victims after the prefetch).
+// probes: nothing touches a set between the descent and this install,
+// so each probe's victim is still the set's LRU way.
 func (h *Hierarchy) installProbed(hitLevel int, ready int64, kind AccessKind) {
 	top := hitLevel
 	if top == -1 {
@@ -676,11 +659,7 @@ func (h *Hierarchy) installProbed(hitLevel int, ready int64, kind AccessKind) {
 	for i := 0; i < top; i++ {
 		l := &h.levels[i]
 		p := h.probes[i]
-		w := p.victim
-		if hitLevel == -1 && h.cfg.HWPrefetch && i == len(h.levels)-1 {
-			w = l.victim(p.set)
-		}
-		slot := p.set*l.assoc + w
+		slot := p.set*l.assoc + p.victim
 		if old := l.tags[slot]; old >= 0 {
 			st := &h.stats.Levels[i]
 			st.Evictions++
@@ -748,18 +727,15 @@ func (h *Hierarchy) fill(i int, l *level, set, tag, way int64, ready int64, dirt
 // only the issue cost; the fill proceeds in the background and
 // completes after the full miss latency. Returns the cycles charged.
 func (h *Hierarchy) Prefetch(addr memsys.Addr) int64 {
-	return h.prefetch(addr, h.cfg.PrefetchIssue)
+	return h.prefetchCapped(addr, prefetchIssue, false)
 }
 
 // PrefetchFree is Prefetch at zero issue cost for hardware-initiated
 // prefetches (the machine's pointer-prefetch baseline). Unlike
 // software prefetches, its latency coverage is capped by the ROB
-// lead (Config.ROBLead).
+// lead: a demand touch still waits for all but robLead cycles of the
+// fill.
 func (h *Hierarchy) PrefetchFree(addr memsys.Addr) { h.prefetchCapped(addr, 0, true) }
-
-func (h *Hierarchy) prefetch(addr memsys.Addr, cost int64) int64 {
-	return h.prefetchCapped(addr, cost, false)
-}
 
 func (h *Hierarchy) prefetchCapped(addr memsys.Addr, cost int64, robCapped bool) int64 {
 	h.stats.PrefetchIssue += cost
@@ -797,7 +773,7 @@ func (h *Hierarchy) prefetchCapped(addr memsys.Addr, cost int64, robCapped bool)
 	}
 	h.install(addr, hitLevel, h.now+lat, Load, true)
 	if robCapped {
-		if floor := lat - h.cfg.ROBLead; floor > 0 {
+		if floor := lat - robLead; floor > 0 {
 			h.setMinStall(addr, hitLevel, floor)
 		}
 	}
@@ -817,19 +793,6 @@ func (h *Hierarchy) setMinStall(addr memsys.Addr, hitLevel int, floor int64) {
 			l.lines[set*l.assoc+int64(way)].minStall = floor
 		}
 	}
-}
-
-// prefetchInto is the hardware prefetcher's install path: no issue
-// cost is charged to the program.
-func (h *Hierarchy) prefetchInto(addr memsys.Addr, ready int64) {
-	last := len(h.levels) - 1
-	l := &h.levels[last]
-	if _, way := l.lookup(addr); way >= 0 {
-		return
-	}
-	h.stats.Levels[last].Prefetches++
-	set, tag := l.setAndTag(addr)
-	h.fill(last, l, set, tag, l.victim(set), ready, false, true)
 }
 
 // Contains reports whether addr's block is resident at level i.

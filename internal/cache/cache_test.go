@@ -253,52 +253,6 @@ func TestUselessPrefetchCostsIssueOnly(t *testing.T) {
 	}
 }
 
-func TestHWPrefetcherFetchesNextBlock(t *testing.T) {
-	cfg := Config{
-		Levels: []LevelConfig{
-			{Name: "L1", Size: 256, Assoc: 1, BlockSize: 16, Latency: 1},
-			{Name: "L2", Size: 512, Assoc: 1, BlockSize: 64, Latency: 6, WriteBack: true},
-		},
-		MemLatency: 64,
-		HWPrefetch: true,
-	}
-	h := New(cfg)
-	a := memsys.Addr(0x1000)
-	h.Access(a, 8, Load) // miss triggers prefetch of next 64 B block
-	if !h.Contains(1, a.Add(64)) {
-		t.Fatal("HW prefetcher did not install next block in L2")
-	}
-	h.Tick(200)
-	// The prefetched block now serves an L2 hit.
-	got := h.Access(a.Add(64), 8, Load)
-	if got != 7 {
-		t.Fatalf("sequential access latency = %d, want 7 (L2 hit)", got)
-	}
-	// Miss-triggered only: the hit on the prefetched block must NOT
-	// chain further (that aggression is what makes stream prefetch
-	// useless for pointer codes, per the paper's premise).
-	if h.Contains(1, a.Add(128)) {
-		t.Fatal("prefetcher chained on a hit; should be miss-triggered only")
-	}
-}
-
-func TestSequentialWalkHWPrefetchBeatsBase(t *testing.T) {
-	run := func(hw bool) int64 {
-		cfg := ScaledHierarchy(16)
-		cfg.HWPrefetch = hw
-		h := New(cfg)
-		for i := int64(0); i < 4096; i += 8 {
-			h.Access(memsys.Addr(0x10000+i), 8, Load)
-			h.Tick(20)
-		}
-		return h.Stats().TotalCycles()
-	}
-	base, pref := run(false), run(true)
-	if pref >= base {
-		t.Fatalf("sequential walk with HW prefetch (%d cycles) not faster than base (%d)", pref, base)
-	}
-}
-
 func TestTickAndReset(t *testing.T) {
 	h := tiny()
 	h.Tick(10)
@@ -463,6 +417,28 @@ func TestPrefetchDroppedOnTLBMiss(t *testing.T) {
 	}
 	if h.Access(0x9000, 8, Load); h.Stats().TLBMisses != misses+1 {
 		t.Fatal("page 9 still mapped after it should have been evicted")
+	}
+}
+
+// TestHierarchyConfigAccessors: a hierarchy reports back the
+// configuration it was built from, unchanged — New fills in no
+// defaults — and its levels by index, the last one being the level
+// ccmalloc and ccmorph target.
+func TestHierarchyConfigAccessors(t *testing.T) {
+	for _, cfg := range []Config{PaperHierarchy(), ScaledHierarchy(16), RSIMHierarchy()} {
+		h := New(cfg)
+		got := h.Config()
+		if len(got.Levels) != len(cfg.Levels) || got.MemLatency != cfg.MemLatency || got.TLB != cfg.TLB {
+			t.Fatalf("Config() = %+v, built from %+v", got, cfg)
+		}
+		for i, lc := range cfg.Levels {
+			if got.Levels[i] != lc || h.Level(i) != lc {
+				t.Fatalf("level %d: Config() %+v, Level %+v, built from %+v", i, got.Levels[i], h.Level(i), lc)
+			}
+		}
+		if last := cfg.Levels[len(cfg.Levels)-1]; h.LastLevel() != last {
+			t.Fatalf("LastLevel() = %+v, want %+v", h.LastLevel(), last)
+		}
 	}
 }
 

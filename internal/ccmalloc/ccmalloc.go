@@ -582,19 +582,6 @@ func (p *page) isWholeBlockFree(off, bs int64) bool {
 	return false
 }
 
-// rangeFree reports whether [off, off+size) is entirely free.
-func (p *page) rangeFree(off, size int64) bool {
-	for _, e := range p.free {
-		if e.off <= off && off+size <= e.off+e.len {
-			return true
-		}
-		if e.off > off {
-			break
-		}
-	}
-	return false
-}
-
 // take removes [off, off+size) from the free extents. The range must
 // be free.
 func (p *page) take(off, size int64) {

@@ -247,12 +247,15 @@ func ReorganizeWithStrategy(m *machine.Machine, root memsys.Addr, lay Layout,
 	// region's budget is left. Failures here (a cluster wider than a
 	// block, exhausted arena, a vetoed placement) leave only
 	// unreferenced fresh extents behind — the old structure has not
-	// been touched.
+	// been touched — and the region is rewound, so the next structure
+	// placed into a shared region gets back the hot budget spent here.
+	mark := region.Mark()
 	newAddr := make([]memsys.Addr, n)
 	start := 0
 	for _, end := range ends {
 		base, hot, perr := region.Pack(int64(end-start)*lay.NodeSize, true)
 		if perr != nil {
+			region.Rewind(mark)
 			return root, Stats{Aborted: 1}, perr
 		}
 		if hot {

@@ -107,3 +107,56 @@ func TestAbortedReorganizeLeavesInputIntactProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestAbortedReorganizeGivesBackHotBudget: a morph aborted by a
+// vetoed placement rewinds the region it shares, so the next morph
+// into that region (health's per-round lists share one) colors
+// exactly as a morph into a fresh region does. The veto falls on the
+// last cluster, after the morph has spent the whole hot budget.
+func TestAbortedReorganizeGivesBackHotBudget(t *testing.T) {
+	cfg := testConfig()
+	lay := binLayout(20, false)
+	build := func() (*machine.Machine, memsys.Addr, *layout.Region) {
+		m := newMachine()
+		root, _ := buildComplete(m, heap.New(m.Arena), 10, 20, 5)
+		region, err := layout.NewRegion(m.Arena, cfg.Geometry, cfg.ColorFrac)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, root, region
+	}
+
+	m, root, fresh := build()
+	_, clean, err := ReorganizeWith(m, root, lay, fresh, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clean.HotClusters == 0 || clean.HotClusters == clean.Clusters {
+		t.Fatalf("%d of %d clusters hot: the case needs a hot budget that runs out", clean.HotClusters, clean.Clusters)
+	}
+
+	m, root, shared := build()
+	var seen int64
+	m.Arena.SetGuard(func(ev memsys.GuardEvent, _ int64) error {
+		if ev == memsys.GuardPlace {
+			if seen++; seen == clean.Clusters {
+				return errors.New("veto")
+			}
+		}
+		return nil
+	})
+	if _, _, err := ReorganizeWith(m, root, lay, shared, nil); !errors.Is(err, cclerr.ErrPlacementFailed) {
+		t.Fatalf("vetoed morph err = %v, want ErrPlacementFailed", err)
+	}
+	m.Arena.SetGuard(nil)
+	_, again, err := ReorganizeWith(m, root, lay, shared, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.HotClusters != clean.HotClusters {
+		t.Fatalf("morph after an aborted one placed %d hot clusters, a fresh region %d", again.HotClusters, clean.HotClusters)
+	}
+	if got, want := shared.HotLeft(), fresh.HotLeft(); got != want {
+		t.Fatalf("shared region has %d bytes of hot budget left, a fresh one %d", got, want)
+	}
+}

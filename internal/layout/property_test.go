@@ -10,13 +10,22 @@ import (
 )
 
 // regionOp is one step of a randomized Region sequence: Alloc(N, Hot),
-// or Pack(N, Hot) when Pack is set.
+// Pack(N, Hot) when Pack is set, Mark() when Mark is set, or a Rewind
+// to the latest mark (the region's start when none was taken) when
+// Rewind is set.
 type regionOp struct {
-	Pack, Hot bool
-	N         int64
+	Pack, Hot    bool
+	Mark, Rewind bool
+	N            int64
 }
 
 func (o regionOp) String() string {
+	switch {
+	case o.Mark:
+		return "mark"
+	case o.Rewind:
+		return "rewind"
+	}
 	verb, color := "alloc", "cold"
 	if o.Pack {
 		verb = "pack"
@@ -39,7 +48,12 @@ func (o regionOp) String() string {
 //   - every call consults the arena's guard exactly once;
 //   - Claimed equals the summed Extents;
 //   - HotLeft falls by exactly the hot bytes: a hot Alloc's size, a
-//     hot block's size when a Pack opens one.
+//     hot block's size when a Pack opens one;
+//   - a Rewind gives back exactly the hot bytes charged since its mark
+//     and returns Pack to the marked block, consults no guard, and
+//     leaves Claimed and Extents as they were (the placements it
+//     abandons are dropped from the overlap check: the next Pack may
+//     reuse their bytes in the marked block).
 func checkRegionOps(g Geometry, frac float64, ops []regionOp) error {
 	arena := memsys.NewArena(0)
 	guarded := 0
@@ -65,8 +79,35 @@ func checkRegionOps(g Geometry, frac float64, ops []regionOp) error {
 	var got []ext
 	var hotBytes int64
 	lastBlock := memsys.NilAddr
+	type checkpoint struct {
+		mark      Mark
+		hotBytes  int64
+		lastBlock memsys.Addr
+		placed    int
+	}
+	mark := checkpoint{mark: r.Mark()}
 	for i, op := range ops {
 		calls := guarded
+		if op.Mark || op.Rewind {
+			claimed, extents := r.Claimed(), len(r.Extents())
+			if op.Mark {
+				mark = checkpoint{r.Mark(), hotBytes, lastBlock, len(got)}
+			} else {
+				r.Rewind(mark.mark)
+				hotBytes, lastBlock, got = mark.hotBytes, mark.lastBlock, got[:mark.placed]
+			}
+			if guarded != calls {
+				return fmt.Errorf("op %d %v: consulted the guard", i, op)
+			}
+			if r.Claimed() != claimed || len(r.Extents()) != extents {
+				return fmt.Errorf("op %d %v: Claimed %d -> %d, %d -> %d extents",
+					i, op, claimed, r.Claimed(), extents, len(r.Extents()))
+			}
+			if want := max(budget-hotBytes, 0); r.HotLeft() != want {
+				return fmt.Errorf("op %d %v: HotLeft %d, want %d", i, op, r.HotLeft(), want)
+			}
+			continue
+		}
 		left := r.HotLeft()
 		var a memsys.Addr
 		hot := op.Hot && colored
@@ -138,6 +179,14 @@ func checkRegionOps(g Geometry, frac float64, ops []regionOp) error {
 func genRegionOps(rng *rand.Rand, g Geometry, col Coloring, colored bool) []regionOp {
 	ops := make([]regionOp, 1+rng.Intn(60))
 	for i := range ops {
+		switch rng.Intn(10) {
+		case 0:
+			ops[i] = regionOp{Mark: true}
+			continue
+		case 1:
+			ops[i] = regionOp{Rewind: true}
+			continue
+		}
 		op := regionOp{Pack: rng.Intn(2) == 0, Hot: rng.Intn(2) == 0}
 		op.N = 1 + rng.Int63n(regionOpCap(g, col, colored, op))
 		ops[i] = op
@@ -215,12 +264,15 @@ func TestColoringShrinksFailingCase(t *testing.T) {
 // FuzzRegion drives a Region from raw bytes: four bytes pick the
 // geometry and color fraction (a multiple of four selects an
 // uncolored region), then every three bytes are one op — a kind byte
-// (bit 0 Pack, bit 1 hot) and a 16-bit size folded into the op's
-// valid range. Every invariant checkRegionOps checks must hold.
+// (bits 2-3 set to 1 Mark, to 2 Rewind; otherwise bit 0 Pack, bit 1
+// hot) and a 16-bit size folded into the op's valid range. Every
+// invariant checkRegionOps checks must hold.
 func FuzzRegion(f *testing.F) {
 	f.Add([]byte{3, 0, 3, 128, 0, 0, 64, 1, 0, 20, 3, 0, 40, 2, 1, 0})
 	f.Add([]byte{7, 3, 1, 200, 3, 0, 8, 3, 0, 8, 3, 0, 8, 1, 0, 8, 0, 2, 0})
 	f.Add([]byte{2, 1, 2, 4, 1, 0, 16, 0, 0, 255, 3, 0, 1})
+	// Mark, pack and alloc hot, rewind, pack hot again.
+	f.Add([]byte{3, 0, 3, 130, 4, 0, 0, 3, 0, 40, 2, 0, 64, 8, 0, 0, 3, 0, 40})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
@@ -238,6 +290,14 @@ func FuzzRegion(f *testing.F) {
 		col, colored := r.Coloring()
 		var ops []regionOp
 		for b := data[4:]; len(b) >= 3 && len(ops) < 64; b = b[3:] {
+			switch b[0] >> 2 & 3 {
+			case 1:
+				ops = append(ops, regionOp{Mark: true})
+				continue
+			case 2:
+				ops = append(ops, regionOp{Rewind: true})
+				continue
+			}
 			op := regionOp{Pack: b[0]&1 != 0, Hot: b[0]&2 != 0}
 			op.N = 1 + (int64(b[1])<<8|int64(b[2]))%regionOpCap(g, col, colored, op)
 			ops = append(ops, op)

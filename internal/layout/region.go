@@ -140,6 +140,32 @@ func (r *Region) Pack(n int64, wantHot bool) (memsys.Addr, bool, error) {
 	return a, r.curHot, nil
 }
 
+// Mark is a point in a region's placement history that Rewind
+// returns to: the hot budget spent and the Pack cursor.
+type Mark struct {
+	hotBytes int64
+	cur      memsys.Addr
+	used     int64
+	curHot   bool
+}
+
+// Mark records the region's hot budget and Pack cursor, for a caller
+// that may abandon the placements it is about to make.
+func (r *Region) Mark() Mark {
+	return Mark{hotBytes: r.hotBytes, cur: r.cur, used: r.used, curHot: r.curHot}
+}
+
+// Rewind abandons every placement made since m: it gives back the hot
+// budget they were charged and returns the Pack cursor to m, so the
+// next Alloc or Pack sees the region as it was at m. The abandoned
+// extents stay claimed — Claimed and Extents never shrink, since the
+// arena takes no bytes back — and must no longer be used. A caller
+// aborting copy-then-commit rewinds to the mark it took before its
+// first placement.
+func (r *Region) Rewind(m Mark) {
+	r.hotBytes, r.cur, r.used, r.curHot = m.hotBytes, m.cur, m.used, m.curHot
+}
+
 // segment returns the allocator of the hot or cold color; nil when
 // the region is uncolored.
 func (r *Region) segment(hot bool) *segmentAllocator {

@@ -86,10 +86,9 @@ func TestPointerPrefetchIssuesFills(t *testing.T) {
 
 func TestPointerPrefetchROBCap(t *testing.T) {
 	// Even with unlimited lead time, a hardware pointer prefetch
-	// may hide at most ROBLead cycles of the miss.
+	// may hide at most the ROB lead (16 cycles) of the miss.
 	cfg := cache.ScaledHierarchy(16)
 	cfg.TLB.Entries = 0
-	cfg.ROBLead = 16
 	m := New(cfg)
 	p := m.Arena.Sbrk(8192)
 	target := p.Add(4096)

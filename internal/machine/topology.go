@@ -46,8 +46,8 @@ func (cfg TopologyConfig) withDefaults() TopologyConfig {
 
 // Validate reports a configuration error, if any. Defaults are
 // applied first, so a config is judged as NewTopology would build it.
-// The private hierarchy may not enable a TLB or hardware prefetch:
-// the multicore model times neither (DESIGN.md §13).
+// The private hierarchy may not enable a TLB: the multicore model
+// does not time one (DESIGN.md §13).
 func (cfg TopologyConfig) Validate() error {
 	cfg = cfg.withDefaults()
 	if cfg.Cores < 1 || cfg.Cores > 64 {
@@ -62,8 +62,8 @@ func (cfg TopologyConfig) Validate() error {
 	if cfg.MemLatency <= 0 {
 		return fmt.Errorf("machine: topology memory latency must be positive")
 	}
-	if cfg.Private.TLB.Entries != 0 || cfg.Private.HWPrefetch {
-		return fmt.Errorf("machine: topology private hierarchy: TLB and hardware prefetch are single-core features")
+	if cfg.Private.TLB.Entries != 0 {
+		return fmt.Errorf("machine: topology private hierarchy: the TLB is a single-core feature")
 	}
 	for _, l := range cfg.Private.Levels {
 		if l.BlockSize > cfg.LLC.BlockSize {

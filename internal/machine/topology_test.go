@@ -49,7 +49,6 @@ func TestTopologyConfigValidate(t *testing.T) {
 		{"private TLB", func(c *TopologyConfig) {
 			c.Private.TLB = cache.TLBConfig{Entries: 64, PageSize: 8 << 10, Penalty: 30}
 		}, false},
-		{"hardware prefetch", func(c *TopologyConfig) { c.Private.HWPrefetch = true }, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

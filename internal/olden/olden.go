@@ -170,10 +170,11 @@ type Env struct {
 	M       *machine.Machine
 	Alloc   heap.Allocator
 	Variant Variant
-	// Profile, when non-nil, asks the benchmark to register its live
-	// structures (one range per element, plus field maps) with this
-	// region map after construction, enabling field-level miss
-	// profiling. Nil — the default — costs the benchmarks nothing.
+	// Profile, when non-nil, asks treeadd — the one benchmark the
+	// fieldprof experiment profiles — to register its live tree (one
+	// range per node, plus its field map) with this region map after
+	// construction, enabling field-level miss profiling. The other
+	// benchmarks ignore it. Nil — the default — costs nothing.
 	Profile *telemetry.RegionMap
 }
 

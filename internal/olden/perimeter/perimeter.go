@@ -16,11 +16,9 @@ import (
 
 	"ccl/internal/ccmorph"
 	"ccl/internal/heap"
-	"ccl/internal/layout"
 	"ccl/internal/machine"
 	"ccl/internal/memsys"
 	"ccl/internal/olden"
-	"ccl/internal/telemetry"
 )
 
 // Quadtree node layout. Color and quadrant size are packed into one
@@ -163,10 +161,6 @@ func Run(env olden.Env, cfg Config) olden.Result {
 			newRoot = root
 		}
 		root = newRoot
-	}
-
-	if env.Profile != nil {
-		RegisterNodes(env.Profile, "perimeter-node", b.m, root)
 	}
 
 	var per uint64
@@ -366,37 +360,4 @@ func Layout() ccmorph.Layout {
 			m.StoreAddr(n.Add(qtParent), p)
 		},
 	}
-}
-
-// FieldMap describes the quadtree element layout for field-level miss
-// attribution.
-func FieldMap() layout.FieldMap {
-	return layout.MustFieldMap("perimeter-node", NodeSize,
-		layout.Field{Name: "meta", Offset: qtMeta, Size: 4},
-		layout.Field{Name: "parent", Offset: qtParent, Size: 4},
-		layout.Field{Name: "nw", Offset: qtNW, Size: 4},
-		layout.Field{Name: "ne", Offset: qtNE, Size: 4},
-		layout.Field{Name: "sw", Offset: qtSW, Size: 4},
-		layout.Field{Name: "se", Offset: qtSE, Size: 4},
-	)
-}
-
-// RegisterNodes registers the live quadtree under label — one range
-// per node, walked host-side through the arena — and attaches the
-// field map. Run calls it when env.Profile is set.
-func RegisterNodes(rm *telemetry.RegionMap, label string, m *machine.Machine, root memsys.Addr) {
-	var addrs []memsys.Addr
-	var walk func(n memsys.Addr)
-	walk = func(n memsys.Addr) {
-		if n.IsNil() {
-			return
-		}
-		addrs = append(addrs, n)
-		for _, off := range []int64{qtNW, qtNE, qtSW, qtSE} {
-			walk(m.Arena.LoadAddr(n.Add(off)))
-		}
-	}
-	walk(root)
-	rm.RegisterElems(label, addrs, NodeSize)
-	rm.SetFieldMap(label, FieldMap())
 }

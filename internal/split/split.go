@@ -36,7 +36,6 @@ import (
 	"ccl/internal/machine"
 	"ccl/internal/memsys"
 	"ccl/internal/profile"
-	"ccl/internal/telemetry"
 )
 
 // SplitCost is the busy-cycle charge per element for the host-side
@@ -166,16 +165,6 @@ type soaArray struct {
 
 func (a *soaArray) addr(i int64) memsys.Addr {
 	return a.chunks[i/a.perChunk].Add((i % a.perChunk) * a.elemSize)
-}
-
-// usedBytes returns how many bytes of chunk ci hold live elements
-// (the last chunk is usually partial).
-func (a *soaArray) usedBytes(ci int, n int64) int64 {
-	elems := n - int64(ci)*a.perChunk
-	if elems > a.perChunk {
-		elems = a.perChunk
-	}
-	return elems * a.elemSize
 }
 
 // Tree is a split structure: one SoA array per hot field, a packed
@@ -631,41 +620,4 @@ func (t *Tree) Reassemble(alloc heap.Allocator) (memsys.Addr, error) {
 		}
 	}
 	return addrs[0], nil
-}
-
-// RegisterRegions registers the split layout with a telemetry region
-// map so miss attribution keeps resolving after the transform: each
-// hot field's chunks become region "<label>.<field>" carrying a
-// single-field map (struct "<struct>.hot"), and the cold overflow
-// chunks become "<label>.cold" with the packed cold field map. Only
-// live element bytes are registered, so a resolved offset always
-// lands in a real field.
-//
-// Panic justification: RegisterRegions inherits RegionMap.Register's
-// contract — overlapping an existing region panics, since regions are
-// registered at setup time from extents the allocators guarantee
-// disjoint; hitting it means the harness wired two structures to the
-// same extents.
-func (t *Tree) RegisterRegions(rm *telemetry.RegionMap, label string) {
-	for fi, f := range t.part.Hot {
-		rlabel := label + "." + f.Name
-		a := &t.hot[fi]
-		for ci, c := range a.chunks {
-			rm.RegisterRange(rlabel, memsys.AddrRange{Start: c, End: c.Add(a.usedBytes(ci, t.n))})
-		}
-		rm.SetFieldMap(rlabel, layout.MustFieldMap(t.part.Source.Struct+".hot", f.Size,
-			layout.Field{Name: f.Name, Offset: 0, Size: f.Size}))
-	}
-	if len(t.part.Cold) == 0 || t.n == 0 {
-		return
-	}
-	rlabel := label + ".cold"
-	for ci, c := range t.cold.chunks {
-		rm.RegisterRange(rlabel, memsys.AddrRange{Start: c, End: c.Add(t.cold.usedBytes(ci, t.n))})
-	}
-	fields := make([]layout.Field, len(t.part.Cold))
-	for ci, f := range t.part.Cold {
-		fields[ci] = layout.Field{Name: f.Name, Offset: t.coldOffs[ci], Size: f.Size}
-	}
-	rm.SetFieldMap(rlabel, layout.MustFieldMap(t.part.Source.Struct+".cold", t.part.ColdStride(), fields...))
 }

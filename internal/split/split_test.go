@@ -1,7 +1,7 @@
 // Unit tests for the hot/cold splitter. The heavier metamorphic
 // properties (round-trip over random trees, stripe discipline under
 // coloring, oracle replay) live in property_test.go and fuzz_test.go;
-// this file pins the Plan/Split/Reassemble/RegisterRegions contracts
+// this file pins the Plan/Split/Reassemble contracts
 // on small, hand-checkable inputs. External test package: the
 // fixtures build real BSTs via internal/trees, which itself imports
 // split.
@@ -18,7 +18,6 @@ import (
 	"ccl/internal/memsys"
 	"ccl/internal/profile"
 	"ccl/internal/split"
-	"ccl/internal/telemetry"
 	"ccl/internal/trees"
 )
 
@@ -235,39 +234,6 @@ func TestSplitColoringStripeDiscipline(t *testing.T) {
 			if col.IsHot(a) != col.IsHot(a.Add(part.Cold[ci].Size-1)) {
 				t.Fatalf("cold field %d elem %d straddles a stripe at %v", ci, i, a)
 			}
-		}
-	}
-}
-
-func TestSplitRegisterRegions(t *testing.T) {
-	m, tree, part := buildFixture(t, 200)
-	cfg := split.Config{Geometry: layout.FromLevel(m.Cache.LastLevel()), ColorFrac: 0.5}
-	st, _, err := tree.Split(part, cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rm := telemetry.NewRegionMap(2)
-	st.RegisterRegions(rm, "sbst")
-	tr := st.Tree()
-	// Every element of every array must resolve to its region with a
-	// field map that attributes the offset to the right field.
-	for fi, f := range part.Hot {
-		for i := int64(0); i < tr.N(); i++ {
-			reg, off := rm.Resolve(tr.HotAddr(fi, i))
-			if reg.Label() != "sbst."+f.Name {
-				t.Fatalf("hot %q elem %d resolved to %q", f.Name, i, reg.Label())
-			}
-			fm := reg.FieldMap()
-			if fm == nil {
-				t.Fatalf("region %q has no field map", reg.Label())
-			}
-			_ = off
-		}
-	}
-	for i := int64(0); i < tr.N(); i++ {
-		reg, _ := rm.Resolve(tr.ColdAddr(0, i))
-		if reg.Label() != "sbst.cold" {
-			t.Fatalf("cold elem %d resolved to %q", i, reg.Label())
 		}
 	}
 }

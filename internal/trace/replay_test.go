@@ -89,9 +89,7 @@ func TestReplayUsesTraceGeometry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// cache.New fills in defaults (PrefetchIssue, ROBLead), so compare
-	// the fields the trace actually specifies.
-	if got := h.Config(); !reflect.DeepEqual(got.Levels, tr.Config.Levels) || got.MemLatency != tr.Config.MemLatency {
+	if got := h.Config(); !reflect.DeepEqual(got, tr.Config) {
 		t.Fatalf("Replay built wrong geometry: %+v", got)
 	}
 	if cycles <= 0 {

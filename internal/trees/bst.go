@@ -199,28 +199,7 @@ func (t *BST) Machine() *machine.Machine { return t.m }
 // Search descends from the root to the key, charging every node
 // touch to the simulated cache. It returns true if the key is
 // present (always, for keys in [1, N]).
-func (t *BST) Search(key uint32) bool { return t.search(key, 0, false) }
-
-// SearchWork is Search with `work` extra busy cycles charged per
-// visited node, modeling an application that computes on each element
-// (the Olden kernels behave this way).
-func (t *BST) SearchWork(key uint32, work int64) bool { return t.search(key, work, false) }
-
-// SearchGreedyPrefetch is Search with Luk & Mowry greedy software
-// prefetching: on each visit, both children are prefetched so the
-// next level's fetch overlaps the current node's work (§4.4's S/W
-// prefetch scheme). With no per-node work there is almost nothing to
-// overlap and the issue overhead makes it a slight loss — the reason
-// prefetching disappoints on bare pointer chases.
-func (t *BST) SearchGreedyPrefetch(key uint32) bool { return t.search(key, 0, true) }
-
-// SearchGreedyPrefetchWork combines greedy prefetching with per-node
-// work; the work is what the prefetches overlap with.
-func (t *BST) SearchGreedyPrefetchWork(key uint32, work int64) bool {
-	return t.search(key, work, true)
-}
-
-func (t *BST) search(key uint32, work int64, prefetch bool) bool {
+func (t *BST) Search(key uint32) bool {
 	n := t.root
 	for !n.IsNil() {
 		t.m.Tick(CompareCost)
@@ -228,26 +207,11 @@ func (t *BST) search(key uint32, work int64, prefetch bool) bool {
 		if key == k {
 			return true
 		}
-		var next memsys.Addr
-		if prefetch {
-			l := t.m.LoadAddr(n.Add(bstOffLeft))
-			r := t.m.LoadAddr(n.Add(bstOffRight))
-			t.m.Prefetch(l)
-			t.m.Prefetch(r)
-			if key < k {
-				next = l
-			} else {
-				next = r
-			}
-		} else if key < k {
-			next = t.m.LoadAddr(n.Add(bstOffLeft))
+		if key < k {
+			n = t.m.LoadAddr(n.Add(bstOffLeft))
 		} else {
-			next = t.m.LoadAddr(n.Add(bstOffRight))
+			n = t.m.LoadAddr(n.Add(bstOffRight))
 		}
-		if work > 0 {
-			t.m.Tick(work)
-		}
-		n = next
 	}
 	return false
 }

@@ -127,19 +127,6 @@ func TestMorphAllocationsSublinear(t *testing.T) {
 	}
 }
 
-func TestGreedyPrefetchSameResults(t *testing.T) {
-	m := machine.NewScaled(64)
-	tr := MustBuild(m, heap.New(m.Arena), 300, RandomOrder, 3)
-	for k := uint32(1); k <= 300; k++ {
-		if !tr.SearchGreedyPrefetch(k) {
-			t.Fatalf("prefetching search missed key %d", k)
-		}
-	}
-	if tr.SearchGreedyPrefetch(0) || tr.SearchGreedyPrefetch(999) {
-		t.Fatal("prefetching search found absent key")
-	}
-}
-
 // searchCycles runs searches for uniformly random present keys and
 // returns average cycles per search after a warmup period.
 func searchCycles(tr interface{ Search(uint32) bool }, n int64, m *machine.Machine, searches int, seed int64) float64 {
@@ -202,11 +189,48 @@ func TestFigure5Ordering(t *testing.T) {
 	}
 }
 
-// TestPrefetchStallReduction: greedy prefetch always reduces load
-// stalls, but with no per-node work the issue overhead eats the gain
-// (why the paper's microbenchmark doesn't prefetch); with real
-// per-node work to overlap, prefetching wins end to end (why it is
-// competitive on Olden, Figure 7).
+// greedySearch is Search with Luk & Mowry greedy software
+// prefetching and work busy cycles per visited node: each visit
+// loads and prefetches both children, so the next level's fetch
+// overlaps the node's work (§4.4's S/W prefetch scheme). With
+// prefetch off it is Search plus the work.
+func greedySearch(tr *BST, key uint32, work int64, prefetch bool) bool {
+	m := tr.m
+	n := tr.root
+	for !n.IsNil() {
+		m.Tick(CompareCost)
+		k := m.Load32(n.Add(bstOffKey))
+		if key == k {
+			return true
+		}
+		var next memsys.Addr
+		if prefetch {
+			l := m.LoadAddr(n.Add(bstOffLeft))
+			r := m.LoadAddr(n.Add(bstOffRight))
+			m.Prefetch(l)
+			m.Prefetch(r)
+			if key < k {
+				next = l
+			} else {
+				next = r
+			}
+		} else if key < k {
+			next = m.LoadAddr(n.Add(bstOffLeft))
+		} else {
+			next = m.LoadAddr(n.Add(bstOffRight))
+		}
+		m.Tick(work)
+		n = next
+	}
+	return false
+}
+
+// TestPrefetchStallReduction pins the software-prefetch timing model
+// on a pointer chase: greedy prefetch always reduces load stalls, but
+// with no per-node work the issue overhead eats the gain (why the
+// paper's microbenchmark doesn't prefetch); with real per-node work
+// to overlap, prefetching wins end to end (why it is competitive on
+// Olden, Figure 7).
 func TestPrefetchStallReduction(t *testing.T) {
 	const n = 1<<14 - 1
 	const searches = 1500
@@ -221,11 +245,8 @@ func TestPrefetchStallReduction(t *testing.T) {
 		rng := rand.New(rand.NewSource(9))
 		m.ResetStats()
 		for i := 0; i < searches; i++ {
-			key := uint32(rng.Int63n(n)) + 1
-			if prefetch {
-				tr.SearchGreedyPrefetchWork(key, work)
-			} else {
-				tr.SearchWork(key, work)
+			if !greedySearch(tr, uint32(rng.Int63n(n))+1, work, prefetch) {
+				t.Fatal("search missed a present key")
 			}
 		}
 		s := m.Stats()

@@ -2,8 +2,7 @@
 // to block boundaries, and the root-most nodes are colored into a
 // reserved cache region. The paper's observation — that B-trees lose
 // to transparent C-trees because they reserve slack in each node for
-// insertions — is reproduced by bulk-loading at a partial fill factor
-// and by supporting real insertions that split nodes.
+// insertions — is reproduced by bulk-loading at a partial fill factor.
 
 package trees
 
@@ -11,7 +10,6 @@ import (
 	"fmt"
 
 	"ccl/internal/cclerr"
-	"ccl/internal/ccmorph"
 	"ccl/internal/layout"
 	"ccl/internal/machine"
 	"ccl/internal/memsys"
@@ -248,14 +246,17 @@ func (t *BTree) BulkLoad(n int64, fill float64) error {
 	// Allocate top-down (root level first) so the hot budget covers
 	// the root-most blocks, then write everything. A placement
 	// failure — a vetoed placement (cclerr.ErrPlacementFailed) or
-	// arena exhaustion — aborts before the root is set, leaving the
-	// tree empty and reloadable.
+	// arena exhaustion — aborts before the root is set and rewinds
+	// the region, leaving the tree empty and reloadable with its
+	// whole hot budget.
+	mark := t.region.Mark()
 	addrs := make([][]memsys.Addr, len(levels))
 	for li := len(levels) - 1; li >= 0; li-- {
 		addrs[li] = make([]memsys.Addr, len(levels[li]))
 		for i, pn := range levels[li] {
 			a, err := t.newNode(pn.leaf)
 			if err != nil {
+				t.region.Rewind(mark)
 				return fmt.Errorf("trees: BulkLoad: %w", err)
 			}
 			addrs[li][i] = a
@@ -326,192 +327,6 @@ func (t *BTree) Search(key uint32) bool {
 		n = t.m.LoadAddr(n.Add(t.childOff(i)))
 	}
 	return false
-}
-
-// Insert adds a key, splitting full nodes on the way down (preemptive
-// splitting). Duplicate inserts are no-ops. A failed node allocation
-// aborts the insert with the key absent and the tree still valid
-// (splits happen top-down before the key is placed, and a completed
-// split is a correct tree shape on its own).
-func (t *BTree) Insert(key uint32) error {
-	if t.root.IsNil() {
-		root, err := t.newNode(true)
-		if err != nil {
-			return err
-		}
-		t.root = root
-		t.rawSetCount(t.root, 1)
-		t.rawSetKey(t.root, 0, key)
-		t.n = 1
-		t.height = 1
-		return nil
-	}
-	if t.Search(key) {
-		return nil
-	}
-	if t.rawCount(t.root) == t.capOf(t.root) {
-		// Grow: new root with the old root as only child, then split.
-		newRoot, err := t.newNode(false)
-		if err != nil {
-			return err
-		}
-		t.rawSetChild(newRoot, 0, t.root)
-		if err := t.splitChild(newRoot, 0); err != nil {
-			return err
-		}
-		t.root = newRoot
-		t.height++
-	}
-	if err := t.insertNonFull(t.root, key); err != nil {
-		return err
-	}
-	t.n++
-	return nil
-}
-
-// capOf returns the key capacity of a node (leaves hold records,
-// internal nodes hold separators).
-func (t *BTree) capOf(n memsys.Addr) int {
-	if t.rawLeaf(n) {
-		return t.leafCap
-	}
-	return t.maxKeys
-}
-
-// splitChild splits node's i-th child (which must be full) in two,
-// hoisting the median separator into node. A failed sibling
-// allocation aborts before any key moves, leaving both nodes intact.
-func (t *BTree) splitChild(node memsys.Addr, i int) error {
-	child := t.rawChild(node, i)
-	leaf := t.rawLeaf(child)
-	right, err := t.newNode(leaf)
-	if err != nil {
-		return err
-	}
-
-	var sep uint32
-	if leaf {
-		mid := t.leafCap / 2
-		// Leaf split: right keeps keys[mid:], separator is right's
-		// first key (kept in the leaf: leaves hold all real keys).
-		sep = t.rawKey(child, mid)
-		rc := 0
-		for k := mid; k < t.leafCap; k++ {
-			t.rawSetKey(right, rc, t.rawKey(child, k))
-			rc++
-		}
-		t.rawSetCount(right, rc)
-		t.rawSetCount(child, mid)
-	} else {
-		mid := t.maxKeys / 2
-		// Internal split: median moves up, right takes keys[mid+1:]
-		// and children[mid+1:].
-		sep = t.rawKey(child, mid)
-		rc := 0
-		for k := mid + 1; k < t.maxKeys; k++ {
-			t.rawSetKey(right, rc, t.rawKey(child, k))
-			rc++
-		}
-		for c := mid + 1; c <= t.maxKeys; c++ {
-			t.rawSetChild(right, c-(mid+1), t.rawChild(child, c))
-		}
-		t.rawSetCount(right, rc)
-		t.rawSetCount(child, mid)
-	}
-
-	// Shift node's keys/children right to make room at i.
-	cnt := t.rawCount(node)
-	for k := cnt; k > i; k-- {
-		t.rawSetKey(node, k, t.rawKey(node, k-1))
-	}
-	for c := cnt + 1; c > i+1; c-- {
-		t.rawSetChild(node, c, t.rawChild(node, c-1))
-	}
-	t.rawSetKey(node, i, sep)
-	t.rawSetChild(node, i+1, right)
-	t.rawSetCount(node, cnt+1)
-	return nil
-}
-
-// insertNonFull inserts key under node, which is guaranteed non-full.
-func (t *BTree) insertNonFull(node memsys.Addr, key uint32) error {
-	for {
-		cnt := t.rawCount(node)
-		if t.rawLeaf(node) {
-			i := cnt
-			for i > 0 && t.rawKey(node, i-1) > key {
-				t.rawSetKey(node, i, t.rawKey(node, i-1))
-				i--
-			}
-			t.rawSetKey(node, i, key)
-			t.rawSetCount(node, cnt+1)
-			return nil
-		}
-		i := 0
-		for i < cnt && key >= t.rawKey(node, i) {
-			i++
-		}
-		child := t.rawChild(node, i)
-		if t.rawCount(child) == t.capOf(child) {
-			if err := t.splitChild(node, i); err != nil {
-				return err
-			}
-			if key >= t.rawKey(node, i) {
-				i++
-			}
-			child = t.rawChild(node, i)
-		}
-		node = child
-	}
-}
-
-// morphLayout returns the ccmorph template for this tree's
-// block-sized nodes. Kid reads the leaf flag and count (metered, like
-// every morph traversal access) and reports NilAddr for leaves and
-// for child slots beyond count — which also hides the stale pointers
-// a preemptive split leaves beyond a shrunk node's live slots.
-func (t *BTree) morphLayout() ccmorph.Layout {
-	return ccmorph.Layout{
-		NodeSize: t.blockSize,
-		MaxKids:  t.maxKeys + 1,
-		Kid: func(m *machine.Machine, n memsys.Addr, i int) memsys.Addr {
-			if m.Load32(n.Add(t.leafOff())) != 0 {
-				return memsys.NilAddr
-			}
-			if cnt := int(m.Load32(n.Add(t.countOff()))); i > cnt+1 {
-				return memsys.NilAddr
-			}
-			return m.LoadAddr(n.Add(t.childOff(i - 1)))
-		},
-		SetKid: func(m *machine.Machine, n memsys.Addr, i int, kid memsys.Addr) {
-			m.StoreAddr(n.Add(t.childOff(i-1)), kid)
-		},
-	}
-}
-
-// Morph reorganizes the tree's blocks with ccmorph under the given
-// node-order strategy. Each node is exactly one cache block, so
-// clustering degenerates to k = 1 and the interesting effect is the
-// order itself: VEB keeps the bottom levels of a descent on one page.
-// Old blocks are not reclaimed (a layout.Region has no free path); on
-// error the tree keeps its original layout (Reorganize is
-// copy-then-commit).
-func (t *BTree) Morph(strat ccmorph.Strategy, colorFrac float64) (ccmorph.Stats, error) {
-	region, err := layout.NewRegion(t.m.Arena, layout.FromLevel(t.m.Cache.LastLevel()), colorFrac)
-	if err != nil {
-		return ccmorph.Stats{Aborted: 1}, err
-	}
-	return t.MorphWith(strat, region)
-}
-
-// MorphWith is Morph into a caller-supplied region.
-func (t *BTree) MorphWith(strat ccmorph.Strategy, region *layout.Region) (ccmorph.Stats, error) {
-	if t.root.IsNil() {
-		return ccmorph.Stats{}, nil
-	}
-	newRoot, st, err := ccmorph.ReorganizeWithStrategy(t.m, t.root, t.morphLayout(), strat, region, nil)
-	t.root = newRoot
-	return st, err
 }
 
 // CheckInvariants walks the tree verifying ordering, balance (uniform

@@ -2,11 +2,9 @@ package trees
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
 
 	"ccl/internal/cclerr"
-	"ccl/internal/ccmorph"
 	"ccl/internal/layout"
 	"ccl/internal/machine"
 	"ccl/internal/memsys"
@@ -114,68 +112,6 @@ func TestBulkLoadValidation(t *testing.T) {
 	}
 }
 
-func TestInsertIntoEmpty(t *testing.T) {
-	m := machine.NewScaled(64)
-	bt := newBTree(t, m, 0)
-	if err := bt.Insert(42); err != nil {
-		t.Fatal(err)
-	}
-	if !bt.Search(42) || bt.N() != 1 || bt.Height() != 1 {
-		t.Fatalf("single insert broken: n=%d h=%d", bt.N(), bt.Height())
-	}
-	bt.Insert(42) // duplicate: no-op
-	if bt.N() != 1 {
-		t.Fatal("duplicate insert changed N")
-	}
-}
-
-func TestInsertRandomOrder(t *testing.T) {
-	m := machine.NewScaled(64)
-	bt := newBTree(t, m, 0)
-	rng := rand.New(rand.NewSource(3))
-	keys := rng.Perm(2000)
-	for _, k := range keys {
-		if err := bt.Insert(uint32(k + 1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if bt.N() != 2000 {
-		t.Fatalf("N = %d, want 2000", bt.N())
-	}
-	if err := bt.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	for k := 1; k <= 2000; k++ {
-		if !bt.Search(uint32(k)) {
-			t.Fatalf("key %d lost", k)
-		}
-	}
-	if bt.Height() < 4 {
-		t.Errorf("height %d suspiciously small for 2000 keys, 4 per node", bt.Height())
-	}
-}
-
-func TestInsertAfterBulkLoad(t *testing.T) {
-	m := machine.NewScaled(64)
-	bt := newBTree(t, m, 0)
-	bulkLoad(t, bt, 1000, 0.67)
-	// Insert keys beyond the loaded range; the slack must absorb
-	// some without splitting everywhere.
-	for k := uint32(1001); k <= 1200; k++ {
-		if err := bt.Insert(k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := bt.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	for k := uint32(1); k <= 1200; k++ {
-		if !bt.Search(k) {
-			t.Fatalf("key %d missing after mixed load", k)
-		}
-	}
-}
-
 func TestColoredBTreeRootIsHot(t *testing.T) {
 	m := machine.NewScaled(16)
 	bt := newBTree(t, m, 0.5)
@@ -216,42 +152,61 @@ func TestBTreeNodesBlockAligned(t *testing.T) {
 	}
 }
 
-// TestBTreeMorphStrategies exercises both node-order strategies on
-// the one-node-per-block tree: the morph must keep the tree balanced,
-// ordered, and fully searchable, and must actually move the root
-// (copy-then-commit relocates every node).
-func TestBTreeMorphStrategies(t *testing.T) {
-	const n = 1000
-	for _, strat := range []ccmorph.Strategy{ccmorph.SubtreeCluster, ccmorph.VEB} {
-		t.Run(strat.String(), func(t *testing.T) {
-			m := machine.NewScaled(64)
-			bt := newBTree(t, m, 0.5)
-			bulkLoad(t, bt, n, 0.67)
-			oldRoot := bt.root
-			st, err := bt.Morph(strat, 0.5)
-			if err != nil {
-				t.Fatal(err)
+// TestBulkLoadVetoRewindsHotBudget: a vetoed BulkLoad gives back the
+// hot budget its abandoned nodes were charged, so the reload colors
+// exactly as a load into a fresh tree does — root hot, same budget
+// left. Vetoing the last placement is the worst case: every node but
+// one was placed, which spends the whole hot budget before the abort.
+func TestBulkLoadVetoRewindsHotBudget(t *testing.T) {
+	const keys, fill = 500, 0.7
+	// vetoNth returns a guard vetoing the n-th placement (never, for
+	// n = 0) and the count of placements it has seen.
+	vetoNth := func(n int) (memsys.Guard, *int) {
+		seen := new(int)
+		return func(ev memsys.GuardEvent, _ int64) error {
+			if ev != memsys.GuardPlace {
+				return nil
 			}
-			if st.Nodes == 0 {
-				t.Fatal("morph placed no nodes")
+			*seen++
+			if *seen == n {
+				return errors.New("veto")
 			}
-			if st.NodesPerBlk != 1 {
-				t.Fatalf("k = %d, want 1 (one node per block)", st.NodesPerBlk)
-			}
-			if bt.root == oldRoot {
-				t.Fatal("morph did not relocate the root")
-			}
-			if err := bt.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-			for k := int64(1); k <= n; k++ {
-				if !bt.Search(uint32(k)) {
-					t.Fatalf("key %d not found after %s morph", k, strat)
-				}
-			}
-			if bt.Search(0) || bt.Search(n+1) {
-				t.Fatal("morphed tree finds absent keys")
-			}
-		})
+			return nil
+		}, seen
+	}
+
+	m := machine.NewScaled(64)
+	guard, placements := vetoNth(0)
+	m.Arena.SetGuard(guard)
+	clean := newBTree(t, m, 0.5)
+	bulkLoad(t, clean, keys, fill)
+	col, ok := clean.region.Coloring()
+	if !ok {
+		t.Fatal("colored B-tree reports no coloring")
+	}
+	if !col.IsHot(clean.root) {
+		t.Fatalf("unvetoed load's root %v is not hot", clean.root)
+	}
+
+	m = machine.NewScaled(64)
+	guard, _ = vetoNth(*placements)
+	m.Arena.SetGuard(guard)
+	bt := newBTree(t, m, 0.5)
+	budget := bt.region.HotLeft()
+	if err := bt.BulkLoad(keys, fill); !errors.Is(err, cclerr.ErrPlacementFailed) {
+		t.Fatalf("vetoed BulkLoad err = %v, want ErrPlacementFailed", err)
+	}
+	if got := bt.region.HotLeft(); got != budget {
+		t.Fatalf("vetoed BulkLoad left %d of %d bytes of hot budget: the abandoned nodes kept their charge", got, budget)
+	}
+	bulkLoad(t, bt, keys, fill)
+	if !col.IsHot(bt.root) {
+		t.Fatalf("reload's root %v (set %d) is not hot", bt.root, col.SetOf(bt.root))
+	}
+	if got, want := bt.region.HotLeft(), clean.region.HotLeft(); got != want {
+		t.Fatalf("reload left %d bytes of hot budget, a clean load %d", got, want)
+	}
+	if err := bt.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

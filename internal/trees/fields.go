@@ -1,7 +1,7 @@
-// Field maps and profiler registration for the tree structures: the
-// glue between the microbenchmark trees and the field-level miss
-// profiler (internal/profile). Each tree exports its element layout as
-// a layout.FieldMap and can register every live node with a telemetry
+// Field map and profiler registration for the BST: the glue between
+// the microbenchmark tree and the field-level miss profiler
+// (internal/profile). The BST exports its element layout as a
+// layout.FieldMap and can register every live node with a telemetry
 // RegionMap, one range per node — per-element registration keeps field
 // resolution exact even though the boundary-tag heap's headers break
 // any whole-heap stride.
@@ -45,58 +45,4 @@ func (t *BST) RegisterNodes(rm *telemetry.RegionMap, label string) {
 	walk(t.root)
 	rm.RegisterElems(label, addrs, BSTNodeSize)
 	rm.SetFieldMap(label, BSTFieldMap())
-}
-
-// FieldMap describes this B-tree's internal-node layout (geometry
-// dependent: K separator keys, K+1 children, count, leaf flag).
-// Leaves reinterpret the key/child area as records; RegisterNodes
-// registers them under their own label with LeafFieldMap.
-func (t *BTree) FieldMap() layout.FieldMap {
-	return layout.MustFieldMap("btree-node", t.blockSize,
-		layout.Field{Name: "keys", Offset: 0, Size: int64(t.maxKeys) * 4},
-		layout.Field{Name: "children", Offset: t.childOff(0), Size: int64(t.maxKeys+1) * 4},
-		layout.Field{Name: "count", Offset: t.countOff(), Size: 4},
-		layout.Field{Name: "leaf", Offset: t.leafOff(), Size: 4},
-	)
-}
-
-// LeafFieldMap describes the leaf-node layout: the record area
-// (key + satellite value pairs), then the shared count/leaf tail.
-func (t *BTree) LeafFieldMap() layout.FieldMap {
-	return layout.MustFieldMap("btree-leaf", t.blockSize,
-		layout.Field{Name: "records", Offset: 0, Size: int64(t.leafCap) * 12},
-		layout.Field{Name: "count", Offset: t.countOff(), Size: 4},
-		layout.Field{Name: "leaf", Offset: t.leafOff(), Size: 4},
-	)
-}
-
-// RegisterNodes registers every live node, internal nodes under label
-// and leaves under label+"-leaves" (their layouts differ), with the
-// matching field maps attached.
-func (t *BTree) RegisterNodes(rm *telemetry.RegionMap, label string) {
-	var internal, leaves []memsys.Addr
-	var walk func(n memsys.Addr)
-	walk = func(n memsys.Addr) {
-		if n.IsNil() {
-			return
-		}
-		if t.rawLeaf(n) {
-			leaves = append(leaves, n)
-			return
-		}
-		internal = append(internal, n)
-		for i := 0; i <= t.rawCount(n); i++ {
-			walk(t.rawChild(n, i))
-		}
-	}
-	walk(t.root)
-	leafLabel := label + "-leaves"
-	rm.RegisterElems(label, internal, t.blockSize)
-	rm.RegisterElems(leafLabel, leaves, t.blockSize)
-	if len(internal) > 0 {
-		rm.SetFieldMap(label, t.FieldMap())
-	}
-	if len(leaves) > 0 {
-		rm.SetFieldMap(leafLabel, t.LeafFieldMap())
-	}
 }

@@ -15,7 +15,6 @@ import (
 	"ccl/internal/memsys"
 	"ccl/internal/profile"
 	"ccl/internal/split"
-	"ccl/internal/telemetry"
 )
 
 // PlanBSTSplit derives the BST's hot/cold partition from a profile
@@ -93,13 +92,6 @@ func (s *SplitBST) Search(key uint32) bool {
 		}
 	}
 	return false
-}
-
-// RegisterRegions registers the split arrays for miss attribution:
-// "<label>.key", "<label>.left", "<label>.right" (hot), and
-// "<label>.cold" for the value overflow.
-func (s *SplitBST) RegisterRegions(rm *telemetry.RegionMap, label string) {
-	s.t.RegisterRegions(rm, label)
 }
 
 // CheckSearchable verifies every key in [1, n] is reachable through
