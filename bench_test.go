@@ -120,7 +120,7 @@ func BenchmarkFig5CTree(b *testing.B) {
 func BenchmarkFig5VEBTree(b *testing.B) {
 	fig5Search(b, func(m *ccl.Machine) func(uint32) bool {
 		t := must(ccl.BuildBST(m, ccl.NewMalloc(m), 1<<16-1, ccl.RandomOrder, 11))
-		if _, err := t.MorphStrategy(ccl.VEB, 0.5, nil); err != nil {
+		if _, err := t.MorphWith(must(ccl.NewRegion(m, 0.5)), ccl.VEB, nil); err != nil {
 			panic(err)
 		}
 		return t.Search
@@ -142,10 +142,7 @@ func BenchmarkSplitSearch(b *testing.B) {
 			t.Search(uint32(rng.Int63n(n)) + 1)
 		}
 		part := must(ccl.PlanBSTSplit(prof.Report(), "bst-nodes"))
-		st := must2(t.Split(part, ccl.SplitConfig{
-			Geometry:  ccl.LastLevelGeometry(m),
-			ColorFrac: 0.5,
-		}, nil))
+		st := must2(t.Split(part, must(ccl.NewRegion(m, 0.5)), nil))
 		m.Cache.SetObserver(nil) // measure the bare search path
 		return st.Search
 	})

@@ -10,8 +10,11 @@
 //   - a conventional boundary-tag allocator (the malloc baseline);
 //   - CCMalloc, the paper's cache-conscious heap allocator with the
 //     closest, first-fit, and new-block co-location strategies;
+//   - Region, the one cache-conscious placement primitive: a
+//     machine's last-level cache geometry plus a coloring fraction;
 //   - CCMorph, the paper's transparent tree reorganizer (subtree
-//     clustering and cache coloring);
+//     clustering and cache coloring), and hot/cold structure
+//     splitting, both placing into a caller's Region;
 //   - the §5 analytic framework for predicting the benefit of a
 //     cache-conscious layout a priori;
 //   - the paper's evaluation suite: the tree microbenchmark, four
@@ -138,18 +141,29 @@ func NewCCMalloc(m *Machine, s Strategy) (*CCMalloc, error) {
 	return ccmalloc.New(m.Arena, layout.FromLevel(m.Cache.LastLevel()), s, m.Cache)
 }
 
+// Region is a cache-conscious placement region: the cache geometry
+// and coloring fraction the paper's ccmorph call takes (Figure 3),
+// plus the hot budget and the extents placed so far. Reorganize and
+// (*BST).Split place into one; structures sharing a region share one
+// hot partition instead of all claiming the same cache sets, and
+// Region.Extents tells where a reorganized structure now lives.
+type Region = layout.Region
+
+// NewRegion returns a placement region on the machine's last-level
+// cache — the level ccmalloc and ccmorph target — reserving colorFrac
+// of its sets for hot elements (0 disables coloring). It fails with
+// ErrBadGeometry when the cache's geometry cannot support placement.
+func NewRegion(m *Machine, colorFrac float64) (*Region, error) {
+	return layout.NewRegion(m.Arena, layout.FromLevel(m.Cache.LastLevel()), colorFrac)
+}
+
 // CCMorph (§3.1).
 type (
 	// StructureLayout is the template describing an element type to
 	// CCMorph: its size, arity, and pointer accessors.
 	StructureLayout = ccmorph.Layout
-	// MorphConfig carries the cache parameters of a reorganization.
-	MorphConfig = ccmorph.Config
 	// MorphStats reports what a reorganization did.
 	MorphStats = ccmorph.Stats
-	// Placer is a shareable placement region (layout.Region) for
-	// morphing several structures against one cache partition.
-	Placer = layout.Region
 	// MorphStrategy selects CCMorph's placement order: the paper's
 	// subtree clustering or the cache-oblivious vEB order.
 	MorphStrategy = ccmorph.Strategy
@@ -168,27 +182,16 @@ const (
 )
 
 // Reorganize transparently rewrites the tree rooted at root into a
-// cache-conscious layout (subtree clustering, plus coloring when
-// cfg.ColorFrac > 0) and returns the new root. Reorganization is
+// cache-conscious layout placed in region — nodes in strat's order,
+// packed into cache blocks, the root-most ones in the hot sets when
+// the region is colored — and returns the new root. Reorganization is
 // copy-then-commit: on any error (ErrNotTree for non-tree-shaped
 // inputs, ErrPlacementFailed or ErrOutOfMemory for placement
 // failures) the original root is returned and the structure is
 // untouched and still traversable.
-func Reorganize(m *Machine, root Addr, lay StructureLayout, cfg MorphConfig,
-	freeOld func(Addr)) (Addr, MorphStats, error) {
-	return ccmorph.Reorganize(m, root, lay, cfg, freeOld)
-}
-
-// NewPlacer builds a shareable placement region over the machine's
-// arena. It fails with ErrBadGeometry when cfg's geometry is unusable.
-func NewPlacer(m *Machine, cfg MorphConfig) (*Placer, error) {
-	return layout.NewRegion(m.Arena, cfg.Geometry, cfg.ColorFrac)
-}
-
-// LastLevelGeometry returns the placement geometry of the machine's
-// last-level cache — the level ccmalloc and ccmorph target.
-func LastLevelGeometry(m *Machine) Geometry {
-	return layout.FromLevel(m.Cache.LastLevel())
+func Reorganize(m *Machine, root Addr, lay StructureLayout, region *Region,
+	strat MorphStrategy, freeOld func(Addr)) (Addr, MorphStats, error) {
+	return ccmorph.Reorganize(m, root, lay, region, strat, freeOld)
 }
 
 // Analytic framework (§5).
@@ -256,9 +259,6 @@ type (
 	// SplitPartition is a hot/cold assignment of one structure's
 	// fields, typically derived from a Profile via PlanBSTSplit.
 	SplitPartition = split.Partition
-	// SplitConfig carries the placement geometry and coloring
-	// fraction of a split.
-	SplitConfig = split.Config
 	// SplitStats reports what a split did.
 	SplitStats = split.Stats
 	// SplitTree is the split form of a pointer structure: hot SoA
@@ -273,7 +273,8 @@ type (
 // profile: fields the profiler ranked hot (plus the child pointers,
 // which a split tree always needs) go hot, the rest cold. It fails
 // with ErrInvalidArg when the profile has no structure under label.
-// Apply the plan with (*BST).Split; undo with SplitTree.Reassemble.
+// Apply the plan with (*BST).Split into a Region; undo with
+// SplitTree.Reassemble.
 func PlanBSTSplit(rep Profile, label string) (SplitPartition, error) {
 	return trees.PlanBSTSplit(rep, label)
 }

@@ -14,7 +14,7 @@ func ExampleNewCCMalloc() {
 
 	prev := must(alloc.AllocHint(12, ccl.Addr(0x10))) // seed ccmalloc space
 	shared := 0
-	blk := ccl.LastLevelGeometry(m).BlockSize
+	blk := must(ccl.NewRegion(m, 0)).Geometry().BlockSize
 	for i := 0; i < 99; i++ {
 		cell := must(alloc.AllocHint(12, prev))
 		if int64(cell)/blk == int64(prev)/blk {
@@ -50,13 +50,13 @@ func ExampleReorganize() {
 		Kid:      func(m *ccl.Machine, n ccl.Addr, _ int) ccl.Addr { return m.LoadAddr(n.Add(4)) },
 		SetKid:   func(m *ccl.Machine, n ccl.Addr, _ int, k ccl.Addr) { m.StoreAddr(n.Add(4), k) },
 	}
-	cfg := ccl.MorphConfig{Geometry: ccl.LastLevelGeometry(m)}
-	head, st, err := ccl.Reorganize(m, a, lay, cfg, func(a ccl.Addr) { alloc.Free(a) })
+	region := must(ccl.NewRegion(m, 0)) // clustering only
+	head, st, err := ccl.Reorganize(m, a, lay, region, ccl.SubtreeCluster, func(a ccl.Addr) { alloc.Free(a) })
 	if err != nil {
 		panic(err)
 	}
 
-	blk := cfg.Geometry.BlockSize
+	blk := region.Geometry().BlockSize
 	second := m.LoadAddr(head.Add(4))
 	third := m.LoadAddr(second.Add(4))
 	fmt.Printf("nodes moved: %d\n", st.Nodes)

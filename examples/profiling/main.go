@@ -66,11 +66,7 @@ func main() {
 	// Reorganize the tree (subtree clustering + coloring, §3.2) and
 	// register the moved nodes under a new label: the second phase's
 	// misses are charged to ctree-nodes, so before/after is one table.
-	placer := must(ccl.NewPlacer(m, ccl.MorphConfig{
-		Geometry:  ccl.LastLevelGeometry(m),
-		ColorFrac: 0.5,
-	}))
-	must(t.MorphWith(placer, nil))
+	must(t.Morph(0.5, nil))
 	t.RegisterNodes(prof.Regions(), "ctree-nodes")
 	search(t, rng, searches)
 

@@ -95,9 +95,11 @@ func main() {
 	before := sum(m, root)
 	costBefore := m.Stats().TotalCycles()
 
-	cfg := ccl.MorphConfig{Geometry: ccl.LastLevelGeometry(m), ColorFrac: 0.5}
+	// The region is Figure 3's cache parameters: the L2's geometry,
+	// with half its sets colored for the root-most nodes.
+	region := must(ccl.NewRegion(m, 0.5))
 	freeOld := func(a ccl.Addr) { alloc.Free(a) }
-	newRoot, st, err := ccl.Reorganize(m, root, template(), cfg, freeOld)
+	newRoot, st, err := ccl.Reorganize(m, root, template(), region, ccl.SubtreeCluster, freeOld)
 	if err != nil {
 		// Reorganize is copy-then-commit: on error the original root
 		// comes back and the structure is still walkable.

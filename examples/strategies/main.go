@@ -56,7 +56,7 @@ func main() {
 	for _, strat := range []ccl.MorphStrategy{ccl.SubtreeCluster, ccl.VEB} {
 		m := ccl.NewScaledMachine(scale)
 		t := must(ccl.BuildBST(m, ccl.NewMalloc(m), deepKeys, ccl.RandomOrder, 11))
-		if _, err := t.MorphStrategy(strat, 0.5, nil); err != nil {
+		if _, err := t.MorphWith(must(ccl.NewRegion(m, 0.5)), strat, nil); err != nil {
 			panic(err)
 		}
 		cyc, tlb := measure(m, t.Search, deepKeys)
@@ -93,10 +93,7 @@ func main() {
 
 	// --- 3. Split on the profile's advice and re-bench ---
 	part := must(ccl.PlanBSTSplit(rep, "bst-nodes"))
-	st, stats, err := t.Split(part, ccl.SplitConfig{
-		Geometry:  ccl.LastLevelGeometry(m),
-		ColorFrac: 0.5,
-	}, nil)
+	st, stats, err := t.Split(part, must(ccl.NewRegion(m, 0.5)), nil)
 	if err != nil {
 		panic(err)
 	}

@@ -69,17 +69,14 @@ func main() {
 	col.Regions().Register("bst-nodes", start, int64(end)-int64(start))
 	run("random-placed BST", m, col, t)
 
-	// Reorganize through an explicit placer so the new layout's
-	// address extents are known and can be labeled.
-	placer := must(ccl.NewPlacer(m, ccl.MorphConfig{
-		Geometry:  ccl.LastLevelGeometry(m),
-		ColorFrac: 0.5,
-	}))
-	must(t.MorphWith(placer, nil))
+	// Reorganize into a region we hold, so the new layout's address
+	// extents are known and can be labeled.
+	region := must(ccl.NewRegion(m, 0.5))
+	must(t.MorphWith(region, ccl.SubtreeCluster, nil))
 
 	col2 := ccl.AttachTelemetry(m)
 	col2.Regions().Register("bst-nodes(old)", start, int64(end)-int64(start))
-	for _, ext := range placer.Extents() {
+	for _, ext := range region.Extents() {
 		col2.Regions().RegisterRange("ctree-nodes", ext)
 	}
 	run("ccmorph C-tree", m, col2, t)

@@ -20,7 +20,7 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 	if head.IsNil() || first.IsNil() || cell.IsNil() {
 		t.Fatal("allocation failed")
 	}
-	blk := ccl.LastLevelGeometry(m).BlockSize
+	blk := must(ccl.NewRegion(m, 0)).Geometry().BlockSize
 	if int64(first)/blk != int64(cell)/blk {
 		t.Fatalf("hinted allocation not co-located: %v vs %v", first, cell)
 	}
@@ -82,8 +82,8 @@ func TestFacadeReorganizeCustomStructure(t *testing.T) {
 			m.StoreAddr(n.Add(4), kid)
 		},
 	}
-	cfg := ccl.MorphConfig{Geometry: ccl.LastLevelGeometry(m), ColorFrac: 0.5}
-	newHead, st, err := ccl.Reorganize(m, a, lay, cfg, func(a ccl.Addr) { alloc.Free(a) })
+	region := must(ccl.NewRegion(m, 0.5))
+	newHead, st, err := ccl.Reorganize(m, a, lay, region, ccl.SubtreeCluster, func(a ccl.Addr) { alloc.Free(a) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -335,11 +335,9 @@ func octLayout() ccmorph.Layout {
 // do ("the performance results include the overhead of restructuring
 // the octree").
 func (a *app) morph(colorFrac float64) {
-	cfg := ccmorph.Config{
-		Geometry:  layout.FromLevel(a.m.Cache.LastLevel()),
-		ColorFrac: colorFrac, // zero disables coloring
-	}
-	root, _, err := ccmorph.Reorganize(a.m, a.root, octLayout(), cfg, nil)
+	geo := layout.FromLevel(a.m.Cache.LastLevel())
+	octree := must(layout.NewRegion(a.m.Arena, geo, colorFrac)) // zero disables coloring
+	root, _, err := ccmorph.Reorganize(a.m, a.root, octLayout(), octree, ccmorph.SubtreeCluster, nil)
 	if err != nil {
 		panic(err) // kernel fail-fast policy; see must
 	}
@@ -353,7 +351,10 @@ func (a *app) morph(colorFrac float64) {
 	// into plain blocks. Data the region will not place — a list wider
 	// than a block, a scene wider than a cold run, a vetoed placement —
 	// keeps its old placement: nothing is lost, so the checksum holds.
-	region := must(layout.NewRegion(a.m.Arena, cfg.Geometry, colorFrac))
+	// The lists get a region of their own: in the octree's region they
+	// would fill its last open block and continue its extents, a
+	// different placement (Figure 6 pins this one).
+	region := must(layout.NewRegion(a.m.Arena, geo, colorFrac))
 	kept := func(err error) bool {
 		if err != nil && !errors.Is(err, cclerr.ErrPlacementFailed) {
 			panic(err) // kernel fail-fast policy; see must

@@ -86,6 +86,10 @@ const (
 
 	kvStateEmpty = 0
 	kvStateLive  = 1
+
+	// kvColorFrac is the share of the last-level cache's sets
+	// KVColored reserves for header groups.
+	kvColorFrac = 0.5
 )
 
 // KVConfig configures a store.
@@ -96,9 +100,6 @@ type KVConfig struct {
 	// holds at most Slots-1 keys, since one empty slot must remain to
 	// end every probe; size it for the keys it will hold.
 	Slots int64
-	// ColorFrac is the hot-stripe fraction for KVColored; 0 selects
-	// the 0.5 default.
-	ColorFrac float64
 }
 
 // KVStats summarizes a store.
@@ -181,11 +182,7 @@ func NewKV(m *machine.Machine, cfg KVConfig) (*KV, error) {
 		}
 		kv.alloc = a
 	case KVColored:
-		frac := cfg.ColorFrac
-		if frac == 0 {
-			frac = 0.5
-		}
-		r, err := layout.NewRegion(m.Arena, geo, frac)
+		r, err := layout.NewRegion(m.Arena, geo, kvColorFrac)
 		if err != nil {
 			return nil, err
 		}

@@ -30,7 +30,7 @@ func ctreeSpeedup(s *sim.Sim, cfg cache.Config, n int64, searches int, colorFrac
 			check(err)
 		}
 		rng := rand.New(rand.NewSource(5))
-		for i := 0; i < searches/4; i++ {
+		for i := 0; i < searches/4; i++ { // steady state (§5.3)
 			t.Search(uint32(rng.Int63n(n)) + 1)
 		}
 		m.ResetStats()
@@ -173,10 +173,7 @@ func ablationIntervalSpec() Spec {
 		ID:   "ablate-interval",
 		Desc: "health: ccmorph reorganization interval sweep",
 		Jobs: func(full bool) []Job {
-			cfg := healthpkg.DefaultConfig()
-			if full {
-				cfg = healthpkg.PaperConfig()
-			}
+			cfg := healthConfig.at(full)
 			js := []Job{{
 				Name: "ablate-interval/base",
 				Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {

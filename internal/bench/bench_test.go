@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"ccl/internal/sim"
+	"ccl/internal/olden"
 	"ccl/internal/telemetry"
 )
 
@@ -48,6 +48,34 @@ func TestTable2RowsAndMemory(t *testing.T) {
 	for _, r := range tab.Rows {
 		if !strings.HasSuffix(r[4], "KB") {
 			t.Errorf("%s: memory column %q not measured", r[0], r[4])
+		}
+	}
+}
+
+// TestTable2FullInputLabels checks that Table 2's Input column names
+// the paper-scale configs a -full run executes, not the quick ones.
+func TestTable2FullInputLabels(t *testing.T) {
+	spec, ok := Lookup("table2")
+	if !ok {
+		t.Fatal("table2 not registered")
+	}
+	out := make([]any, len(oldenBenches))
+	for i := range out {
+		out[i] = olden.Result{HeapBytes: 1 << 20}
+	}
+	tab := spec.Assemble(true, out)
+	want := map[string]string{
+		"treeadd":   "262143 nodes",
+		"health":    "85 villages, 3000 steps",
+		"mst":       "512 nodes",
+		"perimeter": "4096x4096 image",
+	}
+	if len(tab.Rows) != len(want) {
+		t.Fatalf("Table 2 has %d rows, want %d", len(tab.Rows), len(want))
+	}
+	for _, r := range tab.Rows {
+		if r[3] != want[r[0]] {
+			t.Errorf("%s: -full Input = %q, want %q", r[0], r[3], want[r[0]])
 		}
 	}
 }
@@ -118,15 +146,6 @@ func TestAblationBlockSizeTracksModel(t *testing.T) {
 	}
 }
 
-func TestOldenRunUnknownPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unknown benchmark did not panic")
-		}
-	}()
-	oldenRun(sim.New(), "nonesuch", 0, false)
-}
-
 func TestRenderRaggedRows(t *testing.T) {
 	tab := Table{
 		ID:     "ragged",
@@ -170,7 +189,7 @@ func TestReportJSONRoundTrip(t *testing.T) {
 		},
 	}
 	var buf strings.Builder
-	if err := WriteJSON(&buf, true, tabs); err != nil {
+	if err := WriteReport(&buf, Report{Schema: ReportSchema, Full: true, Experiments: tabs}); err != nil {
 		t.Fatal(err)
 	}
 	var got Report

@@ -249,53 +249,65 @@ func fig6Spec() Spec {
 	}
 }
 
-// oldenRun dispatches one benchmark/variant pair in the given run
-// context.
-func oldenRun(s *sim.Sim, bench string, v olden.Variant, full bool) olden.Result {
-	return runInEnv(bench, olden.NewEnvIn(s, v, OldenScale), full)
+// scaled is a benchmark config at quick and at paper scale.
+type scaled[C any] struct{ quick, paper func() C }
+
+// at returns the config a quick or a full (paper-scale) run uses.
+func (s scaled[C]) at(full bool) C {
+	if full {
+		return s.paper()
+	}
+	return s.quick()
 }
 
-// runInEnv runs a named benchmark in a prepared environment.
-func runInEnv(bench string, env olden.Env, full bool) olden.Result {
-	switch bench {
-	case "treeadd":
-		c := treeadd.DefaultConfig()
-		if full {
-			c = treeadd.PaperConfig()
-		}
-		return treeadd.Run(env, c)
-	case "health":
-		c := health.DefaultConfig()
-		if full {
-			c = health.PaperConfig()
-		}
-		return health.Run(env, c)
-	case "mst":
-		c := mst.DefaultConfig()
-		if full {
-			c = mst.PaperConfig()
-		}
-		return mst.Run(env, c)
-	case "perimeter":
-		c := perimeter.DefaultConfig()
-		if full {
-			c = perimeter.PaperConfig()
-		}
-		return perimeter.Run(env, c)
-	}
-	panic("bench: unknown benchmark " + bench)
+// The Olden configs: every job, label and sweep built from an Olden
+// benchmark reads its config here.
+var (
+	treeaddConfig   = scaled[treeadd.Config]{treeadd.DefaultConfig, treeadd.PaperConfig}
+	healthConfig    = scaled[health.Config]{health.DefaultConfig, health.PaperConfig}
+	mstConfig       = scaled[mst.Config]{mst.DefaultConfig, mst.PaperConfig}
+	perimeterConfig = scaled[perimeter.Config]{perimeter.DefaultConfig, perimeter.PaperConfig}
+)
+
+// oldenBench is one Olden benchmark's row: its name, Table 2's
+// description and main structure, and for a quick or a full run the
+// Input label of its config and the run itself. The label and the run
+// read the same config, so Table 2 names the input that ran.
+type oldenBench struct {
+	name, desc, structure string
+	input                 func(full bool) string
+	run                   func(env olden.Env, full bool) olden.Result
+}
+
+// oldenBenches lists the Figure 7 benchmarks in paper order.
+var oldenBenches = []oldenBench{
+	{"treeadd", "Sums the values stored in tree nodes", "binary tree",
+		func(full bool) string { return fmt.Sprintf("%d nodes", treeaddConfig.at(full).Nodes()) },
+		func(env olden.Env, full bool) olden.Result { return treeadd.Run(env, treeaddConfig.at(full)) }},
+	{"health", "Simulation of Columbian health care system", "doubly linked lists",
+		func(full bool) string {
+			c := healthConfig.at(full)
+			return fmt.Sprintf("%d villages, %d steps", c.Villages(), c.Steps)
+		},
+		func(env olden.Env, full bool) olden.Result { return health.Run(env, healthConfig.at(full)) }},
+	{"mst", "Computes minimum spanning tree of a graph", "array of singly linked lists",
+		func(full bool) string { return fmt.Sprintf("%d nodes", mstConfig.at(full).NumVert) },
+		func(env olden.Env, full bool) olden.Result { return mst.Run(env, mstConfig.at(full)) }},
+	{"perimeter", "Computes perimeter of regions in images", "quadtree",
+		func(full bool) string {
+			n := perimeterConfig.at(full).ImageSize
+			return fmt.Sprintf("%dx%d image", n, n)
+		},
+		func(env olden.Env, full bool) olden.Result { return perimeter.Run(env, perimeterConfig.at(full)) }},
 }
 
 // oldenJob wraps one benchmark/variant cell as a pool job returning
 // olden.Result.
-func oldenJob(name, bench string, v olden.Variant) Job {
+func oldenJob(name string, b oldenBench, v olden.Variant) Job {
 	return Job{Name: name, Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
-		return oldenRun(s, bench, v, full), nil
+		return b.run(olden.NewEnvIn(s, v, OldenScale), full), nil
 	}}
 }
-
-// OldenBenchmarks lists the Figure 7 benchmarks in paper order.
-var OldenBenchmarks = []string{"treeadd", "health", "mst", "perimeter"}
 
 // table2Spec regenerates the benchmark characteristics (paper Table
 // 2) as one base-run job per benchmark, with the memory-allocated
@@ -306,36 +318,23 @@ func table2Spec() Spec {
 		Desc: "Olden benchmark characteristics (paper Table 2)",
 		Jobs: func(full bool) []Job {
 			var js []Job
-			for _, b := range OldenBenchmarks {
-				js = append(js, oldenJob("table2/"+b, b, olden.Base))
+			for _, b := range oldenBenches {
+				js = append(js, oldenJob("table2/"+b.name, b, olden.Base))
 			}
 			return js
 		},
 		Assemble: func(full bool, out []any) Table {
-			desc := map[string][2]string{
-				"treeadd":   {"Sums the values stored in tree nodes", "binary tree"},
-				"health":    {"Simulation of Columbian health care system", "doubly linked lists"},
-				"mst":       {"Computes minimum spanning tree of a graph", "array of singly linked lists"},
-				"perimeter": {"Computes perimeter of regions in images", "quadtree"},
-			}
-			input := map[string]string{
-				"treeadd":   fmt.Sprintf("%d nodes", treeadd.DefaultConfig().Nodes()),
-				"health":    fmt.Sprintf("%d villages, %d steps", health.DefaultConfig().Villages(), health.DefaultConfig().Steps),
-				"mst":       fmt.Sprintf("%d nodes", mst.DefaultConfig().NumVert),
-				"perimeter": fmt.Sprintf("%dx%d image", perimeter.DefaultConfig().ImageSize, perimeter.DefaultConfig().ImageSize),
-			}
 			tab := Table{
 				ID:     "table2",
 				Title:  "Benchmark characteristics (cf. paper Table 2)",
 				Header: []string{"Name", "Description", "Main structure", "Input", "Memory"},
 			}
-			for i, b := range OldenBenchmarks {
+			for i, b := range oldenBenches {
 				r, ok := out[i].(olden.Result)
 				if !ok {
 					continue
 				}
-				d := desc[b]
-				tab.Rows = append(tab.Rows, []string{b, d[0], d[1], input[b], kb(r.HeapBytes)})
+				tab.Rows = append(tab.Rows, []string{b.name, b.desc, b.structure, b.input(full), kb(r.HeapBytes)})
 			}
 			return tab
 		},
@@ -350,9 +349,9 @@ func fig7Spec() Spec {
 		Desc: "Olden suite under eight placement schemes, cycle breakdown (paper Fig. 7)",
 		Jobs: func(full bool) []Job {
 			var js []Job
-			for _, b := range OldenBenchmarks {
+			for _, b := range oldenBenches {
 				for _, v := range olden.Figure7Variants {
-					js = append(js, oldenJob("fig7/"+b+"/"+v.String(), b, v))
+					js = append(js, oldenJob("fig7/"+b.name+"/"+v.String(), b, v))
 				}
 			}
 			return js
@@ -364,7 +363,7 @@ func fig7Spec() Spec {
 				Header: []string{"Benchmark", "Scheme", "norm", "busy", "load stall", "store stall", "heap"},
 			}
 			k := 0
-			for _, b := range OldenBenchmarks {
+			for _, b := range oldenBenches {
 				base, haveBase := out[k].(olden.Result) // Figure7Variants[0] is Base
 				for i, v := range olden.Figure7Variants {
 					r, ok := out[k+i].(olden.Result)
@@ -374,7 +373,7 @@ func fig7Spec() Spec {
 					tot := float64(base.Cycles())
 					s := r.Stats
 					tab.Rows = append(tab.Rows, []string{
-						b, v.String(),
+						b.name, v.String(),
 						pct(100 * float64(r.Cycles()) / tot),
 						pct(100 * float64(s.BusyCycles+s.L1HitCycles+s.PrefetchIssue) / tot),
 						pct(100 * float64(s.LoadStallCycles) / tot),
@@ -420,10 +419,10 @@ func controlSpec() Spec {
 		Desc: "ccmalloc null-hint control experiment (§4.4)",
 		Jobs: func(full bool) []Job {
 			var js []Job
-			for _, b := range OldenBenchmarks {
+			for _, b := range oldenBenches {
 				js = append(js,
-					oldenJob("control/"+b+"/base", b, olden.Base),
-					oldenJob("control/"+b+"/null-hint", b, olden.CCMallocNullHint))
+					oldenJob("control/"+b.name+"/base", b, olden.Base),
+					oldenJob("control/"+b.name+"/null-hint", b, olden.CCMallocNullHint))
 			}
 			return js
 		},
@@ -433,14 +432,14 @@ func controlSpec() Spec {
 				Title:  "Null-hint control experiment (ccmalloc, all hints nil)",
 				Header: []string{"Benchmark", "base cycles", "null-hint cycles", "slowdown"},
 			}
-			for i, b := range OldenBenchmarks {
+			for i, b := range oldenBenches {
 				base, ok1 := out[2*i].(olden.Result)
 				null, ok2 := out[2*i+1].(olden.Result)
 				if !ok1 || !ok2 {
 					continue
 				}
 				tab.Rows = append(tab.Rows, []string{
-					b,
+					b.name,
 					fmt.Sprintf("%d", base.Cycles()),
 					fmt.Sprintf("%d", null.Cycles()),
 					pct(100*float64(null.Cycles())/float64(base.Cycles()) - 100),
@@ -472,14 +471,14 @@ func memovhSpec() Spec {
 		Desc: "heap footprint by allocation strategy (§4.4)",
 		Jobs: func(full bool) []Job {
 			var js []Job
-			for _, b := range OldenBenchmarks {
+			for _, b := range oldenBenches {
 				for _, v := range memovhVariants {
 					b, v := b, v
 					js = append(js, Job{
-						Name: "memovh/" + b + "/" + v.Name(),
+						Name: "memovh/" + b.name + "/" + v.Name(),
 						Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
 							env := olden.NewEnvIn(s, v, OldenScale)
-							r := runInEnv(b, env, full)
+							r := b.run(env, full)
 							fp := footprint{bytes: r.HeapBytes}
 							if cc, ok := env.Alloc.(*ccmalloc.Allocator); ok {
 								fp.blocks = cc.BlocksUsed()
@@ -497,7 +496,7 @@ func memovhSpec() Spec {
 				Title:  "Heap footprint by allocation strategy",
 				Header: []string{"Benchmark", "base", "first-fit", "closest", "new-block", "FA blocks", "NA blocks", "NA vs FA blocks"},
 			}
-			for i, b := range OldenBenchmarks {
+			for i, b := range oldenBenches {
 				cells := make([]footprint, len(memovhVariants))
 				ok := true
 				for j := range memovhVariants {
@@ -513,7 +512,7 @@ func memovhSpec() Spec {
 				}
 				base, fa, ca, na := cells[0], cells[1], cells[2], cells[3]
 				tab.Rows = append(tab.Rows, []string{
-					b, kb(base.bytes), kb(fa.bytes), kb(ca.bytes), kb(na.bytes),
+					b.name, kb(base.bytes), kb(fa.bytes), kb(ca.bytes), kb(na.bytes),
 					fmt.Sprintf("%d", fa.blocks), fmt.Sprintf("%d", na.blocks),
 					pct(100*float64(na.blocks)/float64(fa.blocks) - 100),
 				})
@@ -612,24 +611,6 @@ func fig10Point(sctx *sim.Sim, n int64, searches int, scale int64, params model.
 		HotFrac: 0.5,
 	}
 	pred = ct.PredictedSpeedup(params)
-
-	measure := func(morph bool) float64 {
-		m := sctx.NewScaled(scale)
-		t := trees.MustBuild(m, heap.New(m.Arena), n, trees.RandomOrder, 11)
-		if morph {
-			_, err := t.Morph(0.5, nil)
-			check(err)
-		}
-		rng := rand.New(rand.NewSource(5))
-		for i := 0; i < searches/4; i++ { // steady state (§5.3)
-			t.Search(uint32(rng.Int63n(n)) + 1)
-		}
-		m.ResetStats()
-		for i := 0; i < searches; i++ {
-			t.Search(uint32(rng.Int63n(n)) + 1)
-		}
-		return float64(m.Stats().TotalCycles()) / float64(searches)
-	}
-	meas = measure(false) / measure(true)
+	meas = ctreeSpeedup(sctx, cache.ScaledHierarchy(scale), n, searches, 0.5)
 	return pred, meas
 }

@@ -66,7 +66,7 @@ func goldenTables() []Table {
 // regenerating with GOLDEN_UPDATE=1 and bumping ReportSchema.
 func TestGoldenReportSchema(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteJSON(&buf, false, goldenTables()); err != nil {
+	if err := WriteReport(&buf, Report{Schema: ReportSchema, Experiments: goldenTables()}); err != nil {
 		t.Fatal(err)
 	}
 	golden := compareGolden(t, goldenReportPath, buf.Bytes())
@@ -80,7 +80,7 @@ func TestGoldenReportSchema(t *testing.T) {
 		t.Fatalf("golden schema %q, code says %q", rep.Schema, ReportSchema)
 	}
 	var again bytes.Buffer
-	if err := WriteJSON(&again, rep.Full, rep.Experiments); err != nil {
+	if err := WriteReport(&again, rep); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(again.Bytes(), golden) {

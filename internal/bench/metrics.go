@@ -7,8 +7,8 @@ import (
 	"strings"
 
 	"ccl/internal/apps/radiance"
+	"ccl/internal/ccmorph"
 	"ccl/internal/heap"
-	"ccl/internal/layout"
 	"ccl/internal/sim"
 	"ccl/internal/telemetry"
 	"ccl/internal/trees"
@@ -78,8 +78,8 @@ func metricsTree(s *sim.Sim, full bool) metricsTreeOut {
 
 	// Reorganize into an explicit region so the new layout's
 	// extents are known and can be labeled.
-	region := must(layout.NewRegion(m.Arena, layout.FromLevel(m.Cache.LastLevel()), 0.5))
-	morphStats, merr := t.MorphWith(region, nil)
+	region := lastLevelRegion(m, 0.5)
+	morphStats, merr := t.MorphWith(region, ccmorph.SubtreeCluster, nil)
 	check(merr)
 
 	ctree := telemetry.Attach(m.Cache)

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"ccl/internal/heap"
-	"ccl/internal/layout"
 	"ccl/internal/olden"
 	"ccl/internal/olden/treeadd"
 	"ccl/internal/profile"
@@ -56,8 +55,7 @@ func fieldprofTree(s *sim.Sim, full bool) fieldprofOut {
 	search(searches)
 	prof.CloseEpoch() // phase boundary: epochs never straddle the morph
 
-	region := must(layout.NewRegion(m.Arena, layout.FromLevel(m.Cache.LastLevel()), 0.5))
-	_, merr := t.MorphWith(region, nil)
+	_, merr := t.Morph(0.5, nil)
 	check(merr)
 	t.RegisterNodes(prof.Regions(), "ctree-nodes")
 	search(searches)
@@ -72,14 +70,10 @@ func fieldprofTree(s *sim.Sim, full bool) fieldprofOut {
 // coprime to the kernel's value/left/right access cycle — a multiple
 // of 3 would alias with it and charge one field with every sample.
 func fieldprofTreeadd(s *sim.Sim, full bool) fieldprofOut {
-	cfg := treeadd.DefaultConfig()
-	if full {
-		cfg = treeadd.PaperConfig()
-	}
 	env := olden.NewEnvIn(s, olden.Base, OldenScale)
 	prof := profile.Attach(env.M.Cache, profile.Config{SampleEvery: 5})
 	env.Profile = prof.Regions()
-	treeadd.Run(env, cfg)
+	treeadd.Run(env, treeaddConfig.at(full))
 	return fieldprofOut{name: "treeadd", prof: prof.Report()}
 }
 

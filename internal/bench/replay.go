@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"ccl/internal/cache"
 	"ccl/internal/oracle"
 	"ccl/internal/sim"
 	"ccl/internal/trace"
@@ -43,8 +42,10 @@ func replaySpec() Spec {
 					Name: fmt.Sprintf("replay/geom-%02d", g),
 					Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
 						tr := oracle.SweepTrace(oracleSeed, g, perGeom)
-						h := cache.New(tr.Config)
-						cycles := trace.AccessTrace(h, tr.Records)
+						h, cycles, err := trace.Replay(tr)
+						if err != nil {
+							return nil, err
+						}
 						st := h.Stats()
 						last := len(st.Levels) - 1
 						return replayOut{

@@ -131,11 +131,6 @@ func StripTimings(rep Report) Report {
 	return out
 }
 
-// WriteJSON writes tables as an indented JSON Report.
-func WriteJSON(w io.Writer, full bool, tables []Table) error {
-	return WriteReport(w, Report{Schema: ReportSchema, Full: full, Experiments: tables})
-}
-
 // WriteReport writes a fully-populated Report (including failures and
 // the interrupted marker) as indented JSON.
 func WriteReport(w io.Writer, rep Report) error {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 
 	"ccl/internal/cclerr"
+	"ccl/internal/layout"
+	"ccl/internal/machine"
 )
 
 // Failure is one experiment's structured failure record in the
@@ -69,4 +71,10 @@ func check(err error) {
 	if err != nil {
 		panic(err)
 	}
+}
+
+// lastLevelRegion is a placement region on m's last-level cache,
+// colored when colorFrac > 0: what ccmorph and split place into.
+func lastLevelRegion(m *machine.Machine, colorFrac float64) *layout.Region {
+	return must(layout.NewRegion(m.Arena, layout.FromLevel(m.Cache.LastLevel()), colorFrac))
 }

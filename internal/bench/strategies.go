@@ -25,11 +25,9 @@ import (
 
 	"ccl/internal/ccmorph"
 	"ccl/internal/heap"
-	"ccl/internal/layout"
 	"ccl/internal/machine"
 	"ccl/internal/profile"
 	"ccl/internal/sim"
-	"ccl/internal/split"
 	"ccl/internal/trees"
 )
 
@@ -88,11 +86,11 @@ func stratConfigs() []stratConfig {
 	return []stratConfig{
 		{"random-clustered (no morph)", func(*trees.BST) error { return nil }},
 		{"subtree-cluster + color", func(t *trees.BST) error {
-			_, err := t.MorphStrategy(ccmorph.SubtreeCluster, 0.5, nil)
+			_, err := t.Morph(0.5, nil)
 			return err
 		}},
 		{"veb + color", func(t *trees.BST) error {
-			_, err := t.MorphStrategy(ccmorph.VEB, 0.5, nil)
+			_, err := t.MorphWith(lastLevelRegion(t.Machine(), 0.5), ccmorph.VEB, nil)
 			return err
 		}},
 	}
@@ -151,10 +149,7 @@ func strategiesSplit(s *sim.Sim, p strategiesParams) []strategiesCell {
 	unsplit.config = "unsplit BST (profiled)"
 
 	part := must(trees.PlanBSTSplit(prof.Report(), "bst-nodes"))
-	st, _, err := t.Split(part, split.Config{
-		Geometry:  layout.FromLevel(m.Cache.LastLevel()),
-		ColorFrac: 0.5,
-	}, nil)
+	st, _, err := t.Split(part, lastLevelRegion(m, 0.5), nil)
 	check(err)
 	cell := measureSearches(m, st.Search, n, p.searches)
 	cell.config = "hot/cold split BST"

@@ -106,21 +106,6 @@ func (s Strategy) String() string {
 	}
 }
 
-// Config carries the cache parameters of the paper's ccmorph call
-// (Figure 3: Cache_sets, Cache_associativity, Cache_blk_size,
-// Color_const).
-type Config struct {
-	// Geometry of the cache level placement targets (normally L2).
-	Geometry layout.Geometry
-	// ColorFrac is the fraction of cache sets reserved for the
-	// structure's hottest elements — the paper's Color_const. Zero
-	// disables coloring (clustering only).
-	ColorFrac float64
-	// Strategy selects the node order; the zero value is the paper's
-	// subtree clustering.
-	Strategy Strategy
-}
-
 // Stats reports what a reorganization did.
 type Stats struct {
 	Nodes       int64 // elements moved
@@ -136,43 +121,26 @@ type Stats struct {
 const ClusterCost = 6
 
 // Reorganize copies the tree rooted at root into a cache-conscious
-// layout and returns the new root and placement statistics. freeOld,
-// if non-nil, is called on every old element after its replacement is
-// wired up, so the caller's allocator can reclaim the space.
+// layout placed in region, in the node order strat selects, and
+// returns the new root and placement statistics. The region carries
+// the cache parameters of the paper's ccmorph call (Figure 3:
+// Cache_sets, Cache_associativity, Cache_blk_size, Color_const) as
+// its geometry and color fraction. Callers morphing many structures
+// against the same cache — like health's periodic per-list
+// reorganization — share one region, so the structures do not all
+// claim the same hot cache sets and conflict. freeOld, if non-nil, is
+// called on every old element after its replacement is wired up, so
+// the caller's allocator can reclaim the space.
 //
 // Reorganize is copy-then-commit: the clustered copy is built in
 // fresh extents and the root swap happens only after every element
 // has been written. On any error — a non-tree structure
 // (cclerr.ErrNotTree), a failed placement (cclerr.ErrPlacementFailed),
 // arena exhaustion (cclerr.ErrOutOfMemory) — the original root is
-// returned unchanged, freeOld is never called, and the input
-// structure remains fully usable; the returned Stats carry Aborted=1
-// so degradation is visible through telemetry.
-func Reorganize(m *machine.Machine, root memsys.Addr, lay Layout, cfg Config,
-	freeOld func(memsys.Addr)) (memsys.Addr, Stats, error) {
-	region, err := layout.NewRegion(m.Arena, cfg.Geometry, cfg.ColorFrac)
-	if err != nil {
-		return root, Stats{Aborted: 1}, err
-	}
-	return ReorganizeWithStrategy(m, root, lay, cfg.Strategy, region, freeOld)
-}
-
-// ReorganizeWith is Reorganize into a caller-supplied region with the
-// default subtree-clustering strategy. Callers morphing many
-// structures against the same cache — like health's periodic
-// per-list reorganization — share one region, so the structures do
-// not all claim the same hot cache sets and conflict.
-func ReorganizeWith(m *machine.Machine, root memsys.Addr, lay Layout, region *layout.Region,
-	freeOld func(memsys.Addr)) (memsys.Addr, Stats, error) {
-	return ReorganizeWithStrategy(m, root, lay, SubtreeCluster, region, freeOld)
-}
-
-// ReorganizeWithStrategy is Reorganize into a caller-supplied
-// (shareable) region with an explicit node-order strategy.
-// See Reorganize for the copy-then-commit failure contract: every
-// phase before the final commit only reads the old structure and
-// writes freshly-claimed extents, so an error at any point returns
-// the original root with the input intact.
+// returned unchanged, freeOld is never called, the region gets back
+// the hot budget an aborted placement spent, and the input structure
+// remains fully usable; the returned Stats carry Aborted=1 so
+// degradation is visible through telemetry.
 //
 // The implementation makes one read pass over the old structure in
 // preorder (sequential on depth-first layouts, no worse than any
@@ -181,9 +149,8 @@ func ReorganizeWith(m *machine.Machine, root memsys.Addr, lay Layout, region *la
 // one write pass in the new layout's order — mirroring how the real
 // ccmorph copies a structure into contiguous blocks without thrashing
 // the cache it is trying to help.
-func ReorganizeWithStrategy(m *machine.Machine, root memsys.Addr, lay Layout,
-	strat Strategy, region *layout.Region,
-	freeOld func(memsys.Addr)) (newRoot memsys.Addr, stats Stats, err error) {
+func Reorganize(m *machine.Machine, root memsys.Addr, lay Layout, region *layout.Region,
+	strat Strategy, freeOld func(memsys.Addr)) (newRoot memsys.Addr, stats Stats, err error) {
 
 	if err := lay.validate(); err != nil {
 		return root, Stats{Aborted: 1}, err

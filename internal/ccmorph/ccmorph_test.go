@@ -100,11 +100,18 @@ func collectLevelOrder(m *machine.Machine, root memsys.Addr) []int64 {
 	return keys
 }
 
-func testConfig() Config {
-	return Config{
-		Geometry:  layout.Geometry{Sets: 256, Assoc: 1, BlockSize: 64},
-		ColorFrac: 0.5,
+// testGeometry is the cache geometry the package's tests place for.
+var testGeometry = layout.Geometry{Sets: 256, Assoc: 1, BlockSize: 64}
+
+// testRegion returns a region over m's arena on testGeometry, colored
+// at colorFrac (0: clustering only).
+func testRegion(t testing.TB, m *machine.Machine, colorFrac float64) *layout.Region {
+	t.Helper()
+	r, err := layout.NewRegion(m.Arena, testGeometry, colorFrac)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return r
 }
 
 func newMachine() *machine.Machine { return machine.NewScaled(16) }
@@ -115,7 +122,7 @@ func TestReorganizePreservesTopology(t *testing.T) {
 	root, n := buildComplete(m, alloc, 8, 20, 1)
 	before := collectLevelOrder(m, root)
 
-	newRoot, st, err := Reorganize(m, root, binLayout(20, false), testConfig(), nil)
+	newRoot, st, err := Reorganize(m, root, binLayout(20, false), testRegion(t, m, 0.5), SubtreeCluster, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +140,7 @@ func TestReorganizePreservesTopology(t *testing.T) {
 
 func TestReorganizeNilRoot(t *testing.T) {
 	m := newMachine()
-	r, st, err := Reorganize(m, memsys.NilAddr, binLayout(20, false), testConfig(), nil)
+	r, st, err := Reorganize(m, memsys.NilAddr, binLayout(20, false), testRegion(t, m, 0.5), SubtreeCluster, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,9 +154,7 @@ func TestClusteringPacksSubtrees(t *testing.T) {
 	alloc := heap.New(m.Arena)
 	root, n := buildComplete(m, alloc, 8, 20, 2)
 
-	cfg := testConfig()
-	cfg.ColorFrac = 0 // clustering only
-	newRoot, st, err := Reorganize(m, root, binLayout(20, false), cfg, nil)
+	newRoot, st, err := Reorganize(m, root, binLayout(20, false), testRegion(t, m, 0), SubtreeCluster, nil) // clustering only
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,12 +193,11 @@ func TestColoringPlacesRootRegionHot(t *testing.T) {
 	alloc := heap.New(m.Arena)
 	root, _ := buildComplete(m, alloc, 10, 20, 3)
 
-	cfg := testConfig()
-	newRoot, st, err := Reorganize(m, root, binLayout(20, false), cfg, nil)
+	newRoot, st, err := Reorganize(m, root, binLayout(20, false), testRegion(t, m, 0.5), SubtreeCluster, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, err := layout.NewColoring(cfg.Geometry, cfg.ColorFrac)
+	col, err := layout.NewColoring(testGeometry, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +248,7 @@ func TestParentPointersRewired(t *testing.T) {
 	alloc := heap.New(m.Arena)
 	root, _ := buildComplete(m, alloc, 6, 28, 4)
 
-	newRoot, _, err := Reorganize(m, root, binLayout(28, true), testConfig(), nil)
+	newRoot, _, err := Reorganize(m, root, binLayout(28, true), testRegion(t, m, 0.5), SubtreeCluster, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +277,7 @@ func TestFreeOldCallback(t *testing.T) {
 	alloc := heap.New(m.Arena)
 	root, n := buildComplete(m, alloc, 7, 20, 5)
 	freed := map[memsys.Addr]bool{}
-	Reorganize(m, root, binLayout(20, false), testConfig(), func(a memsys.Addr) {
+	Reorganize(m, root, binLayout(20, false), testRegion(t, m, 0.5), SubtreeCluster, func(a memsys.Addr) {
 		if freed[a] {
 			t.Fatalf("old node %v freed twice", a)
 		}
@@ -318,7 +322,7 @@ func TestListReorganization(t *testing.T) {
 		m.StoreAddr(a.Add(8), next)
 	}
 
-	newHead, st, err := Reorganize(m, addrs[0], lay, testConfig(), nil)
+	newHead, st, err := Reorganize(m, addrs[0], lay, testRegion(t, m, 0.5), SubtreeCluster, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +358,7 @@ func TestCycleDetectionFails(t *testing.T) {
 	m.StoreAddr(a.Add(offRight), memsys.NilAddr)
 	m.StoreAddr(b.Add(offLeft), a) // cycle
 	m.StoreAddr(b.Add(offRight), memsys.NilAddr)
-	if _, _, err := Reorganize(m, a, binLayout(20, false), testConfig(), nil); !errors.Is(err, cclerr.ErrNotTree) {
+	if _, _, err := Reorganize(m, a, binLayout(20, false), testRegion(t, m, 0.5), SubtreeCluster, nil); !errors.Is(err, cclerr.ErrNotTree) {
 		t.Fatalf("cyclic structure err = %v, want ErrNotTree", err)
 	}
 }
@@ -372,7 +376,7 @@ func TestDAGDetectionFails(t *testing.T) {
 	m.StoreAddr(b.Add(offRight), memsys.NilAddr)
 	m.StoreAddr(c.Add(offLeft), memsys.NilAddr)
 	m.StoreAddr(c.Add(offRight), memsys.NilAddr)
-	if _, _, err := Reorganize(m, a, binLayout(20, false), testConfig(), nil); !errors.Is(err, cclerr.ErrNotTree) {
+	if _, _, err := Reorganize(m, a, binLayout(20, false), testRegion(t, m, 0.5), SubtreeCluster, nil); !errors.Is(err, cclerr.ErrNotTree) {
 		t.Fatalf("DAG err = %v, want ErrNotTree", err)
 	}
 }
@@ -391,7 +395,7 @@ func TestInvalidLayoutFails(t *testing.T) {
 		}(),
 	}
 	for i, l := range bad {
-		if _, _, err := Reorganize(m, memsys.Addr(8192), l, testConfig(), nil); !errors.Is(err, cclerr.ErrInvalidArg) {
+		if _, _, err := Reorganize(m, memsys.Addr(8192), l, testRegion(t, m, 0.5), SubtreeCluster, nil); !errors.Is(err, cclerr.ErrInvalidArg) {
 			t.Errorf("bad layout %d: err = %v, want ErrInvalidArg", i, err)
 		}
 	}
@@ -437,9 +441,7 @@ func TestRandomTopologiesPreserved(t *testing.T) {
 		if trial%2 == 1 {
 			colorFrac = 0.5
 		}
-		cfg := testConfig()
-		cfg.ColorFrac = colorFrac
-		newRoot, st, err := Reorganize(m, root, binLayout(20, false), cfg, nil)
+		newRoot, st, err := Reorganize(m, root, binLayout(20, false), testRegion(t, m, colorFrac), SubtreeCluster, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -501,8 +503,11 @@ func TestSearchSpeedup(t *testing.T) {
 	}
 
 	naive := descend(root, 300, 11)
-	cfg := Config{Geometry: layout.FromLevel(m.Cache.LastLevel()), ColorFrac: 0.5}
-	newRoot, _, err := Reorganize(m, root, binLayout(20, false), cfg, nil)
+	region, err := layout.NewRegion(m.Arena, layout.FromLevel(m.Cache.LastLevel()), 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newRoot, _, err := Reorganize(m, root, binLayout(20, false), region, SubtreeCluster, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,14 +54,11 @@ func TestAbortedReorganizeLeavesInputIntactProperty(t *testing.T) {
 		root := growRandomTree(m, alloc, rng, 40+rng.Intn(300))
 		before := collectLevelOrder(m, root)
 
-		cfg := testConfig()
+		colorFrac := 0.5
 		if trial%2 == 0 {
-			cfg.ColorFrac = 0 // exercise both region shapes
+			colorFrac = 0 // exercise both region shapes
 		}
-		region, err := layout.NewRegion(m.Arena, cfg.Geometry, cfg.ColorFrac)
-		if err != nil {
-			t.Fatal(err)
-		}
+		region := testRegion(t, m, colorFrac)
 		failAt := 1 + rng.Int63n(int64(len(before))/3+1)
 		var seen int64
 		m.Arena.SetGuard(func(ev memsys.GuardEvent, size int64) error {
@@ -75,7 +72,7 @@ func TestAbortedReorganizeLeavesInputIntactProperty(t *testing.T) {
 			return nil
 		})
 
-		newRoot, st, merr := ReorganizeWith(m, root, binLayout(20, false), region,
+		newRoot, st, merr := Reorganize(m, root, binLayout(20, false), region, SubtreeCluster,
 			func(a memsys.Addr) { t.Fatalf("trial %d: freeOld called on an aborted reorganize (%v)", trial, a) })
 		if merr == nil {
 			// The schedule outlived the cluster count: the morph
@@ -114,20 +111,15 @@ func TestAbortedReorganizeLeavesInputIntactProperty(t *testing.T) {
 // exactly as a morph into a fresh region does. The veto falls on the
 // last cluster, after the morph has spent the whole hot budget.
 func TestAbortedReorganizeGivesBackHotBudget(t *testing.T) {
-	cfg := testConfig()
 	lay := binLayout(20, false)
 	build := func() (*machine.Machine, memsys.Addr, *layout.Region) {
 		m := newMachine()
 		root, _ := buildComplete(m, heap.New(m.Arena), 10, 20, 5)
-		region, err := layout.NewRegion(m.Arena, cfg.Geometry, cfg.ColorFrac)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m, root, region
+		return m, root, testRegion(t, m, 0.5)
 	}
 
 	m, root, fresh := build()
-	_, clean, err := ReorganizeWith(m, root, lay, fresh, nil)
+	_, clean, err := Reorganize(m, root, lay, fresh, SubtreeCluster, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +137,11 @@ func TestAbortedReorganizeGivesBackHotBudget(t *testing.T) {
 		}
 		return nil
 	})
-	if _, _, err := ReorganizeWith(m, root, lay, shared, nil); !errors.Is(err, cclerr.ErrPlacementFailed) {
+	if _, _, err := Reorganize(m, root, lay, shared, SubtreeCluster, nil); !errors.Is(err, cclerr.ErrPlacementFailed) {
 		t.Fatalf("vetoed morph err = %v, want ErrPlacementFailed", err)
 	}
 	m.Arena.SetGuard(nil)
-	_, again, err := ReorganizeWith(m, root, lay, shared, nil)
+	_, again, err := Reorganize(m, root, lay, shared, SubtreeCluster, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

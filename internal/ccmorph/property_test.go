@@ -93,12 +93,12 @@ func checkMorphPreservesStrategy(keys []uint32, colorFrac float64, strat Strateg
 	root, n := buildInsertionBST(m, alloc, keys)
 	before := collectInOrder(m, root)
 
-	cfg := Config{
-		Geometry:  layout.Geometry{Sets: 64, Assoc: 1, BlockSize: 64},
-		ColorFrac: colorFrac,
-		Strategy:  strat,
+	geo := layout.Geometry{Sets: 64, Assoc: 1, BlockSize: 64}
+	region, err := layout.NewRegion(m.Arena, geo, colorFrac)
+	if err != nil {
+		return err
 	}
-	newRoot, st, err := Reorganize(m, root, binLayout(20, false), cfg, nil)
+	newRoot, st, err := Reorganize(m, root, binLayout(20, false), region, strat, nil)
 	if err != nil {
 		return fmt.Errorf("Reorganize: %w", err)
 	}
@@ -122,7 +122,7 @@ func checkMorphPreservesStrategy(keys []uint32, colorFrac float64, strat Strateg
 		// No node may straddle the color boundary: clusters are
 		// block-aligned and color stripes are block multiples, so
 		// every element is entirely hot or entirely cold.
-		col, cerr := layout.NewColoring(cfg.Geometry, colorFrac)
+		col, cerr := layout.NewColoring(geo, colorFrac)
 		if cerr != nil {
 			return fmt.Errorf("NewColoring: %w", cerr)
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ccl/internal/cclerr"
+	"ccl/internal/ccmorph"
 	"ccl/internal/heap"
 	"ccl/internal/layout"
 	"ccl/internal/sim"
@@ -88,7 +89,7 @@ func TestArmSimVetoesPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, merr := tr.MorphWith(region, nil)
+	_, merr := tr.MorphWith(region, ccmorph.SubtreeCluster, nil)
 	if !errors.Is(merr, cclerr.ErrPlacementFailed) || !errors.Is(merr, cclerr.ErrFaultInjected) {
 		t.Fatalf("vetoed placement err = %v, want ErrPlacementFailed and ErrFaultInjected", merr)
 	}

@@ -8,7 +8,6 @@ import (
 	"ccl/internal/apps/radiance"
 	"ccl/internal/cclerr"
 	"ccl/internal/heap"
-	"ccl/internal/layout"
 	"ccl/internal/machine"
 	"ccl/internal/memsys"
 	"ccl/internal/profile"
@@ -94,8 +93,7 @@ func TestSplitVetoSweep(t *testing.T) {
 		run := func(s *sim.Sim, freeOld func(memsys.Addr)) (*trees.BST, split.Stats, error) {
 			m, _ := sweepMachine(s)
 			tr := trees.MustBuild(m, heap.New(m.Arena), 300, trees.RandomOrder, 1)
-			cfg := split.Config{Geometry: layout.FromLevel(m.Cache.LastLevel()), ColorFrac: frac}
-			_, st, err := tr.Split(part, cfg, freeOld)
+			_, st, err := tr.Split(part, lastLevelRegion(t, m, frac), freeOld)
 			return tr, st, err
 		}
 		counter := NewInjector()

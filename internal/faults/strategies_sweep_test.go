@@ -9,7 +9,6 @@ import (
 	"ccl/internal/cclerr"
 	"ccl/internal/ccmorph"
 	"ccl/internal/heap"
-	"ccl/internal/layout"
 	"ccl/internal/profile"
 	"ccl/internal/sim"
 	"ccl/internal/split"
@@ -52,7 +51,7 @@ func TestStrategyReplayDifferential(t *testing.T) {
 		t.Run(strat.String(), func(t *testing.T) {
 			m, rec := sweepMachine(sim.New())
 			tr := trees.MustBuild(m, heap.New(m.Arena), n, trees.RandomOrder, 7)
-			if _, err := tr.MorphStrategy(strat, 0.5, nil); err != nil {
+			if _, err := tr.MorphWith(lastLevelRegion(t, m, 0.5), strat, nil); err != nil {
 				t.Fatal(err)
 			}
 			rng := rand.New(rand.NewSource(3))
@@ -66,10 +65,7 @@ func TestStrategyReplayDifferential(t *testing.T) {
 	t.Run("hot-cold-split", func(t *testing.T) {
 		m, rec := sweepMachine(sim.New())
 		tr := trees.MustBuild(m, heap.New(m.Arena), n, trees.RandomOrder, 7)
-		st, _, err := tr.Split(searchPartition(t), split.Config{
-			Geometry:  layout.FromLevel(m.Cache.LastLevel()),
-			ColorFrac: 0.5,
-		}, nil)
+		st, _, err := tr.Split(searchPartition(t), lastLevelRegion(t, m, 0.5), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,16 +85,12 @@ func sweepVEBPlace(t *testing.T, seed int64) {
 	m, rec := sweepMachine(armed(in))
 	tr := trees.MustBuild(m, heap.New(m.Arena), 150, trees.RandomOrder, seed)
 
-	region, err := layout.NewRegion(m.Arena, layout.FromLevel(m.Cache.LastLevel()), 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, merr := tr.MorphStrategyWith(ccmorph.VEB, region, nil)
+	st, merr := tr.MorphWith(lastLevelRegion(t, m, 0.5), ccmorph.VEB, nil)
 	if merr != nil {
 		if !errors.Is(merr, cclerr.ErrPlacementFailed) {
 			t.Fatalf("vetoed vEB morph err = %v, want ErrPlacementFailed", merr)
 		}
-		checkTyped(t, "MorphStrategyWith", merr)
+		checkTyped(t, "MorphWith", merr)
 		if st.Aborted == 0 {
 			t.Fatal("failed vEB morph did not set Stats.Aborted")
 		}
@@ -133,10 +125,7 @@ func sweepSplitArenaGrow(t *testing.T, seed int64) {
 	}
 	in.ArmSim(s)
 
-	st, stats, err := tr.Split(part, split.Config{
-		Geometry:  layout.FromLevel(m.Cache.LastLevel()),
-		ColorFrac: 0.5,
-	}, nil)
+	st, stats, err := tr.Split(part, lastLevelRegion(t, m, 0.5), nil)
 	if err != nil {
 		checkTyped(t, "Split", err)
 		if stats.Aborted == 0 {

@@ -7,6 +7,7 @@ import (
 
 	"ccl/internal/cclerr"
 	"ccl/internal/ccmalloc"
+	"ccl/internal/ccmorph"
 	"ccl/internal/heap"
 	"ccl/internal/layout"
 	"ccl/internal/machine"
@@ -59,6 +60,17 @@ func replayDiff(t *testing.T, rec *machine.Recorder) {
 func sweepMachine(s *sim.Sim) (*machine.Machine, *machine.Recorder) {
 	rec := machine.Record(s.NewScaled(64))
 	return rec.Machine, rec
+}
+
+// lastLevelRegion returns a region on m's last-level cache, colored
+// at frac (0: plain blocks).
+func lastLevelRegion(t *testing.T, m *machine.Machine, frac float64) *layout.Region {
+	t.Helper()
+	region, err := layout.NewRegion(m.Arena, layout.FromLevel(m.Cache.LastLevel()), frac)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return region
 }
 
 // armed returns a fresh run context armed with in.
@@ -149,11 +161,7 @@ func sweepPlaceCluster(t *testing.T, strat ccmalloc.Strategy, seed int64) {
 	m, rec := sweepMachine(armed(in))
 	tr := trees.MustBuild(m, heap.New(m.Arena), 150, trees.RandomOrder, seed)
 
-	region, err := layout.NewRegion(m.Arena, layout.FromLevel(m.Cache.LastLevel()), 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, merr := tr.MorphWith(region, nil)
+	st, merr := tr.MorphWith(lastLevelRegion(t, m, 0.5), ccmorph.SubtreeCluster, nil)
 	if merr != nil {
 		if !errors.Is(merr, cclerr.ErrPlacementFailed) {
 			t.Fatalf("vetoed morph err = %v, want ErrPlacementFailed", merr)
@@ -237,7 +245,7 @@ func FuzzFaultSchedule(f *testing.F) {
 			}
 			return
 		}
-		if _, merr := tr.MorphWith(region, nil); merr != nil && cclerr.Class(merr) == "" {
+		if _, merr := tr.MorphWith(region, ccmorph.SubtreeCluster, nil); merr != nil && cclerr.Class(merr) == "" {
 			t.Fatalf("MorphWith: unclassified error %v", merr)
 		}
 		if cerr := tr.CheckSearchable(); cerr != nil {

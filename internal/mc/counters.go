@@ -23,9 +23,6 @@ type CounterConfig struct {
 	// Work is the busy cycles charged per increment (default 1),
 	// modeling the computation between counter updates.
 	Work int64
-	// Shuffle, when non-zero, seeds a randomized interleaving in
-	// place of round-robin.
-	Shuffle int64
 }
 
 // Counters runs the per-core increment loop on tp and returns the
@@ -61,12 +58,7 @@ func Counters(tp *machine.Topology, cfg CounterConfig) (Result, []int64) {
 			return left > 0
 		}
 	}
-	var steps int64
-	if cfg.Shuffle != 0 {
-		steps = Shuffled(cfg.Shuffle, workers...)
-	} else {
-		steps = RoundRobin(workers...)
-	}
+	steps := RoundRobin(workers...)
 
 	finals := make([]int64, tp.Cores())
 	for i := range finals {

@@ -35,10 +35,8 @@ type KVConfig struct {
 	// StatsStride is the byte distance between adjacent cores'
 	// stats pairs (>= 16; the granule size stops false sharing).
 	StatsStride int64
-	// Seed derives each core's op stream (seed+core), and non-zero
-	// Shuffle additionally randomizes the interleaving.
-	Seed    int64
-	Shuffle int64
+	// Seed derives each core's op stream (seed+core).
+	Seed int64
 }
 
 // KVResult extends the common result with per-core table outcomes.
@@ -97,12 +95,7 @@ func KV(tp *machine.Topology, cfg KVConfig) KVResult {
 			return left > 0
 		}
 	}
-	var steps int64
-	if cfg.Shuffle != 0 {
-		steps = Shuffled(cfg.Shuffle, workers...)
-	} else {
-		steps = RoundRobin(workers...)
-	}
+	steps := RoundRobin(workers...)
 
 	res := KVResult{Result: collect(tp, steps, cols)}
 	for i := 0; i < tp.Cores(); i++ {

@@ -23,15 +23,13 @@
 // is needed.
 //
 // Everything is single-goroutine: cores are Workers stepped by an
-// explicit schedule (round-robin or seeded), so every run is
-// reproducible and the oracle's determinism guarantees extend to
-// whole experiments. No Go concurrency, no races — "parallelism" is
-// simulated time, as everywhere else in this repository.
+// explicit round-robin schedule, so every run is reproducible and the
+// oracle's determinism guarantees extend to whole experiments. No Go
+// concurrency, no races — "parallelism" is simulated time, as
+// everywhere else in this repository.
 package mc
 
 import (
-	"math/rand"
-
 	"ccl/internal/coherence"
 	"ccl/internal/machine"
 	"ccl/internal/telemetry"
@@ -57,27 +55,6 @@ func RoundRobin(workers ...Worker) int64 {
 				done[i] = true
 				live--
 			}
-		}
-	}
-	return steps
-}
-
-// Shuffled steps a uniformly random live worker each turn, from a
-// seeded rng: a different — but equally reproducible — interleaving
-// for the same workload. It returns the total step count.
-func Shuffled(seed int64, workers ...Worker) int64 {
-	rng := rand.New(rand.NewSource(seed))
-	var steps int64
-	live := make([]int, len(workers))
-	for i := range live {
-		live[i] = i
-	}
-	for len(live) > 0 {
-		j := rng.Intn(len(live))
-		steps++
-		if !workers[live[j]]() {
-			live[j] = live[len(live)-1]
-			live = live[:len(live)-1]
 		}
 	}
 	return steps

@@ -31,10 +31,8 @@ type TreeConfig struct {
 	Nodes int64
 	// Searches is the number of lookups each core performs.
 	Searches int
-	// Seed derives each core's key stream (seed+core), and non-zero
-	// Shuffle randomizes the interleaving.
-	Seed    int64
-	Shuffle int64
+	// Seed derives each core's key stream (seed+core).
+	Seed int64
 }
 
 // TreeResult extends the common result with per-core hit counts.
@@ -94,12 +92,7 @@ func TreeSearch(tp *machine.Topology, cfg TreeConfig) TreeResult {
 			return left > 0
 		}
 	}
-	var steps int64
-	if cfg.Shuffle != 0 {
-		steps = Shuffled(cfg.Shuffle, workers...)
-	} else {
-		steps = RoundRobin(workers...)
-	}
+	steps := RoundRobin(workers...)
 	return TreeResult{Result: collect(tp, steps, cols), Hits: hits}
 }
 

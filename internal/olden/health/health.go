@@ -18,7 +18,6 @@ import (
 
 	"ccl/internal/ccmorph"
 	"ccl/internal/heap"
-	"ccl/internal/layout"
 	"ccl/internal/machine"
 	"ccl/internal/memsys"
 	"ccl/internal/olden"
@@ -388,12 +387,7 @@ func (s *sim) cellLayout() ccmorph.Layout {
 // recorded as ccmorph property.
 func (s *sim) morphAllLists(colorFrac float64) {
 	m := s.m
-	region, err := layout.NewRegion(m.Arena, layout.FromLevel(m.Cache.LastLevel()), colorFrac)
-	if err != nil {
-		// Geometry comes from the machine's own last-level cache, so a
-		// failure here is a harness bug: fail fast (DESIGN.md §7).
-		panic(err)
-	}
+	region := olden.NewRegion(m, colorFrac)
 	lay := s.cellLayout()
 	for _, v := range s.villages {
 		for _, off := range []int64{vilWaiting, vilAssess, vilInside} {
@@ -401,7 +395,7 @@ func (s *sim) morphAllLists(colorFrac float64) {
 			if head.IsNil() {
 				continue
 			}
-			newHead, _, merr := ccmorph.ReorganizeWith(m, head, lay, region, s.freeCell)
+			newHead, _, merr := ccmorph.Reorganize(m, head, lay, region, ccmorph.SubtreeCluster, s.freeCell)
 			if merr != nil {
 				// Degrade: Reorganize is copy-then-commit, so the
 				// original list is intact — keep walking it in its old

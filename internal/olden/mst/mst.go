@@ -16,7 +16,6 @@ import (
 
 	"ccl/internal/ccmorph"
 	"ccl/internal/heap"
-	"ccl/internal/layout"
 	"ccl/internal/machine"
 	"ccl/internal/memsys"
 	"ccl/internal/olden"
@@ -266,12 +265,7 @@ func entryLayout() ccmorph.Layout {
 // the chains from fighting over the hot region.
 func (g *graph) morphChains(colorFrac float64) {
 	m := g.m
-	region, err := layout.NewRegion(m.Arena, layout.FromLevel(m.Cache.LastLevel()), colorFrac)
-	if err != nil {
-		// Geometry comes from the machine's own last-level cache, so a
-		// failure here is a harness bug: fail fast (DESIGN.md §7).
-		panic(err)
-	}
+	region := olden.NewRegion(m, colorFrac)
 	for _, vx := range g.vertices {
 		arr := m.LoadAddr(vx.Add(vtxHash))
 		for b := int64(0); b < int64(g.cfg.Buckets); b++ {
@@ -280,7 +274,7 @@ func (g *graph) morphChains(colorFrac float64) {
 			if head.IsNil() {
 				continue
 			}
-			newHead, _, merr := ccmorph.ReorganizeWith(m, head, entryLayout(), region, nil)
+			newHead, _, merr := ccmorph.Reorganize(m, head, entryLayout(), region, ccmorph.SubtreeCluster, nil)
 			if merr != nil {
 				// Degrade: the original chain is intact (copy-then-
 				// commit); leave it in its old layout.

@@ -16,7 +16,6 @@ import (
 
 	"ccl/internal/cache"
 	"ccl/internal/ccmalloc"
-	"ccl/internal/ccmorph"
 	"ccl/internal/heap"
 	"ccl/internal/layout"
 	"ccl/internal/machine"
@@ -259,13 +258,18 @@ func (m *meteredMalloc) Free(a memsys.Addr) error {
 	return m.Malloc.Free(a)
 }
 
-// MorphConfig builds the ccmorph configuration targeting the
-// machine's last-level cache with the given coloring fraction.
-func MorphConfig(m *machine.Machine, colorFrac float64) ccmorph.Config {
-	return ccmorph.Config{
-		Geometry:  layout.FromLevel(m.Cache.LastLevel()),
-		ColorFrac: colorFrac,
+// NewRegion returns the placement region ccmorph reorganizes into:
+// the machine's last-level cache, colored when colorFrac > 0.
+//
+// Panic justification: the geometry comes from the machine's own
+// last-level cache, so a failure here is a harness bug and fails fast
+// (DESIGN.md §7).
+func NewRegion(m *machine.Machine, colorFrac float64) *layout.Region {
+	r, err := layout.NewRegion(m.Arena, layout.FromLevel(m.Cache.LastLevel()), colorFrac)
+	if err != nil {
+		panic(err)
 	}
+	return r
 }
 
 // Result is one benchmark run's outcome.

@@ -154,7 +154,7 @@ func Run(env olden.Env, cfg Config) olden.Result {
 
 	if frac, ok := env.Variant.MorphColorFrac(); ok {
 		// Olden programs never free; old copies become garbage.
-		newRoot, _, err := ccmorph.Reorganize(b.m, root, Layout(), olden.MorphConfig(b.m, frac), nil)
+		newRoot, _, err := ccmorph.Reorganize(b.m, root, Layout(), olden.NewRegion(b.m, frac), ccmorph.SubtreeCluster, nil)
 		if err != nil {
 			// Degrade: copy-then-commit left the original quadtree
 			// intact; traverse it in its built layout.

@@ -74,7 +74,7 @@ func Run(env olden.Env, cfg Config) olden.Result {
 	if colorFrac, ok := env.Variant.MorphColorFrac(); ok {
 		// Olden programs never free; the old copies become garbage,
 		// which is ccmorph's documented memory cost, not a time cost.
-		newRoot, _, err := ccmorph.Reorganize(m, root, Layout(), olden.MorphConfig(m, colorFrac), nil)
+		newRoot, _, err := ccmorph.Reorganize(m, root, Layout(), olden.NewRegion(m, colorFrac), ccmorph.SubtreeCluster, nil)
 		if err != nil {
 			// Degrade: copy-then-commit left the original tree intact;
 			// sum it in its built layout.

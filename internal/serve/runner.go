@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"ccl/internal/bench"
-	"ccl/internal/cache"
 	"ccl/internal/cclerr"
 	"ccl/internal/faults"
 	"ccl/internal/profile"
@@ -104,8 +103,10 @@ func traceSpec(tr *trace.Trace) bench.Spec {
 			return []bench.Job{{
 				Name: uploadReplayID + "/replay",
 				Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
-					h := cache.New(tr.Config)
-					cycles := trace.AccessTrace(h, tr.Records)
+					h, cycles, err := trace.Replay(*tr)
+					if err != nil {
+						return nil, err
+					}
 					st := h.Stats()
 					last := len(st.Levels) - 1
 					return []string{

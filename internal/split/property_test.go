@@ -159,8 +159,11 @@ func checkSplitRoundTrip(keys []uint32, frac float64, pinsOnly bool) error {
 		return fmt.Errorf("Plan: %w", err)
 	}
 	geo := layout.FromLevel(m.Cache.LastLevel())
-	tr, st, err := split.Split(m, root, part, []string{"left", "right"},
-		split.Config{Geometry: geo, ColorFrac: frac}, nil)
+	region, err := layout.NewRegion(m.Arena, geo, frac)
+	if err != nil {
+		return err
+	}
+	tr, st, err := split.Split(m, root, part, []string{"left", "right"}, region, nil)
 	if err != nil {
 		return fmt.Errorf("Split: %w", err)
 	}

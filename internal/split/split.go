@@ -22,7 +22,7 @@
 //
 // Like ccmorph, Split is copy-then-commit: the split copy is built in
 // fresh extents and the original structure is never mutated, so any
-// error (non-tree input, exhausted arena, unusable geometry) leaves
+// error (non-tree input, exhausted arena, a vetoed placement) leaves
 // the input fully usable and is reported with the cclerr taxonomy.
 package split
 
@@ -130,16 +130,6 @@ func Plan(fm layout.FieldMap, sp profile.StructProfile, pin ...string) (Partitio
 	return Partition{Source: fm, Hot: hot, Cold: cold}, nil
 }
 
-// Config carries the placement parameters of a split.
-type Config struct {
-	// Geometry of the cache level placement targets (normally L2).
-	Geometry layout.Geometry
-	// ColorFrac reserves that fraction of cache sets for the hottest
-	// arrays (the profile's rank order decides which arrays fit the
-	// budget). Zero disables coloring.
-	ColorFrac float64
-}
-
 // Stats reports what a split did.
 type Stats struct {
 	Nodes      int64 // elements split
@@ -242,22 +232,14 @@ type placer struct {
 	chunk  int64 // chunk payload capacity in bytes
 }
 
-// newPlacer builds the chunk allocator. numHot is how many arrays
-// will compete for the colored hot region: the hot budget is divided
-// evenly among them, so every hot field keeps its root-most elements
-// — the prefix every search touches, since indices are assigned in
-// BFS order — in the reserved cache region, instead of the first
-// array swallowing the whole budget.
-func newPlacer(arena *memsys.Arena, cfg Config, numHot int) (*placer, error) {
-	g := cfg.Geometry
-	if g.BlockSize <= 0 || g.Sets <= 0 || g.Assoc <= 0 {
-		return nil, cclerr.Errorf(cclerr.ErrBadGeometry,
-			"split: unusable geometry %+v", g)
-	}
-	r, err := layout.NewRegion(arena, g, cfg.ColorFrac)
-	if err != nil {
-		return nil, err
-	}
+// newPlacer builds the chunk allocator over region. numHot is how
+// many arrays will compete for the region's hot budget left: it is
+// divided evenly among them, so every hot field keeps its root-most
+// elements — the prefix every search touches, since indices are
+// assigned in BFS order — in the reserved cache region, instead of
+// the first array swallowing the whole budget.
+func newPlacer(r *layout.Region, numHot int) *placer {
+	g := r.Geometry()
 	p := &placer{region: r, chunk: g.BlockSize}
 	if col, ok := r.Coloring(); ok {
 		p.share = r.HotLeft() / int64(numHot)
@@ -273,7 +255,7 @@ func newPlacer(arena *memsys.Arena, cfg Config, numHot int) (*placer, error) {
 		}
 		p.chunk = max(p.chunk, g.BlockSize)
 	}
-	return p, nil
+	return p
 }
 
 // alloc returns an extent of size bytes. wantHot asks for the colored
@@ -287,21 +269,24 @@ func (p *placer) alloc(size int64, wantHot bool, spent int64) (memsys.Addr, bool
 }
 
 // Split rebuilds the tree rooted at root in split (hot SoA / cold
-// overflow) form. kidFields names the hot fields that hold child
-// pointers, in traversal order — each must be a planned hot field of
-// pointer size, since its values are rewritten to element indices.
-// freeOld, if non-nil, reclaims every old element after the copy
-// commits.
+// overflow) form, placing its arrays in region: colored, the hottest
+// arrays share the hot budget the region has left; uncolored, every
+// chunk is a plain block. kidFields names the hot fields that hold
+// child pointers, in traversal order — each must be a planned hot
+// field of pointer size, since its values are rewritten to element
+// indices. freeOld, if non-nil, reclaims every old element after the
+// copy commits.
 //
 // Split is copy-then-commit with ccmorph.Reorganize's exact failure
 // contract: on any error the original structure is untouched and
-// still searchable, freeOld is never called, and Stats carry
-// Aborted=1. A structure that is not tree-like — an element reachable
-// twice, or a wild pointer that faults the traversal — fails with
+// still searchable, freeOld is never called, the region gets back the
+// hot budget an aborted placement spent, and Stats carry Aborted=1.
+// A structure that is not tree-like — an element reachable twice, or
+// a wild pointer that faults the traversal — fails with
 // cclerr.ErrNotTree; placement and arena failures surface as
 // cclerr.ErrPlacementFailed / cclerr.ErrOutOfMemory.
 func Split(m *machine.Machine, root memsys.Addr, part Partition, kidFields []string,
-	cfg Config, freeOld func(memsys.Addr)) (tr *Tree, stats Stats, err error) {
+	region *layout.Region, freeOld func(memsys.Addr)) (tr *Tree, stats Stats, err error) {
 
 	if err := validate(part, kidFields); err != nil {
 		return nil, Stats{Aborted: 1}, err
@@ -329,7 +314,7 @@ func Split(m *machine.Machine, root memsys.Addr, part Partition, kidFields []str
 		return t, Stats{}, nil
 	}
 
-	// See ccmorph.ReorganizeWithStrategy: a corrupt structure faults
+	// See ccmorph.Reorganize: a corrupt structure faults
 	// the traversal with a typed memsys.Fault; nothing old has been
 	// modified, so recover into an ordinary ErrNotTree abort.
 	defer func() {
@@ -343,10 +328,7 @@ func Split(m *machine.Machine, root memsys.Addr, part Partition, kidFields []str
 		}
 	}()
 
-	pl, err := newPlacer(m.Arena, cfg, len(part.Hot))
-	if err != nil {
-		return nil, Stats{Aborted: 1}, err
-	}
+	pl := newPlacer(region, len(part.Hot))
 	for _, f := range part.Hot {
 		if f.Size > pl.chunk {
 			return nil, Stats{Aborted: 1}, cclerr.Errorf(cclerr.ErrPlacementFailed,
@@ -382,12 +364,16 @@ func Split(m *machine.Machine, root memsys.Addr, part Partition, kidFields []str
 	// Phase 2: place the arrays. Hot arrays claim chunks in partition
 	// order (hottest field first) so the colored budget covers the
 	// fields the profile ranked highest; the cold overflow array is
-	// always cold.
-	claimedBefore := pl.region.Claimed()
+	// always cold. A failure here leaves only unreferenced fresh
+	// extents behind, and the region is rewound, so the next structure
+	// placed into a shared region gets back the hot budget spent here.
+	claimedBefore := region.Claimed()
+	mark := region.Mark()
 	t.hot = make([]soaArray, len(part.Hot))
 	for i, f := range part.Hot {
 		a, hotChunks, aerr := placeArray(pl, f.Size, n, true)
 		if aerr != nil {
+			region.Rewind(mark)
 			return nil, Stats{Aborted: 1}, aerr
 		}
 		t.hot[i] = a
@@ -397,6 +383,7 @@ func Split(m *machine.Machine, root memsys.Addr, part Partition, kidFields []str
 	if coldStride > 0 {
 		a, _, aerr := placeArray(pl, coldStride, n, false)
 		if aerr != nil {
+			region.Rewind(mark)
 			return nil, Stats{Aborted: 1}, aerr
 		}
 		t.cold = a
@@ -446,7 +433,7 @@ func Split(m *machine.Machine, root memsys.Addr, part Partition, kidFields []str
 			freeOld(a)
 		}
 	}
-	stats.NewBytes = pl.region.Claimed() - claimedBefore
+	stats.NewBytes = region.Claimed() - claimedBefore
 	return t, stats, nil
 }
 

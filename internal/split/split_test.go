@@ -102,6 +102,17 @@ func buildFixture(t *testing.T, n int64) (*machine.Machine, *trees.BST, split.Pa
 	return m, tree, part
 }
 
+// lastLevelRegion returns a region on m's last-level cache, colored
+// at frac (0: plain blocks).
+func lastLevelRegion(t *testing.T, m *machine.Machine, frac float64) *layout.Region {
+	t.Helper()
+	r, err := layout.NewRegion(m.Arena, layout.FromLevel(m.Cache.LastLevel()), frac)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 // stampValue writes a recognizable satellite value on the node
 // holding key k, found by a raw descent.
 func stampValue(m *machine.Machine, tree *trees.BST, k uint32) {
@@ -123,8 +134,7 @@ func stampValue(m *machine.Machine, tree *trees.BST, k uint32) {
 func TestSplitSearchable(t *testing.T) {
 	for _, frac := range []float64{0, 0.5} {
 		m, tree, part := buildFixture(t, 300)
-		cfg := split.Config{Geometry: layout.FromLevel(m.Cache.LastLevel()), ColorFrac: frac}
-		st, stats, err := tree.Split(part, cfg, nil)
+		st, stats, err := tree.Split(part, lastLevelRegion(t, m, frac), nil)
 		if err != nil {
 			t.Fatalf("frac %v: %v", frac, err)
 		}
@@ -162,8 +172,7 @@ func TestSplitReassembleRoundTrip(t *testing.T) {
 	}
 	walk(tree.Root())
 
-	cfg := split.Config{Geometry: layout.FromLevel(m.Cache.LastLevel()), ColorFrac: 0.5}
-	st, _, err := tree.Split(part, cfg, nil)
+	st, _, err := tree.Split(part, lastLevelRegion(t, m, 0.5), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,8 +214,7 @@ func TestSplitReassembleRoundTrip(t *testing.T) {
 func TestSplitColoringStripeDiscipline(t *testing.T) {
 	m, tree, part := buildFixture(t, 500)
 	geo := layout.FromLevel(m.Cache.LastLevel())
-	cfg := split.Config{Geometry: geo, ColorFrac: 0.5}
-	st, stats, err := tree.Split(part, cfg, nil)
+	st, stats, err := tree.Split(part, lastLevelRegion(t, m, 0.5), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,8 +261,7 @@ func TestSplitNotTree(t *testing.T) {
 		corrupt(m.Arena.LoadAddr(a.Add(4)), depth+1)
 	}
 	corrupt(tree.Root(), 0)
-	cfg := split.Config{Geometry: layout.FromLevel(m.Cache.LastLevel())}
-	_, stats, err := tree.Split(part, cfg, nil)
+	_, stats, err := tree.Split(part, lastLevelRegion(t, m, 0), nil)
 	if !errors.Is(err, cclerr.ErrNotTree) {
 		t.Fatalf("err = %v, want ErrNotTree", err)
 	}
@@ -269,8 +276,7 @@ func TestSplitWildPointerFaults(t *testing.T) {
 	// recovers into ErrNotTree, and the original stays usable minus
 	// the corruption we made (left subtree intact).
 	m.Arena.StoreAddr(tree.Root().Add(8), memsys.Addr(0x7fff_f000))
-	cfg := split.Config{Geometry: layout.FromLevel(m.Cache.LastLevel())}
-	_, stats, err := tree.Split(part, cfg, nil)
+	_, stats, err := tree.Split(part, lastLevelRegion(t, m, 0), nil)
 	if !errors.Is(err, cclerr.ErrNotTree) {
 		t.Fatalf("err = %v, want ErrNotTree", err)
 	}
@@ -281,21 +287,20 @@ func TestSplitWildPointerFaults(t *testing.T) {
 
 func TestSplitValidateErrors(t *testing.T) {
 	m, tree, part := buildFixture(t, 10)
-	cfg := split.Config{Geometry: layout.FromLevel(m.Cache.LastLevel())}
-	_ = m
+	region := lastLevelRegion(t, m, 0)
 
 	// Kid field not hot.
 	bad := part
 	bad.Hot = part.Hot[:2] // drops right
 	bad.Cold = append([]layout.Field{}, part.Cold...)
 	if _, _, err := split.Split(tree.Machine(), tree.Root(), bad, []string{"left", "right"},
-		cfg, nil); !errors.Is(err, cclerr.ErrInvalidArg) {
+		region, nil); !errors.Is(err, cclerr.ErrInvalidArg) {
 		t.Fatalf("kid not hot: err = %v, want ErrInvalidArg", err)
 	}
 
 	// Incomplete cover.
 	if _, _, err := split.Split(tree.Machine(), tree.Root(), bad, []string{"left"},
-		cfg, nil); !errors.Is(err, cclerr.ErrInvalidArg) {
+		region, nil); !errors.Is(err, cclerr.ErrInvalidArg) {
 		t.Fatalf("incomplete cover: err = %v, want ErrInvalidArg", err)
 	}
 
@@ -311,7 +316,7 @@ func TestSplitValidateErrors(t *testing.T) {
 	bad2.Hot = append(append([]layout.Field{}, part.Hot...), value)
 	bad2.Cold = nil
 	if _, _, err := split.Split(tree.Machine(), tree.Root(), bad2, []string{"value"},
-		cfg, nil); !errors.Is(err, cclerr.ErrInvalidArg) {
+		region, nil); !errors.Is(err, cclerr.ErrInvalidArg) {
 		t.Fatalf("8-byte kid: err = %v, want ErrInvalidArg", err)
 	}
 }
@@ -322,8 +327,7 @@ func TestSplitEmptyTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := split.Config{Geometry: layout.FromLevel(m.Cache.LastLevel())}
-	st, stats, err := split.Split(m, memsys.NilAddr, part, []string{"left", "right"}, cfg, nil)
+	st, stats, err := split.Split(m, memsys.NilAddr, part, []string{"left", "right"}, lastLevelRegion(t, m, 0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,13 +341,54 @@ func TestSplitEmptyTree(t *testing.T) {
 
 func TestSplitFreeOld(t *testing.T) {
 	m, tree, part := buildFixture(t, 64)
-	cfg := split.Config{Geometry: layout.FromLevel(m.Cache.LastLevel())}
 	var freed int
-	if _, _, err := tree.Split(part, cfg, func(memsys.Addr) { freed++ }); err != nil {
+	if _, _, err := tree.Split(part, lastLevelRegion(t, m, 0), func(memsys.Addr) { freed++ }); err != nil {
 		t.Fatal(err)
 	}
 	if freed != 64 {
 		t.Fatalf("freed %d old nodes, want 64", freed)
 	}
-	_ = m
+}
+
+// TestAbortedSplitGivesBackHotBudget: a colored split aborted by a
+// vetoed placement rewinds the region it shares, so the next split
+// into that region colors exactly as a split into a fresh region
+// does. The veto falls on the last chunk, after the hot arrays have
+// spent their shares of the budget.
+func TestAbortedSplitGivesBackHotBudget(t *testing.T) {
+	m, tree, part := buildFixture(t, 500)
+	fresh := lastLevelRegion(t, m, 0.5)
+	_, clean, err := tree.Split(part, fresh, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clean.HotChunks == 0 {
+		t.Fatal("no hot chunks: the case needs a split that spends hot budget")
+	}
+
+	m, tree, part = buildFixture(t, 500)
+	shared := lastLevelRegion(t, m, 0.5)
+	var seen int64
+	m.Arena.SetGuard(func(ev memsys.GuardEvent, _ int64) error {
+		if ev == memsys.GuardPlace {
+			if seen++; seen == clean.Chunks {
+				return errors.New("veto")
+			}
+		}
+		return nil
+	})
+	if _, _, err := tree.Split(part, shared, nil); !errors.Is(err, cclerr.ErrPlacementFailed) {
+		t.Fatalf("vetoed split err = %v, want ErrPlacementFailed", err)
+	}
+	m.Arena.SetGuard(nil)
+	_, again, err := tree.Split(part, shared, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.HotChunks != clean.HotChunks {
+		t.Fatalf("split after an aborted one placed %d hot chunks, a fresh region %d", again.HotChunks, clean.HotChunks)
+	}
+	if got, want := shared.HotLeft(), fresh.HotLeft(); got != want {
+		t.Fatalf("shared region has %d bytes of hot budget left, a fresh one %d", got, want)
+	}
 }

@@ -169,30 +169,3 @@ func (h Heatmap) RenderASCII(cols int) string {
 	}
 	return sb.String()
 }
-
-// HotSets returns the n sets with the most last-level misses, as
-// (set, misses) pairs in descending order — the "which sets are under
-// pressure" view that motivates coloring.
-func (h Heatmap) HotSets(n int) [][2]int64 {
-	type sm struct{ set, misses int64 }
-	all := make([]sm, len(h.Misses))
-	for i, m := range h.Misses {
-		all[i] = sm{int64(i), m}
-	}
-	// Partial selection sort: n is small.
-	if n > len(all) {
-		n = len(all)
-	}
-	out := make([][2]int64, 0, n)
-	for k := 0; k < n; k++ {
-		best := k
-		for i := k + 1; i < len(all); i++ {
-			if all[i].misses > all[best].misses {
-				best = i
-			}
-		}
-		all[k], all[best] = all[best], all[k]
-		out = append(out, [2]int64{all[k].set, all[k].misses})
-	}
-	return out
-}

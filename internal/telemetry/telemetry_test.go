@@ -233,11 +233,6 @@ func TestHeatmapCountsAndRender(t *testing.T) {
 	if !strings.Contains(art, "peak 3") {
 		t.Errorf("RenderASCII missing peak annotation:\n%s", art)
 	}
-
-	hot := hm.HotSets(2)
-	if len(hot) == 0 || hot[0][0] != 0 {
-		t.Errorf("HotSets = %v, want set 0 first", hot)
-	}
 }
 
 // heatTally forwards every event to a Collector and tallies the last

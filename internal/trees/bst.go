@@ -238,43 +238,29 @@ func Layout() ccmorph.Layout {
 	}
 }
 
-// Morph reorganizes the tree with ccmorph — subtree clustering plus,
-// when colorFrac > 0, coloring — turning it into the paper's
-// transparent C-tree. freeOld, if non-nil, reclaims old nodes. On
-// error the tree keeps its original layout and remains searchable
-// (Reorganize is copy-then-commit).
+// Morph reorganizes the tree with ccmorph's subtree clustering into a
+// fresh region on the machine's last-level cache — colored when
+// colorFrac > 0 — turning it into the paper's transparent C-tree.
+// freeOld, if non-nil, reclaims old nodes. On error the tree keeps
+// its original layout and remains searchable (Reorganize is
+// copy-then-commit).
 func (t *BST) Morph(colorFrac float64, freeOld func(memsys.Addr)) (ccmorph.Stats, error) {
-	return t.MorphStrategy(ccmorph.SubtreeCluster, colorFrac, freeOld)
-}
-
-// MorphStrategy is Morph with an explicit node-order strategy:
-// ccmorph.SubtreeCluster for the paper's clustering,
-// ccmorph.VEB for the cache-oblivious recursive-blocked layout.
-func (t *BST) MorphStrategy(strat ccmorph.Strategy, colorFrac float64,
-	freeOld func(memsys.Addr)) (ccmorph.Stats, error) {
-	cfg := ccmorph.Config{
-		Geometry:  layout.FromLevel(t.m.Cache.LastLevel()),
-		ColorFrac: colorFrac,
-		Strategy:  strat,
+	region, err := layout.NewRegion(t.m.Arena, layout.FromLevel(t.m.Cache.LastLevel()), colorFrac)
+	if err != nil {
+		return ccmorph.Stats{Aborted: 1}, err
 	}
-	newRoot, st, err := ccmorph.Reorganize(t.m, t.root, Layout(), cfg, freeOld)
-	t.root = newRoot
-	return st, err
+	return t.MorphWith(region, ccmorph.SubtreeCluster, freeOld)
 }
 
-// MorphWith is Morph into a caller-supplied region. The telemetry
-// experiments use it to learn where the new layout lives
-// (Region.Extents) so the reorganized structure can be registered as
-// its own miss-attribution region.
-func (t *BST) MorphWith(region *layout.Region, freeOld func(memsys.Addr)) (ccmorph.Stats, error) {
-	return t.MorphStrategyWith(ccmorph.SubtreeCluster, region, freeOld)
-}
-
-// MorphStrategyWith combines MorphStrategy's explicit strategy with
-// MorphWith's caller-supplied region.
-func (t *BST) MorphStrategyWith(strat ccmorph.Strategy, region *layout.Region,
+// MorphWith is Morph into a caller-supplied region with an explicit
+// node order: ccmorph.SubtreeCluster for the paper's clustering,
+// ccmorph.VEB for the cache-oblivious recursive-blocked layout. A
+// caller that holds the region learns where the new layout lives
+// (Region.Extents), so the telemetry experiments can register the
+// reorganized structure as its own miss-attribution region.
+func (t *BST) MorphWith(region *layout.Region, strat ccmorph.Strategy,
 	freeOld func(memsys.Addr)) (ccmorph.Stats, error) {
-	newRoot, st, err := ccmorph.ReorganizeWithStrategy(t.m, t.root, Layout(), strat, region, freeOld)
+	newRoot, st, err := ccmorph.Reorganize(t.m, t.root, Layout(), region, strat, freeOld)
 	t.root = newRoot
 	return st, err
 }

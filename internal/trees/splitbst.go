@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"ccl/internal/cclerr"
+	"ccl/internal/layout"
 	"ccl/internal/memsys"
 	"ccl/internal/profile"
 	"ccl/internal/split"
@@ -42,12 +43,13 @@ type SplitBST struct {
 }
 
 // Split rebuilds the tree in split (SoA hot / cold overflow) form
-// under the given partition and placement config. The original tree
-// is untouched — Split is copy-then-commit — and stays owned by the
-// caller; freeOld, if non-nil, reclaims its nodes after the commit.
-func (t *BST) Split(part split.Partition, cfg split.Config,
+// under the given partition, placing its arrays in region. The
+// original tree is untouched — Split is copy-then-commit — and stays
+// owned by the caller; freeOld, if non-nil, reclaims its nodes after
+// the commit.
+func (t *BST) Split(part split.Partition, region *layout.Region,
 	freeOld func(memsys.Addr)) (*SplitBST, split.Stats, error) {
-	st, stats, err := split.Split(t.m, t.root, part, []string{"left", "right"}, cfg, freeOld)
+	st, stats, err := split.Split(t.m, t.root, part, []string{"left", "right"}, region, freeOld)
 	if err != nil {
 		return nil, stats, err
 	}
