@@ -183,9 +183,9 @@ func BenchmarkFig6VIS(b *testing.B) {
 
 func oldenPair(b *testing.B, run func(env olden.Env) olden.Result) {
 	for i := 0; i < b.N; i++ {
-		base := run(olden.NewEnv(olden.Base, bench.OldenScale))
-		cc := run(olden.NewEnv(olden.CCMallocNewBlock, bench.OldenScale))
-		morph := run(olden.NewEnv(olden.CCMorphClusterColor, bench.OldenScale))
+		base := run(olden.NewEnv(olden.Base, 8))
+		cc := run(olden.NewEnv(olden.CCMallocNewBlock, 8))
+		morph := run(olden.NewEnv(olden.CCMorphClusterColor, 8))
 		b.ReportMetric(float64(base.Cycles()), "cycles-base")
 		b.ReportMetric(100*float64(cc.Cycles())/float64(base.Cycles()), "norm-ccmalloc-%")
 		b.ReportMetric(100*float64(morph.Cycles())/float64(base.Cycles()), "norm-ccmorph-%")
@@ -274,8 +274,8 @@ func BenchmarkTable3Summary(b *testing.B) {
 func BenchmarkControlNullHints(b *testing.B) {
 	cfg := mst.Config{NumVert: 160, EdgesPer: 10, Buckets: 4, Seed: 3}
 	for i := 0; i < b.N; i++ {
-		base := mst.Run(olden.NewEnv(olden.Base, bench.OldenScale), cfg)
-		null := mst.Run(olden.NewEnv(olden.CCMallocNullHint, bench.OldenScale), cfg)
+		base := mst.Run(olden.NewEnv(olden.Base, 8), cfg)
+		null := mst.Run(olden.NewEnv(olden.CCMallocNullHint, 8), cfg)
 		b.ReportMetric(100*float64(null.Cycles())/float64(base.Cycles())-100, "slowdown-%")
 	}
 }
@@ -283,9 +283,9 @@ func BenchmarkControlNullHints(b *testing.B) {
 func BenchmarkMemoryOverhead(b *testing.B) {
 	cfg := health.Config{Levels: 3, Steps: 60, MorphInterval: 0, Seed: 1}
 	for i := 0; i < b.N; i++ {
-		fa := olden.NewEnv(olden.CCMallocFirstFit, bench.OldenScale)
+		fa := olden.NewEnv(olden.CCMallocFirstFit, 8)
 		health.Run(fa, cfg)
-		na := olden.NewEnv(olden.CCMallocNewBlock, bench.OldenScale)
+		na := olden.NewEnv(olden.CCMallocNewBlock, 8)
 		health.Run(na, cfg)
 		faBlocks := fa.Alloc.(*ccl.CCMalloc).BlocksUsed()
 		naBlocks := na.Alloc.(*ccl.CCMalloc).BlocksUsed()

@@ -81,7 +81,7 @@ func NewMachine(cfg CacheConfig) *Machine { return machine.New(cfg) }
 
 // NewPaperMachine builds the paper's §4.1 measurement machine: 16 KB
 // direct-mapped L1, 1 MB direct-mapped L2, 64-entry TLB.
-func NewPaperMachine() *Machine { return machine.NewPaper() }
+func NewPaperMachine() *Machine { return machine.New(cache.PaperHierarchy()) }
 
 // NewScaledMachine builds the §4.1 machine with capacities divided by
 // factor, preserving block sizes so placement behaves identically at

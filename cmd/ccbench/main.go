@@ -6,11 +6,15 @@
 //
 // Run ccbench -list for the available experiment ids; "all" (the
 // default) runs every experiment in paper order. -full runs
-// paper-scale structure sizes on the unscaled §4.1/Table 1 machines;
-// expect minutes instead of seconds. -json additionally writes every
-// table that ran as a machine-readable report (schema in DESIGN.md
-// "Telemetry"), the format committed BENCH_*.json files use. Flags
-// may appear before or after experiment ids.
+// paper-scale inputs; expect minutes instead of seconds. Each
+// experiment's machine and inputs at both scales come from one table,
+// internal/bench/scale.go, and under -full three groups still run on
+// scaled machines: RADIANCE (fig6, metrics) and ablate-block on §4.1's
+// machine scaled 16×, and the Olden jobs on Table 1's RSIM scaled 8×.
+// -json additionally writes every table that ran as a
+// machine-readable report (schema in DESIGN.md "Telemetry"), the
+// format committed BENCH_*.json files use. Flags may appear before or
+// after experiment ids.
 //
 // -profile dir exports every per-workload field profile the run
 // produced (today: the fieldprof experiment) into dir, one

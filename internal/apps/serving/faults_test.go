@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"ccl/internal/cache"
 	"ccl/internal/cclerr"
 	"ccl/internal/ccmalloc"
 	"ccl/internal/faults"
@@ -38,7 +39,7 @@ func checkInjected(t *testing.T, op string, err error) {
 func armedMachine(p faults.Point, n int64) *machine.Machine {
 	s := sim.New()
 	faults.NewInjector().FailNth(p, n).ArmSim(s)
-	return s.NewScaled(16)
+	return s.NewMachine(cache.ScaledHierarchy(16))
 }
 
 // TestKVFaultSweep fails every arena growth and every group placement
@@ -65,7 +66,7 @@ func TestKVFaultSweep(t *testing.T) {
 		s := sim.New()
 		counter := faults.NewInjector()
 		counter.ArmSim(s)
-		if _, err := NewKV(s.NewScaled(16), tc.cfg); err != nil {
+		if _, err := NewKV(s.NewMachine(cache.ScaledHierarchy(16)), tc.cfg); err != nil {
 			t.Fatal(err)
 		}
 		count := counter.Count(tc.p)
@@ -162,7 +163,7 @@ func TestLRUFaultSweep(t *testing.T) {
 		in.FailNth(faults.PlaceCluster, i*2) // every other hinted placement
 	}
 	in.ArmSim(s)
-	c, err := NewLRU(s.NewScaled(16), LRUConfig{Capacity: 16, Placement: LRUCCMalloc})
+	c, err := NewLRU(s.NewMachine(cache.ScaledHierarchy(16)), LRUConfig{Capacity: 16, Placement: LRUCCMalloc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func sweepLRURebuild(t *testing.T) {
 	in := faults.NewInjector()
 	in.ArmSim(s)
 	const slots = 512
-	c, err := NewLRU(s.NewScaled(16), LRUConfig{Capacity: 8, IndexSlots: slots})
+	c, err := NewLRU(s.NewMachine(cache.ScaledHierarchy(16)), LRUConfig{Capacity: 8, IndexSlots: slots})
 	if err != nil {
 		t.Fatal(err)
 	}

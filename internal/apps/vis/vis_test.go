@@ -3,6 +3,7 @@ package vis
 import (
 	"testing"
 
+	"ccl/internal/cache"
 	"ccl/internal/heap"
 	"ccl/internal/machine"
 	"ccl/internal/memsys"
@@ -129,8 +130,8 @@ func TestRunChecksumsMatchAcrossModes(t *testing.T) {
 // base allocator on the paper-scale machine.
 func TestFigure6VIS(t *testing.T) {
 	cfg := DefaultConfig()
-	base := Run(machine.NewPaper(), Base, cfg)
-	cc := Run(machine.NewPaper(), CCMalloc, cfg)
+	base := Run(machine.New(cache.PaperHierarchy()), Base, cfg)
+	cc := Run(machine.New(cache.PaperHierarchy()), CCMalloc, cfg)
 	if cc.Cycles() >= base.Cycles() {
 		t.Fatalf("ccmalloc (%d) did not beat base (%d)", cc.Cycles(), base.Cycles())
 	}

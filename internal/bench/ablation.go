@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"ccl/internal/cache"
 	"ccl/internal/heap"
@@ -42,14 +43,11 @@ func ctreeSpeedup(s *sim.Sim, cfg cache.Config, n int64, searches int, colorFrac
 	return measure(false) / measure(true)
 }
 
-// ablationSizes is the workload sizing the color and block ablations
-// share.
-func ablationSizes(full bool) (n int64, searches int, scale int64) {
-	n, searches, scale = 1<<16-1, 12000, Scale
-	if full {
-		n, searches, scale = 1<<20-1, 200000, 1
-	}
-	return n, searches, scale
+// searchParams sizes a tree-search workload: the tree's key count and
+// the measured searches.
+type searchParams struct {
+	keys     int64
+	searches int
 }
 
 // colorFracs are the Color_const sweep points. Zero is
@@ -64,14 +62,14 @@ func ablationColorSpec() Spec {
 		ID:   "ablate-color",
 		Desc: "Color_const sweep: C-tree speedup vs colored cache fraction",
 		Jobs: func(full bool) []Job {
-			n, searches, scale := ablationSizes(full)
+			mcfg, p := treeMachine.at(full), ablationInputs.at(full)
 			var js []Job
 			for _, frac := range colorFracs {
 				frac := frac
 				js = append(js, Job{
 					Name: fmt.Sprintf("ablate-color/%.3f", frac),
 					Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
-						return ctreeSpeedup(s, cache.ScaledHierarchy(scale), n, searches, frac), nil
+						return ctreeSpeedup(s, mcfg, p.keys, p.searches, frac), nil
 					},
 				})
 			}
@@ -110,20 +108,20 @@ func ablationBlockSpec() Spec {
 		ID:   "ablate-block",
 		Desc: "block-size sweep vs the model's K = log2(k+1)",
 		Jobs: func(full bool) []Job {
-			n, searches, _ := ablationSizes(full)
+			mcfg, p := blockMachine.at(full), ablationInputs.at(full)
 			var js []Job
 			for _, bs := range blockSizes {
 				bs := bs
 				js = append(js, Job{
 					Name: fmt.Sprintf("ablate-block/%dB", bs),
 					Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
-						cfg := cache.ScaledHierarchy(Scale)
+						// The row is shared: set the block size on a copy.
+						cfg := mcfg
+						cfg.Levels = slices.Clone(cfg.Levels)
 						cfg.Levels[1].BlockSize = bs
 						// Keep L1 no larger-blocked than L2.
-						if cfg.Levels[0].BlockSize > bs {
-							cfg.Levels[0].BlockSize = bs
-						}
-						return ctreeSpeedup(s, cfg, n, searches, 0.5), nil
+						cfg.Levels[0].BlockSize = min(cfg.Levels[0].BlockSize, bs)
+						return ctreeSpeedup(s, cfg, p.keys, p.searches, 0.5), nil
 					},
 				})
 			}
@@ -179,7 +177,7 @@ func ablationIntervalSpec() Spec {
 				Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
 					c := cfg
 					c.MorphInterval = 0
-					return healthpkg.Run(olden.NewEnvIn(s, olden.Base, OldenScale), c), nil
+					return healthpkg.Run(olden.NewEnvIn(s, olden.Base, oldenMachine.at(full)), c), nil
 				},
 			}}
 			for _, iv := range morphIntervals {
@@ -189,7 +187,7 @@ func ablationIntervalSpec() Spec {
 					Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
 						c := cfg
 						c.MorphInterval = iv
-						return healthpkg.Run(olden.NewEnvIn(s, olden.CCMorphClusterColor, OldenScale), c), nil
+						return healthpkg.Run(olden.NewEnvIn(s, olden.CCMorphClusterColor, oldenMachine.at(full)), c), nil
 					},
 				})
 			}

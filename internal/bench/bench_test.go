@@ -2,6 +2,7 @@ package bench
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strconv"
 	"strings"
@@ -80,6 +81,34 @@ func TestTable2FullInputLabels(t *testing.T) {
 	}
 }
 
+// TestEverySpecAtBothScales checks every experiment's decomposition
+// at quick and at paper scale without running a job: Jobs is
+// non-empty with unique names, and Assemble tolerates a nil payload
+// for every job, the contract failed and skipped jobs rely on
+// (jobs.go).
+func TestEverySpecAtBothScales(t *testing.T) {
+	for _, sp := range Registry() {
+		for _, full := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/full=%v", sp.ID, full), func(t *testing.T) {
+				jobs := sp.Jobs(full)
+				if len(jobs) == 0 {
+					t.Fatal("no jobs")
+				}
+				seen := map[string]bool{}
+				for _, j := range jobs {
+					if seen[j.Name] {
+						t.Errorf("job name %q repeated", j.Name)
+					}
+					seen[j.Name] = true
+				}
+				if tab := sp.Assemble(full, make([]any, len(jobs))); tab.ID != sp.ID {
+					t.Errorf("Assemble over nil payloads made table %q", tab.ID)
+				}
+			})
+		}
+	}
+}
+
 func TestTable3Qualitative(t *testing.T) {
 	tab := Table3()
 	if len(tab.Rows) != 3 || tab.Rows[1][0] != "ccmorph" || tab.Rows[2][0] != "ccmalloc" {
@@ -143,6 +172,11 @@ func TestAblationBlockSizeTracksModel(t *testing.T) {
 			t.Errorf("row %d: speedup %.2f not increasing with block size", i, v)
 		}
 		prev = v
+	}
+	// Every job shares blockMachine's row and sets the block size on
+	// its own copy; the row keeps §4.1's 64-byte L2 blocks.
+	if got := blockMachine.quick.Levels[1].BlockSize; got != 64 {
+		t.Errorf("a job wrote to the shared row: its L2 block is now %d B", got)
 	}
 }
 

@@ -21,13 +21,6 @@ import (
 	"ccl/internal/trees"
 )
 
-// Scale is the default cache-scaling divisor for quick runs. Full
-// runs (cmd/ccbench -full) use paper-scale structures instead.
-const Scale = 16
-
-// OldenScale is the divisor for the Olden/RSIM experiments.
-const OldenScale = 8
-
 // Table1 reports the RSIM simulation parameters (paper Table 1).
 func Table1() Table {
 	cfg := cache.RSIMHierarchy()
@@ -87,32 +80,16 @@ func fig5Configs() []fig5Config {
 	}
 }
 
-// fig5Params holds the workload sizing shared by Fig5's jobs and
-// assembly.
+// fig5Params sizes Fig5's trees (fig5Inputs): the key count and the
+// search counts the table reports the running average at.
 type fig5Params struct {
 	nodes       int64
 	checkpoints []int
-	scale       int64
-}
-
-func fig5ParamsFor(full bool) fig5Params {
-	p := fig5Params{
-		nodes:       1<<17 - 1,
-		checkpoints: []int{10, 100, 1000, 10000, 100000},
-		scale:       Scale,
-	}
-	if full {
-		p.nodes = 1<<21 - 1 // the paper's 2,097,151 keys
-		p.checkpoints = append(p.checkpoints, 1000000)
-		p.scale = 1
-	}
-	return p
 }
 
 // fig5Row measures one tree configuration: average search cycles per
 // lookup at each checkpoint, on a machine private to this job.
-func fig5Row(s *sim.Sim, cfg fig5Config, p fig5Params) []string {
-	m := s.NewScaled(p.scale)
+func fig5Row(m *machine.Machine, cfg fig5Config, p fig5Params) []string {
 	search := cfg.build(m, p.nodes)
 	m.Cache.Flush()
 	m.ResetStats()
@@ -135,21 +112,21 @@ func fig5Spec() Spec {
 		ID:   "fig5",
 		Desc: "tree microbenchmark: avg cycles/search for four layouts (paper Fig. 5)",
 		Jobs: func(full bool) []Job {
-			p := fig5ParamsFor(full)
+			mcfg, p := treeMachine.at(full), fig5Inputs.at(full)
 			var js []Job
 			for _, cfg := range fig5Configs() {
 				cfg := cfg
 				js = append(js, Job{
 					Name: "fig5/" + cfg.name,
 					Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
-						return fig5Row(s, cfg, p), nil
+						return fig5Row(s.NewMachine(mcfg), cfg, p), nil
 					},
 				})
 			}
 			return js
 		},
 		Assemble: func(full bool, out []any) Table {
-			p := fig5ParamsFor(full)
+			p := fig5Inputs.at(full)
 			tab := Table{
 				ID:     "fig5",
 				Title:  fmt.Sprintf("Binary tree microbenchmark, %d keys (avg cycles/search)", p.nodes),
@@ -186,11 +163,8 @@ func fig6Spec() Spec {
 				js = append(js, Job{
 					Name: "fig6/radiance-" + mode.String(),
 					Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
-						cfg := radiance.DefaultConfig()
-						if full {
-							cfg = radiance.PaperConfig()
-						}
-						return radiance.Run(s.NewScaled(Scale), mode, cfg).Cycles(), nil
+						m := s.NewMachine(radianceMachine.at(full))
+						return radiance.Run(m, mode, radianceConfig.at(full)).Cycles(), nil
 					},
 				})
 			}
@@ -199,11 +173,8 @@ func fig6Spec() Spec {
 				js = append(js, Job{
 					Name: "fig6/vis-" + mode.String(),
 					Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
-						cfg := vis.DefaultConfig()
-						if full {
-							cfg = vis.PaperConfig()
-						}
-						return vis.Run(s.NewPaper(), mode, cfg).Cycles(), nil
+						m := s.NewMachine(visMachine.at(full))
+						return vis.Run(m, mode, visConfig.at(full)).Cycles(), nil
 					},
 				})
 			}
@@ -249,26 +220,6 @@ func fig6Spec() Spec {
 	}
 }
 
-// scaled is a benchmark config at quick and at paper scale.
-type scaled[C any] struct{ quick, paper func() C }
-
-// at returns the config a quick or a full (paper-scale) run uses.
-func (s scaled[C]) at(full bool) C {
-	if full {
-		return s.paper()
-	}
-	return s.quick()
-}
-
-// The Olden configs: every job, label and sweep built from an Olden
-// benchmark reads its config here.
-var (
-	treeaddConfig   = scaled[treeadd.Config]{treeadd.DefaultConfig, treeadd.PaperConfig}
-	healthConfig    = scaled[health.Config]{health.DefaultConfig, health.PaperConfig}
-	mstConfig       = scaled[mst.Config]{mst.DefaultConfig, mst.PaperConfig}
-	perimeterConfig = scaled[perimeter.Config]{perimeter.DefaultConfig, perimeter.PaperConfig}
-)
-
 // oldenBench is one Olden benchmark's row: its name, Table 2's
 // description and main structure, and for a quick or a full run the
 // Input label of its config and the run itself. The label and the run
@@ -305,7 +256,7 @@ var oldenBenches = []oldenBench{
 // olden.Result.
 func oldenJob(name string, b oldenBench, v olden.Variant) Job {
 	return Job{Name: name, Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
-		return b.run(olden.NewEnvIn(s, v, OldenScale), full), nil
+		return b.run(olden.NewEnvIn(s, v, oldenMachine.at(full)), full), nil
 	}}
 }
 
@@ -477,7 +428,7 @@ func memovhSpec() Spec {
 					js = append(js, Job{
 						Name: "memovh/" + b.name + "/" + v.Name(),
 						Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
-							env := olden.NewEnvIn(s, v, OldenScale)
+							env := olden.NewEnvIn(s, v, oldenMachine.at(full))
 							r := b.run(env, full)
 							fp := footprint{bytes: r.HeapBytes}
 							if cc, ok := env.Alloc.(*ccmalloc.Allocator); ok {
@@ -525,25 +476,11 @@ func memovhSpec() Spec {
 	}
 }
 
-// fig10Params holds the workload sizing shared by Fig10's jobs.
+// fig10Params sizes Fig10's sweep (fig10Inputs): the tree sizes and
+// the measured searches per size.
 type fig10Params struct {
 	sizes    []int64
 	searches int
-	scale    int64
-}
-
-func fig10ParamsFor(full bool) fig10Params {
-	p := fig10Params{
-		sizes:    []int64{1<<14 - 1, 1<<15 - 1, 1<<16 - 1, 1<<17 - 1},
-		searches: 20000,
-		scale:    Scale,
-	}
-	if full {
-		p.sizes = []int64{1<<18 - 1, 1<<19 - 1, 1<<20 - 1, 1<<21 - 1, 1<<22 - 1}
-		p.searches = 1000000
-		p.scale = 1
-	}
-	return p
 }
 
 // fig10Cell is one tree-size point: predicted and measured speedup.
@@ -558,7 +495,7 @@ func fig10Spec() Spec {
 		ID:   "fig10",
 		Desc: "predicted vs measured C-tree speedup across tree sizes (paper Fig. 10)",
 		Jobs: func(full bool) []Job {
-			p := fig10ParamsFor(full)
+			mcfg, p := treeMachine.at(full), fig10Inputs.at(full)
 			params := model.PaperParams()
 			var js []Job
 			for _, n := range p.sizes {
@@ -566,7 +503,7 @@ func fig10Spec() Spec {
 				js = append(js, Job{
 					Name: fmt.Sprintf("fig10/%d", n),
 					Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
-						pred, meas := fig10Point(s, n, p.searches, p.scale, params)
+						pred, meas := fig10Point(s, mcfg, n, p.searches, params)
 						return fig10Cell{pred: pred, meas: meas}, nil
 					},
 				})
@@ -574,7 +511,7 @@ func fig10Spec() Spec {
 			return js
 		},
 		Assemble: func(full bool, out []any) Table {
-			p := fig10ParamsFor(full)
+			p := fig10Inputs.at(full)
 			tab := Table{
 				ID:     "fig10",
 				Title:  "Predicted and measured C-tree speedup vs tree size",
@@ -601,8 +538,8 @@ func fig10Spec() Spec {
 
 // fig10Point measures one tree size: naive (random-placement) search
 // time over C-tree search time, against the analytic prediction.
-func fig10Point(sctx *sim.Sim, n int64, searches int, scale int64, params model.CacheParams) (pred, meas float64) {
-	lc := cache.ScaledHierarchy(scale).Levels[1]
+func fig10Point(sctx *sim.Sim, mcfg cache.Config, n int64, searches int, params model.CacheParams) (pred, meas float64) {
+	lc := mcfg.Levels[1]
 	ct := model.CTree{
 		N:       n,
 		K:       lc.BlockSize / trees.BSTNodeSize,
@@ -611,6 +548,6 @@ func fig10Point(sctx *sim.Sim, n int64, searches int, scale int64, params model.
 		HotFrac: 0.5,
 	}
 	pred = ct.PredictedSpeedup(params)
-	meas = ctreeSpeedup(sctx, cache.ScaledHierarchy(scale), n, searches, 0.5)
+	meas = ctreeSpeedup(sctx, mcfg, n, searches, 0.5)
 	return pred, meas
 }

@@ -42,17 +42,11 @@ var metricsRadModes = []radiance.Mode{radiance.Cluster, radiance.ClusterColor}
 // "registry" rows are headline counters read from the typed Stats of
 // the morph and of the ctree phase.
 func metricsTree(s *sim.Sim, full bool) metricsTreeOut {
-	n := int64(1<<15 - 1)
-	searches := 20000
-	scale := int64(Scale)
-	if full {
-		n = 1<<19 - 1
-		searches = 200000
-		scale = 1
-	}
+	p := profiledTreeInputs.at(full)
+	n, searches := p.keys, p.searches
 	out := metricsTreeOut{tele: map[string]telemetry.Report{}}
 
-	m := s.NewScaled(scale)
+	m := s.NewMachine(treeMachine.at(full))
 	buildStart := m.Arena.Brk()
 	t := trees.MustBuild(m, heap.New(m.Arena), n, trees.RandomOrder, 11)
 	buildEnd := m.Arena.Brk()
@@ -119,13 +113,9 @@ func metricsSpec() Spec {
 				js = append(js, Job{
 					Name: "metrics/radiance-" + mode.String(),
 					Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
-						radCfg := radiance.DefaultConfig()
-						if full {
-							radCfg = radiance.PaperConfig()
-						}
-						rm := s.NewScaled(Scale)
+						rm := s.NewMachine(radianceMachine.at(full))
 						col := telemetry.Attach(rm.Cache)
-						r := radiance.Run(rm, mode, radCfg)
+						r := radiance.Run(rm, mode, radianceConfig.at(full))
 						return metricsRadOut{
 							name:   "radiance-" + mode.String(),
 							cycles: r.Cycles(),

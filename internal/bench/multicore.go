@@ -18,7 +18,7 @@ import (
 	"ccl/internal/sim"
 )
 
-// multicoreParams sizes the experiment.
+// multicoreParams sizes the experiment (multicoreInputs).
 type multicoreParams struct {
 	cores     int
 	iters     int // counter increments per core
@@ -27,27 +27,6 @@ type multicoreParams struct {
 	kvKeys    int
 	treeNodes int64
 	searches  int // tree searches per core
-}
-
-func multicoreParamsFor(full bool) multicoreParams {
-	p := multicoreParams{
-		cores:     4,
-		iters:     2000,
-		kvOps:     2000,
-		kvSlots:   1 << 10,
-		kvKeys:    400,
-		treeNodes: 1<<12 - 1,
-		searches:  1000,
-	}
-	if full {
-		p.iters = 20000
-		p.kvOps = 20000
-		p.kvSlots = 1 << 13
-		p.kvKeys = 3000
-		p.treeNodes = 1<<15 - 1
-		p.searches = 5000
-	}
-	return p
 }
 
 // mcCell is one driver/layout measurement.
@@ -116,7 +95,7 @@ func multicoreSpec() Spec {
 		ID:   "multicore",
 		Desc: "false sharing: packed vs padded layouts under MESI, with 4C attribution",
 		Jobs: func(full bool) []Job {
-			p := multicoreParamsFor(full)
+			p := multicoreInputs.at(full)
 			granule := machine.DefaultTopologyConfig(p.cores).LLC.BlockSize
 			type cellJob struct {
 				name string

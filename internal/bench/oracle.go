@@ -43,6 +43,10 @@ func oracleNamedConfigs() []struct {
 	}
 }
 
+// oracleParams sizes the oracle sweep (oracleInputs): records per
+// random geometry and per named hierarchy.
+type oracleParams struct{ perGeom, named int }
+
 // oracleSpec runs the differential oracle sweep as a first-class
 // experiment: every random geometry of the acceptance gate plus the
 // named production hierarchies, each cell an independent job (the
@@ -54,19 +58,14 @@ func oracleSpec() Spec {
 		ID:   "oracle",
 		Desc: "differential oracle sweep: production vs reference simulator agreement",
 		Jobs: func(full bool) []Job {
-			perGeom := 20_000
-			named := 25_000
-			if full {
-				perGeom = 50_000 // the acceptance gate's 24 * 50k = 1.2M accesses
-				named = 100_000
-			}
+			p := oracleInputs.at(full)
 			var js []Job
 			for g := 0; g < oracleGeometries; g++ {
 				g := g
 				js = append(js, Job{
 					Name: fmt.Sprintf("oracle/geom-%02d", g),
 					Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
-						tr := oracle.SweepTrace(oracleSeed, g, perGeom)
+						tr := oracle.SweepTrace(oracleSeed, g, p.perGeom)
 						out := oracleOut{name: fmt.Sprintf("geom-%02d", g), records: len(tr.Records)}
 						if d := oracle.Diff(tr); d != nil {
 							out.detail = d.String()
@@ -81,7 +80,7 @@ func oracleSpec() Spec {
 					Name: "oracle/" + nc.name,
 					Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
 						rng := rand.New(rand.NewSource(7))
-						tr := trace.Trace{Config: nc.cfg, Records: oracle.RandomRecords(rng, named)}
+						tr := trace.Trace{Config: nc.cfg, Records: oracle.RandomRecords(rng, p.named)}
 						out := oracleOut{name: nc.name, records: len(tr.Records)}
 						if d := oracle.Diff(tr); d != nil {
 							out.detail = d.String()

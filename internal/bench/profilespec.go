@@ -27,15 +27,9 @@ type fieldprofOut struct {
 // members miss; the phase series shows the miss rate drop at the
 // boundary.
 func fieldprofTree(s *sim.Sim, full bool) fieldprofOut {
-	n := int64(1<<15 - 1)
-	searches := 20000
-	scale := int64(Scale)
-	if full {
-		n = 1<<19 - 1
-		searches = 200000
-		scale = 1
-	}
-	m := s.NewScaled(scale)
+	p := profiledTreeInputs.at(full)
+	n, searches := p.keys, p.searches
+	m := s.NewMachine(treeMachine.at(full))
 	t := trees.MustBuild(m, heap.New(m.Arena), n, trees.RandomOrder, 11)
 
 	// SampleEvery 1: the microbenchmark is small enough to attribute
@@ -70,7 +64,7 @@ func fieldprofTree(s *sim.Sim, full bool) fieldprofOut {
 // coprime to the kernel's value/left/right access cycle — a multiple
 // of 3 would alias with it and charge one field with every sample.
 func fieldprofTreeadd(s *sim.Sim, full bool) fieldprofOut {
-	env := olden.NewEnvIn(s, olden.Base, OldenScale)
+	env := olden.NewEnvIn(s, olden.Base, oldenMachine.at(full))
 	prof := profile.Attach(env.M.Cache, profile.Config{SampleEvery: 5})
 	env.Profile = prof.Regions()
 	treeadd.Run(env, treeaddConfig.at(full))

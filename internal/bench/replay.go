@@ -18,6 +18,10 @@ type replayOut struct {
 	misses  int64 // last-level misses: the workload's fingerprint
 }
 
+// replayParams sizes the replay sweep (replayInputs): records per
+// geometry and the number of geometries.
+type replayParams struct{ perGeom, geoms int }
+
 // replaySpec replays sweep traces through the production simulator via
 // trace.AccessTrace — the batched entry point — one geometry per job.
 // Its product is a determinism fingerprint (cycles and last-level
@@ -29,19 +33,14 @@ func replaySpec() Spec {
 		ID:   "replay",
 		Desc: "batched trace replay: cycle/miss fingerprint per sweep geometry",
 		Jobs: func(full bool) []Job {
-			perGeom := 20_000
-			geoms := 8
-			if full {
-				perGeom = 50_000
-				geoms = oracleGeometries
-			}
+			p := replayInputs.at(full)
 			var js []Job
-			for g := 0; g < geoms; g++ {
+			for g := 0; g < p.geoms; g++ {
 				g := g
 				js = append(js, Job{
 					Name: fmt.Sprintf("replay/geom-%02d", g),
 					Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
-						tr := oracle.SweepTrace(oracleSeed, g, perGeom)
+						tr := oracle.SweepTrace(oracleSeed, g, p.perGeom)
 						h, cycles, err := trace.Replay(tr)
 						if err != nil {
 							return nil, err

@@ -14,37 +14,21 @@ import (
 	"fmt"
 
 	"ccl/internal/apps/serving"
+	"ccl/internal/machine"
 	"ccl/internal/sim"
 	"ccl/internal/telemetry"
 )
 
-// servingScale is the machine geometry factor (ScaledHierarchy): a
-// 64 KB direct-mapped last level with 64-byte blocks.
-const servingScale = 16
-
-// servingParams sizes the workloads. The fixed-capacity KV table is
-// sized so the warm phase leaves occupancy at 2/3: the split header
-// array (32 KB) fits the last level, the AoS slot array (256 KB) does
-// not — the layout choice is the whole working-set story.
+// servingParams sizes the workloads (servingInputs). The
+// fixed-capacity KV table is sized so the warm phase leaves occupancy
+// at 2/3: the split header array (32 KB) fits servingMachine's last
+// level, the AoS slot array (256 KB) does not — the layout choice is
+// the whole working-set story.
 type servingParams struct {
 	kvKeys, kvSlots, kvOps  int64
 	lruKeys, lruCap, lruIdx int64
 	lruOps                  int64
 	pqFill, pqOps           int64
-}
-
-func servingParamsFor(full bool) servingParams {
-	p := servingParams{
-		kvKeys: 4096, kvSlots: 4096, kvOps: 12000,
-		lruKeys: 8192, lruCap: 1024, lruIdx: 4096, lruOps: 12000,
-		pqFill: 4096, pqOps: 8000,
-	}
-	if full {
-		p.kvOps *= 4
-		p.lruOps *= 4
-		p.pqOps *= 4
-	}
-	return p
 }
 
 // servingCell is one workload/variant measurement.
@@ -100,8 +84,7 @@ func servingCellFrom(workload, config string, zs float64, st serving.WorkloadSta
 	return c
 }
 
-func servingKVCell(s *sim.Sim, p servingParams, cfg serving.KVConfig, zs float64) servingCell {
-	m := s.NewScaled(servingScale)
+func servingKVCell(m *machine.Machine, p servingParams, cfg serving.KVConfig, zs float64) servingCell {
 	cfg.Slots = p.kvSlots
 	kv := must(serving.NewKV(m, cfg))
 	check(serving.WarmKV(kv, p.kvKeys))
@@ -118,8 +101,7 @@ func servingKVCell(s *sim.Sim, p servingParams, cfg serving.KVConfig, zs float64
 	return servingCellFrom("kv", config, zs, st, col.Report(), m.Now()-start, hot)
 }
 
-func servingLRUCell(s *sim.Sim, p servingParams, cfg serving.LRUConfig, zs float64) servingCell {
-	m := s.NewScaled(servingScale)
+func servingLRUCell(m *machine.Machine, p servingParams, cfg serving.LRUConfig, zs float64) servingCell {
 	cfg.Capacity = p.lruCap
 	cfg.IndexSlots = p.lruIdx
 	c := must(serving.NewLRU(m, cfg))
@@ -141,8 +123,7 @@ func servingLRUCell(s *sim.Sim, p servingParams, cfg serving.LRUConfig, zs float
 	return servingCellFrom("lru", config, zs, st, col.Report(), m.Now()-start, hot)
 }
 
-func servingPQCell(s *sim.Sim, p servingParams, arity int64, zs float64) servingCell {
-	m := s.NewScaled(servingScale)
+func servingPQCell(m *machine.Machine, p servingParams, arity int64, zs float64) servingCell {
 	q := must(serving.NewPQueue(m, serving.PQConfig{Arity: arity, Cap: p.pqFill + 1}))
 	w := serving.PQWorkload{Seed: 9, S: zs, Fill: p.pqFill, Ops: p.pqOps}
 	check(serving.FillPQ(q, w))
@@ -178,13 +159,13 @@ func servingSpec() Spec {
 				{Split: true, Placement: serving.LRUMalloc},
 				{Split: true, Placement: serving.LRUCCMalloc},
 			}
-			p := servingParamsFor(full)
+			mcfg, p := servingMachine.at(full), servingInputs.at(full)
 			var js []Job
-			addJob := func(name string, run func(s *sim.Sim) servingCell) {
+			addJob := func(name string, run func(m *machine.Machine) servingCell) {
 				js = append(js, Job{
 					Name: "serving/" + name,
 					Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
-						return run(s), nil
+						return run(s.NewMachine(mcfg)), nil
 					},
 				})
 			}
@@ -194,28 +175,28 @@ func servingSpec() Spec {
 			for _, cfg := range kvRace {
 				cfg := cfg
 				addJob(fmt.Sprintf("kv/%v-%v/s0.99", cfg.Layout, cfg.Placement),
-					func(s *sim.Sim) servingCell { return servingKVCell(s, p, cfg, 0.99) })
+					func(m *machine.Machine) servingCell { return servingKVCell(m, p, cfg, 0.99) })
 			}
 			for _, zs := range []float64{0.8, 1.2} {
 				zs := zs
 				addJob(fmt.Sprintf("kv/aos-malloc/s%v", zs),
-					func(s *sim.Sim) servingCell {
-						return servingKVCell(s, p, serving.KVConfig{Layout: serving.KVAoS, Placement: serving.KVMalloc}, zs)
+					func(m *machine.Machine) servingCell {
+						return servingKVCell(m, p, serving.KVConfig{Layout: serving.KVAoS, Placement: serving.KVMalloc}, zs)
 					})
 				addJob(fmt.Sprintf("kv/split-colored/s%v", zs),
-					func(s *sim.Sim) servingCell {
-						return servingKVCell(s, p, serving.KVConfig{Layout: serving.KVSplit, Placement: serving.KVColored}, zs)
+					func(m *machine.Machine) servingCell {
+						return servingKVCell(m, p, serving.KVConfig{Layout: serving.KVSplit, Placement: serving.KVColored}, zs)
 					})
 			}
 			for _, cfg := range lruRace {
 				cfg := cfg
 				addJob(fmt.Sprintf("lru/split=%v-%v", cfg.Split, cfg.Placement),
-					func(s *sim.Sim) servingCell { return servingLRUCell(s, p, cfg, 0.99) })
+					func(m *machine.Machine) servingCell { return servingLRUCell(m, p, cfg, 0.99) })
 			}
 			for _, arity := range []int64{2, 4, 8} {
 				arity := arity
 				addJob(fmt.Sprintf("pq/arity%d", arity),
-					func(s *sim.Sim) servingCell { return servingPQCell(s, p, arity, 0.99) })
+					func(m *machine.Machine) servingCell { return servingPQCell(m, p, arity, 0.99) })
 			}
 			return js
 		},

@@ -31,30 +31,13 @@ import (
 	"ccl/internal/trees"
 )
 
-// strategiesParams sizes the sweep. The deep size is chosen so the
-// tree far exceeds the scaled TLB's reach — the regime where the
-// cache-oblivious order's page locality pays.
+// strategiesParams sizes the sweep (strategiesInputs). The deep size
+// is chosen so the tree far exceeds the TLB's reach — the regime where
+// the cache-oblivious order's page locality pays.
 type strategiesParams struct {
 	sizes    []int64
 	searches int
 	splitN   int64
-	scale    int64
-}
-
-func strategiesParamsFor(full bool) strategiesParams {
-	p := strategiesParams{
-		sizes:    []int64{1<<17 - 1, 1<<19 - 1},
-		searches: 20000,
-		splitN:   1<<15 - 1,
-		scale:    Scale,
-	}
-	if full {
-		p.sizes = []int64{1<<19 - 1, 1<<21 - 1}
-		p.searches = 100000
-		p.splitN = 1<<19 - 1
-		p.scale = 1
-	}
-	return p
 }
 
 // strategiesCell is one sweep configuration's measurement.
@@ -117,8 +100,7 @@ func measureSearches(m *machine.Machine, f func(uint32) bool, n int64, searches 
 
 // strategiesSweep measures one (size, layout) cell on a private
 // machine.
-func strategiesSweep(s *sim.Sim, cfg stratConfig, n int64, p strategiesParams) strategiesCell {
-	m := s.NewScaled(p.scale)
+func strategiesSweep(m *machine.Machine, cfg stratConfig, n int64, p strategiesParams) strategiesCell {
 	t := trees.MustBuild(m, heap.New(m.Arena), n, trees.RandomOrder, 11)
 	check(cfg.morph(t))
 	cell := measureSearches(m, t.Search, n, p.searches)
@@ -130,9 +112,8 @@ func strategiesSweep(s *sim.Sim, cfg stratConfig, n int64, p strategiesParams) s
 // fieldprof tree-search workload and measures the same tree unsplit
 // and split, so the two rows share every confound (machine, keys,
 // search sequence).
-func strategiesSplit(s *sim.Sim, p strategiesParams) []strategiesCell {
+func strategiesSplit(m *machine.Machine, p strategiesParams) []strategiesCell {
 	n := p.splitN
-	m := s.NewScaled(p.scale)
 	t := trees.MustBuild(m, heap.New(m.Arena), n, trees.RandomOrder, 11)
 
 	prof := profile.Attach(m.Cache, profile.Config{})
@@ -162,7 +143,7 @@ func strategiesSpec() Spec {
 		ID:   "strategies",
 		Desc: "layout strategies: subtree clustering vs vEB order vs hot/cold splitting",
 		Jobs: func(full bool) []Job {
-			p := strategiesParamsFor(full)
+			mcfg, p := treeMachine.at(full), strategiesInputs.at(full)
 			var js []Job
 			for _, n := range p.sizes {
 				for _, cfg := range stratConfigs() {
@@ -170,7 +151,7 @@ func strategiesSpec() Spec {
 					js = append(js, Job{
 						Name: fmt.Sprintf("strategies/%s/%d", cfg.name, n),
 						Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
-							return strategiesSweep(s, cfg, n, p), nil
+							return strategiesSweep(s.NewMachine(mcfg), cfg, n, p), nil
 						},
 					})
 				}
@@ -178,7 +159,7 @@ func strategiesSpec() Spec {
 			js = append(js, Job{
 				Name: "strategies/split",
 				Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
-					return strategiesSplit(s, p), nil
+					return strategiesSplit(s.NewMachine(mcfg), p), nil
 				},
 			})
 			return js

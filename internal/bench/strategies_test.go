@@ -29,7 +29,7 @@ func TestStrategiesAcceptance(t *testing.T) {
 		t.Fatalf("no row for %q at %s keys in %v", config, keys, tab.Rows)
 		return 0
 	}
-	p := strategiesParamsFor(false)
+	p := strategiesInputs.at(false)
 	deep := strconv.FormatInt(p.sizes[len(p.sizes)-1], 10)
 	veb, cluster := cycles("veb + color", deep), cycles("subtree-cluster + color", deep)
 	if veb >= cluster {

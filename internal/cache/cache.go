@@ -162,28 +162,46 @@ func PaperHierarchy() Config {
 	}
 }
 
-// ScaledHierarchy returns the §4.1 machine with the L2 capacity scaled
-// down by factor (a power-of-two divisor) so that paper-scale
-// structure:cache ratios can be reproduced with small structures. The
-// L1 is scaled by the same factor, floored at 1 KB.
+// ScaledHierarchy returns the §4.1 machine with every cache level
+// scaled down by factor (a power-of-two divisor) so that paper-scale
+// structure:cache ratios can be reproduced with small structures.
+// Each level is floored at four sets, which for the §4.1 L1 is 64 B:
+// the L1 is 1 KB at factor 16, 512 B at 32 and 256 B at 64. The TLB
+// keeps its reach in proportion, floored at 16 entries.
 func ScaledHierarchy(factor int64) Config {
-	c := PaperHierarchy()
+	c := scaleLevels(PaperHierarchy(), factor, factor)
+	if factor > 1 {
+		// The floor lets a scaled machine still hold a tree's
+		// root-to-leaf path.
+		c.TLB.Entries = max(c.TLB.Entries/int(factor), 16)
+	}
+	return c
+}
+
+// ScaledRSIM returns Table 1's RSIM machine scaled down by factor on
+// ScaledHierarchy's rule, except that the L1 is divided by at most 4:
+// the paper's L1 is already tiny relative to the structures, and
+// shrinking it to a few lines would make every workload L1-bound and
+// mask the L2 placement effects the Olden experiments measure. The
+// machine has no TLB at any factor, like RSIM's.
+func ScaledRSIM(factor int64) Config {
+	return scaleLevels(RSIMHierarchy(), factor, 4)
+}
+
+// scaleLevels divides each level's capacity by factor, the L1's by at
+// most l1Max, floored at four sets. A factor of 1 or less returns c
+// unchanged.
+func scaleLevels(c Config, factor, l1Max int64) Config {
 	if factor <= 1 {
 		return c
 	}
 	for i := range c.Levels {
-		s := c.Levels[i].Size / factor
-		min := c.Levels[i].BlockSize * int64(c.Levels[i].Assoc) * 4
-		if s < min {
-			s = min
+		l := &c.Levels[i]
+		f := factor
+		if i == 0 {
+			f = min(f, l1Max)
 		}
-		c.Levels[i].Size = s
-	}
-	// Scale TLB reach with the caches, floored at 16 entries so a
-	// scaled machine can still hold a tree's root-to-leaf path.
-	c.TLB.Entries = int(int64(c.TLB.Entries) / factor)
-	if c.TLB.Entries < 16 {
-		c.TLB.Entries = 16
+		l.Size = max(l.Size/f, l.BlockSize*int64(l.Assoc)*4)
 	}
 	return c
 }

@@ -317,6 +317,40 @@ func TestScaledHierarchyFloors(t *testing.T) {
 	}
 }
 
+// TestScaledMachines pins both scaling rules at every factor the
+// repository runs: ScaledHierarchy divides both levels and the TLB,
+// ScaledRSIM caps the L1's divisor at 4 and keeps the TLB off.
+func TestScaledMachines(t *testing.T) {
+	cases := []struct {
+		name     string
+		cfg      Config
+		l1, l2   int64
+		tlbEntry int
+	}{
+		{"ScaledHierarchy(1)", ScaledHierarchy(1), 16 << 10, 1 << 20, 64},
+		{"ScaledHierarchy(16)", ScaledHierarchy(16), 1 << 10, 64 << 10, 16},
+		{"ScaledHierarchy(32)", ScaledHierarchy(32), 512, 32 << 10, 16},
+		{"ScaledHierarchy(64)", ScaledHierarchy(64), 256, 16 << 10, 16},
+		{"ScaledRSIM(1)", ScaledRSIM(1), 16 << 10, 256 << 10, 0},
+		{"ScaledRSIM(8)", ScaledRSIM(8), 4 << 10, 32 << 10, 0},
+		{"ScaledRSIM(16)", ScaledRSIM(16), 4 << 10, 16 << 10, 0},
+	}
+	for _, c := range cases {
+		if err := c.cfg.Validate(); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+		if got := c.cfg.Levels[0].Size; got != c.l1 {
+			t.Errorf("%s: L1 %d B, want %d", c.name, got, c.l1)
+		}
+		if got := c.cfg.Levels[1].Size; got != c.l2 {
+			t.Errorf("%s: L2 %d B, want %d", c.name, got, c.l2)
+		}
+		if got := c.cfg.TLB.Entries; got != c.tlbEntry {
+			t.Errorf("%s: %d TLB entries, want %d", c.name, got, c.tlbEntry)
+		}
+	}
+}
+
 func TestAccessKindString(t *testing.T) {
 	if Load.String() != "load" || Store.String() != "store" || PrefetchRead.String() != "prefetch" {
 		t.Error("AccessKind.String broken")

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"ccl/internal/cache"
 	"ccl/internal/cclerr"
 	"ccl/internal/ccmorph"
 	"ccl/internal/heap"
@@ -82,7 +83,7 @@ func TestArmSimVetoesPlacement(t *testing.T) {
 	s := sim.New()
 	in := NewInjector().FailNth(PlaceCluster, 1)
 	in.ArmSim(s)
-	m := s.NewScaled(64)
+	m := s.NewMachine(cache.ScaledHierarchy(64))
 	tr := trees.MustBuild(m, heap.New(m.Arena), 200, trees.RandomOrder, 1)
 
 	region, err := layout.NewRegion(m.Arena, layout.Geometry{Sets: 64, Assoc: 1, BlockSize: 64}, 0)

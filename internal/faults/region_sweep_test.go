@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ccl/internal/apps/radiance"
+	"ccl/internal/cache"
 	"ccl/internal/cclerr"
 	"ccl/internal/heap"
 	"ccl/internal/machine"
@@ -127,14 +128,14 @@ func TestRadianceRelocationVetoKeepsChecksum(t *testing.T) {
 	want := radiance.Run(machine.NewScaled(16), radiance.Base, cfg).Check
 	for _, mode := range []radiance.Mode{radiance.ClusterColor, radiance.Cluster} {
 		counter := NewInjector()
-		radiance.Run(armed(counter).NewScaled(16), mode, cfg)
+		radiance.Run(armed(counter).NewMachine(cache.ScaledHierarchy(16)), mode, cfg)
 		total := counter.Count(PlaceCluster)
 		first := total - total*2/5
 		in := NewInjector()
 		for n := first; n <= total; n++ {
 			in.FailNth(PlaceCluster, n)
 		}
-		if got := radiance.Run(armed(in).NewScaled(16), mode, cfg).Check; got != want {
+		if got := radiance.Run(armed(in).NewMachine(cache.ScaledHierarchy(16)), mode, cfg).Check; got != want {
 			t.Fatalf("%v: checksum %d with vetoed relocations, want the base layout's %d", mode, got, want)
 		}
 		if fired := in.Fired(PlaceCluster); fired == 0 || fired != total-first+1 {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"ccl/internal/cache"
 	"ccl/internal/cclerr"
 	"ccl/internal/ccmalloc"
 	"ccl/internal/ccmorph"
@@ -58,7 +59,7 @@ func replayDiff(t *testing.T, rec *machine.Recorder) {
 // sweepMachine returns a machine owned by s that records the stream a
 // run issues on it.
 func sweepMachine(s *sim.Sim) (*machine.Machine, *machine.Recorder) {
-	rec := machine.Record(s.NewScaled(64))
+	rec := machine.Record(s.NewMachine(cache.ScaledHierarchy(64)))
 	return rec.Machine, rec
 }
 
@@ -230,7 +231,7 @@ func FuzzFaultSchedule(f *testing.F) {
 			in.FailNth(p, int64(data[i+1]%32))
 		}
 
-		m := armed(in).NewScaled(64)
+		m := armed(in).NewMachine(cache.ScaledHierarchy(64))
 		tr, err := trees.Build(m, heap.New(m.Arena), 60, trees.RandomOrder, 1)
 		if err != nil {
 			if cclerr.Class(err) == "" {

@@ -47,10 +47,6 @@ func New(cfg cache.Config) *Machine {
 	}
 }
 
-// NewPaper builds a machine matching the paper's §4.1 measurement
-// system (16 KB L1 / 1 MB L2, direct-mapped).
-func NewPaper() *Machine { return New(cache.PaperHierarchy()) }
-
 // NewScaled builds a machine with the §4.1 hierarchy scaled down by
 // factor, preserving block sizes and associativity so placement
 // behaves identically at smaller absolute sizes.

@@ -38,7 +38,7 @@ func TestTypedOpsChargeCache(t *testing.T) {
 }
 
 func TestTickAndNow(t *testing.T) {
-	m := NewPaper()
+	m := New(cache.PaperHierarchy())
 	before := m.Now()
 	m.Tick(42)
 	if m.Now()-before != 42 {

@@ -13,6 +13,10 @@ import (
 	"ccl/internal/machine"
 )
 
+// counterWork is the busy cycles charged per increment, modeling the
+// computation between counter updates.
+const counterWork = 1
+
 // CounterConfig parameterizes a Counters run.
 type CounterConfig struct {
 	// Iters is the number of increments each core performs.
@@ -20,9 +24,6 @@ type CounterConfig struct {
 	// Stride is the byte distance between adjacent cores' counters;
 	// 8 packs them, the coherence granule pads them apart.
 	Stride int64
-	// Work is the busy cycles charged per increment (default 1),
-	// modeling the computation between counter updates.
-	Work int64
 }
 
 // Counters runs the per-core increment loop on tp and returns the
@@ -31,10 +32,6 @@ type CounterConfig struct {
 func Counters(tp *machine.Topology, cfg CounterConfig) (Result, []int64) {
 	if cfg.Stride < 8 {
 		panic(fmt.Sprintf("mc: counter stride %d below the 8-byte counter size", cfg.Stride))
-	}
-	work := cfg.Work
-	if work <= 0 {
-		work = 1
 	}
 	cols := AttachCollectors(tp)
 	tp.Arena.AlignBrk(tp.Config().LLC.BlockSize)
@@ -54,7 +51,7 @@ func Counters(tp *machine.Topology, cfg CounterConfig) (Result, []int64) {
 			}
 			left--
 			c.StoreInt(slot, c.LoadInt(slot)+1)
-			c.Tick(work)
+			c.Tick(counterWork)
 			return left > 0
 		}
 	}

@@ -3,6 +3,7 @@ package health
 import (
 	"testing"
 
+	"ccl/internal/cache"
 	"ccl/internal/ccmalloc"
 	"ccl/internal/faults"
 	"ccl/internal/olden"
@@ -58,7 +59,7 @@ func TestSkippedMorphKeepsChecksum(t *testing.T) {
 	}
 	s := runctx.New()
 	in.ArmSim(s)
-	if got := Run(olden.NewEnvIn(s, olden.CCMorphClusterColor, 16), cfg).Check; got != want {
+	if got := Run(olden.NewEnvIn(s, olden.CCMorphClusterColor, cache.ScaledRSIM(16)), cfg).Check; got != want {
 		t.Fatalf("checksum %d with vetoed placements, want the base variant's %d", got, want)
 	}
 	if in.Fired(faults.PlaceCluster) == 0 {

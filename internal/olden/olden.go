@@ -178,38 +178,21 @@ type Env struct {
 }
 
 // NewEnv builds a benchmark environment in a fresh, private run
-// context; see NewEnvIn.
-func NewEnv(v Variant, scale int64) Env { return NewEnvIn(sim.New(), v, scale) }
+// context on Table 1's RSIM machine scaled down by scale; see
+// NewEnvIn and cache.ScaledRSIM.
+func NewEnv(v Variant, scale int64) Env {
+	return NewEnvIn(sim.New(), v, cache.ScaledRSIM(scale))
+}
 
-// NewEnvIn builds the simulated machine Figure 7 runs on: the Table 1
-// RSIM hierarchy (128-byte lines, 2-way 256 KB L2), scaled down by
-// scale to keep scaled workloads in proportion. The baseline
-// allocator is charged heap.Malloc-equivalent costs via ccmalloc's
-// cost model so allocator overhead comparisons are fair. The machine
-// is owned by s, so the run context's fault guards reach it; an Env
-// shares no mutable state with any other Env, which is what lets the
-// bench worker pool run variants concurrently.
-func NewEnvIn(s *sim.Sim, v Variant, scale int64) Env {
-	cfg := cache.RSIMHierarchy()
-	if scale > 1 {
-		for i := range cfg.Levels {
-			lvlScale := scale
-			if i == 0 && lvlScale > 4 {
-				// The L1 stays closer to full size: the paper's L1
-				// is already tiny relative to the structures; over-
-				// shrinking it to 8 lines would make every workload
-				// L1-bound and mask the L2 placement effects the
-				// experiments are about.
-				lvlScale = 4
-			}
-			s := cfg.Levels[i].Size / lvlScale
-			min := cfg.Levels[i].BlockSize * int64(cfg.Levels[i].Assoc) * 4
-			if s < min {
-				s = min
-			}
-			cfg.Levels[i].Size = s
-		}
-	}
+// NewEnvIn builds a benchmark environment on a machine with cache
+// configuration cfg; the Olden experiments pass Table 1's RSIM
+// hierarchy scaled by cache.ScaledRSIM. The baseline allocator is
+// charged heap.Malloc-equivalent costs via ccmalloc's cost model so
+// allocator overhead comparisons are fair. The machine is owned by s,
+// so the run context's fault guards reach it; an Env shares no mutable
+// state with any other Env, which is what lets the bench worker pool
+// run variants concurrently.
+func NewEnvIn(s *sim.Sim, v Variant, cfg cache.Config) Env {
 	m := s.NewMachine(cfg)
 	m.PointerPrefetch = v.HW()
 

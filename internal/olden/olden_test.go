@@ -3,6 +3,7 @@ package olden_test
 import (
 	"testing"
 
+	"ccl/internal/cache"
 	"ccl/internal/ccmalloc"
 	"ccl/internal/faults"
 	"ccl/internal/olden"
@@ -142,7 +143,7 @@ func TestCCMallocVetoesDegrade(t *testing.T) {
 			}
 			s := sim.New()
 			in.ArmSim(s)
-			env := olden.NewEnvIn(s, v, 16)
+			env := olden.NewEnvIn(s, v, cache.ScaledRSIM(16))
 			r := run(env)
 			if r.Check != base[i].Check {
 				t.Errorf("%s/%s: checksum %d under vetoes, want base %d", r.Benchmark, v.Name(), r.Check, base[i].Check)

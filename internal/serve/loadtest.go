@@ -21,9 +21,6 @@ type LoadTestConfig struct {
 	// Tenants × Concurrent requests are fired at once. Defaults 8 × 32.
 	Tenants    int
 	Concurrent int
-	// Faults arms a rotating fault schedule covering every serve-*
-	// point plus arena-grow. Default on (disable with NoFaults).
-	NoFaults bool
 	// DrainAfter fires a drain this long into a second request wave,
 	// proving SIGTERM-under-load behaviour. Zero skips the phase.
 	DrainAfter time.Duration
@@ -176,8 +173,8 @@ func LoadTest(ctx context.Context, cfg LoadTestConfig) (LoadTestResult, error) {
 	}
 
 	total := cfg.Tenants * cfg.Concurrent
-	logf("loadtest: firing %d tenants x %d requests (%d total), faults=%v",
-		cfg.Tenants, cfg.Concurrent, total, !cfg.NoFaults)
+	logf("loadtest: firing %d tenants x %d requests (%d total) under a rotating fault schedule",
+		cfg.Tenants, cfg.Concurrent, total)
 	outcomes := make([]outcome, total)
 	var wg sync.WaitGroup
 	for t := 0; t < cfg.Tenants; t++ {
@@ -186,7 +183,7 @@ func LoadTest(ctx context.Context, cfg LoadTestConfig) (LoadTestResult, error) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				sp := loadSpec(t, i, !cfg.NoFaults)
+				sp := loadSpec(t, i, true)
 				outcomes[t*cfg.Concurrent+i] = submit(ctx, base, sp)
 			}()
 		}

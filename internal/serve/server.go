@@ -43,13 +43,9 @@ type Config struct {
 	// Tenants holds per-tenant admission overrides.
 	Tenants map[string]TenantConfig
 	// DefaultDeadline bounds requests that ask for none (default
-	// 30 s); MaxDeadline clips what a spec may ask for (default the
-	// spec cap).
+	// 30 s). Every deadline, this one included, is clipped to the
+	// spec cap, MaxDeadlineMS.
 	DefaultDeadline time.Duration
-	MaxDeadline     time.Duration
-	// Now is the admission clock, injectable for tests; nil means
-	// time.Now.
-	Now func() time.Time
 	// Logf receives operational log lines; nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -69,12 +65,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DefaultDeadline <= 0 {
 		c.DefaultDeadline = 30 * time.Second
-	}
-	if c.MaxDeadline <= 0 {
-		c.MaxDeadline = MaxDeadlineMS * time.Millisecond
-	}
-	if c.Now == nil {
-		c.Now = time.Now
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -284,7 +274,7 @@ func (s *Server) serveRequest(w http.ResponseWriter, r *http.Request, req *Reque
 			cclerr.Errorf(cclerr.ErrOverloaded, "serve: draining, not admitting"))
 		return
 	}
-	if status, err := tenant.admit(s.cfg.Now()); err != nil {
+	if status, err := tenant.admit(time.Now()); err != nil {
 		writeError(w, status, err)
 		return
 	}
@@ -326,9 +316,7 @@ func (s *Server) serveRequest(w http.ResponseWriter, r *http.Request, req *Reque
 	if req.Spec.DeadlineMS > 0 {
 		deadline = time.Duration(req.Spec.DeadlineMS) * time.Millisecond
 	}
-	if deadline > s.cfg.MaxDeadline {
-		deadline = s.cfg.MaxDeadline
-	}
+	deadline = min(deadline, MaxDeadlineMS*time.Millisecond)
 	ctx, cancel := context.WithTimeout(r.Context(), deadline)
 	defer cancel()
 

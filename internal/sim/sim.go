@@ -1,25 +1,19 @@
 // Package sim defines the per-run simulation context.
 //
-// Before this package existed, the simulation stack carried hidden
-// process-global state: memsys kept a package-level default grow
-// guard, the fault injector armed it globally, and experiments
-// assumed they were alone in the process. That made two Machines in
-// one process unsafe to run concurrently — and layout evaluation is
-// embarrassingly parallel across independent configurations, exactly
-// the shape of the experiment, ablation, and oracle sweeps.
-//
-// A Sim is the explicit owner of everything that used to be global:
-// the guard consulted by every arena the run creates — the one fault
-// seam, reached at arena growth and at cache-conscious placement —
-// and an optional memory budget. Each experiment job gets a fresh
-// Sim, builds its machines through it, and shares no mutable state
-// with any other job; the bench worker pool (internal/bench) relies
-// on that isolation for its determinism guarantee. See DESIGN.md §8.
+// A Sim owns what one run's machines share: the guard consulted by
+// every arena built through it — the one fault seam, reached at arena
+// growth and at cache-conscious placement — and an optional memory
+// budget. Each experiment job gets a fresh Sim, builds its machines
+// through it, and shares no mutable state with any other job; the
+// bench worker pool (internal/bench) relies on that isolation for its
+// determinism guarantee, because layout evaluation is embarrassingly
+// parallel across independent configurations. See DESIGN.md §8.
 //
 // A Sim itself is safe for concurrent use, but the objects built
-// through it (Arena, Machine) are not: each is confined to the one
-// goroutine running its job, which is the concurrency model of the
-// whole stack — share nothing, isolate runs, parallelize across Sims.
+// through it (Arena, Machine, Topology) are not: each is confined to
+// the one goroutine running its job, which is the concurrency model of
+// the whole stack — share nothing, isolate runs, parallelize across
+// Sims.
 package sim
 
 import (
@@ -123,13 +117,6 @@ func (s *Sim) check(ev memsys.GuardEvent, n int64) error {
 	return nil
 }
 
-// Adopt ties an existing machine's arena to this context's guard and
-// returns the machine, for call-site chaining.
-func (s *Sim) Adopt(m *machine.Machine) *machine.Machine {
-	s.AdoptArena(m.Arena)
-	return m
-}
-
 // AdoptArena ties an arena to this context's guard.
 func (s *Sim) AdoptArena(a *memsys.Arena) { a.SetGuard(s.check) }
 
@@ -143,17 +130,9 @@ func (s *Sim) NewArena(pageSize int64) *memsys.Arena {
 // NewMachine builds a machine with the given cache configuration,
 // owned by this context.
 func (s *Sim) NewMachine(cfg cache.Config) *machine.Machine {
-	return s.Adopt(machine.New(cfg))
-}
-
-// NewPaper builds the paper's §4.1 measurement machine, owned by
-// this context.
-func (s *Sim) NewPaper() *machine.Machine { return s.Adopt(machine.NewPaper()) }
-
-// NewScaled builds the §4.1 machine scaled down by factor, owned by
-// this context.
-func (s *Sim) NewScaled(factor int64) *machine.Machine {
-	return s.Adopt(machine.NewScaled(factor))
+	m := machine.New(cfg)
+	s.AdoptArena(m.Arena)
+	return m
 }
 
 // NewTopology builds an N-core topology (machine.NewTopology), owned
