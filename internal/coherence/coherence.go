@@ -160,18 +160,38 @@ type Action struct {
 	CoherenceMiss bool
 }
 
+// The state table is paged like internal/lru's index: a page covers
+// pageGranules consecutive granules and is allocated when one of them
+// is first touched. Pages of granules in [0, 2^29) hang off a
+// directory slice; any other granule's page goes through a map.
+const (
+	pageBits     = 12
+	pageGranules = 1 << pageBits
+	pageMask     = pageGranules - 1
+	dirPages     = 1 << 17
+)
+
+// page is the state of pageGranules consecutive granules.
+type page struct {
+	// states is granule-major: granule i's per-core states are
+	// states[i*cores : (i+1)*cores], so a snoop reads one run of bytes.
+	states []State
+	// pending has bit c of granule i set when core c's copy was
+	// invalidated while resident: core c's next transaction on the
+	// granule is a coherence miss.
+	pending [pageGranules]uint64
+}
+
 // Directory is the MESI state table plus the snoop fan-out. Build
 // with New, register each core's Port, then route every demand access
 // through Transact before the private cache sees it.
 type Directory struct {
-	cfg    Config
-	shift  uint
-	ports  []Port
-	states []map[int64]State // per-core granule -> state
-	// pending marks granules invalidated while resident: the core's
-	// next transaction on that granule is a coherence miss.
-	pending []map[int64]struct{}
-	stats   Stats
+	cfg   Config
+	shift uint
+	ports []Port
+	dir   []*page         // pages of granules [0, 2^29)
+	far   map[int64]*page // pages of every other granule
+	stats Stats
 }
 
 // New builds a directory for cores cores. Panics on invalid
@@ -185,18 +205,11 @@ func New(cores int, cfg Config) *Directory {
 	if cores < 1 || cores > 64 {
 		panic(fmt.Sprintf("coherence: cores %d outside [1, 64]", cores))
 	}
-	d := &Directory{
-		cfg:     cfg,
-		shift:   uint(bits.TrailingZeros64(uint64(cfg.BlockSize))),
-		ports:   make([]Port, cores),
-		states:  make([]map[int64]State, cores),
-		pending: make([]map[int64]struct{}, cores),
+	return &Directory{
+		cfg:   cfg,
+		shift: uint(bits.TrailingZeros64(uint64(cfg.BlockSize))),
+		ports: make([]Port, cores),
 	}
-	for i := range d.states {
-		d.states[i] = make(map[int64]State)
-		d.pending[i] = make(map[int64]struct{})
-	}
-	return d
 }
 
 // Config returns the directory's (defaulted) configuration.
@@ -213,7 +226,43 @@ func (d *Directory) Stats() Stats { return d.stats }
 
 // State returns core's directory state for addr's granule.
 func (d *Directory) State(core int, addr memsys.Addr) State {
-	return d.states[core][int64(addr)>>d.shift]
+	g := int64(addr) >> d.shift
+	p := d.lookup(g >> pageBits)
+	if p == nil {
+		return Invalid
+	}
+	return p.states[int(g&pageMask)*len(d.ports)+core]
+}
+
+// lookup returns page num, or nil when no granule in it was touched.
+func (d *Directory) lookup(num int64) *page {
+	if uint64(num) < uint64(len(d.dir)) {
+		return d.dir[num]
+	}
+	if uint64(num) < dirPages {
+		return nil
+	}
+	return d.far[num]
+}
+
+// touch returns page num, allocating it on first touch.
+func (d *Directory) touch(num int64) *page {
+	if p := d.lookup(num); p != nil {
+		return p
+	}
+	p := &page{states: make([]State, pageGranules*len(d.ports))}
+	if uint64(num) < dirPages {
+		if n := num + 1 - int64(len(d.dir)); n > 0 {
+			d.dir = append(d.dir, make([]*page, n)...)
+		}
+		d.dir[num] = p
+		return p
+	}
+	if d.far == nil {
+		d.far = make(map[int64]*page)
+	}
+	d.far[num] = p
+	return p
 }
 
 // granule returns the granule index and base address covering addr.
@@ -229,18 +278,19 @@ func (d *Directory) granule(addr memsys.Addr) (int64, memsys.Addr) {
 // ascending index order, so the snoop fan-out is deterministic.
 func (d *Directory) Transact(core int, addr memsys.Addr, store bool) Action {
 	g, base := d.granule(addr)
-	st := d.states[core][g]
+	pg := d.touch(g >> pageBits)
+	i, n := int(g&pageMask), len(d.ports)
+	states := pg.states[i*n : i*n+n]
+	st := states[core]
 	var act Action
 
 	// A miss (Invalid) consumes a pending invalidated-while-resident
 	// mark: the copy this core lost to a remote store is why it is
 	// about to miss.
-	if st == Invalid {
-		if _, ok := d.pending[core][g]; ok {
-			delete(d.pending[core], g)
-			act.CoherenceMiss = true
-			d.stats.CoherenceMisses++
-		}
+	if bit := uint64(1) << uint(core); st == Invalid && pg.pending[i]&bit != 0 {
+		pg.pending[i] &^= bit
+		act.CoherenceMiss = true
+		d.stats.CoherenceMisses++
 	}
 
 	if !store {
@@ -253,12 +303,8 @@ func (d *Directory) Transact(core int, addr memsys.Addr, store bool) Action {
 		act.Bus = true
 		act.ExtraLatency = d.cfg.SnoopLatency
 		granted := Exclusive
-		for p := range d.ports {
-			if p == core {
-				continue
-			}
-			ps := d.states[p][g]
-			if ps == Invalid {
+		for p, ps := range states {
+			if p == core || ps == Invalid {
 				continue
 			}
 			granted = Shared
@@ -270,9 +316,9 @@ func (d *Directory) Transact(core int, addr memsys.Addr, store bool) Action {
 				act.ExtraLatency += d.cfg.WritebackLatency
 				d.stats.ForcedWritebacks++
 			}
-			d.states[p][g] = Shared
+			states[p] = Shared
 		}
-		d.states[core][g] = granted
+		states[core] = granted
 		act.Granted = granted
 		d.stats.Transactions++
 		if granted == Shared {
@@ -291,7 +337,7 @@ func (d *Directory) Transact(core int, addr memsys.Addr, store bool) Action {
 		return act
 	case Exclusive:
 		// Silent E -> M upgrade: no transaction needed.
-		d.states[core][g] = Modified
+		states[core] = Modified
 		act.Granted = Modified
 		return act
 	}
@@ -299,12 +345,8 @@ func (d *Directory) Transact(core int, addr memsys.Addr, store bool) Action {
 	// Shared upgrade or Invalid RFO: invalidate every remote copy.
 	act.Bus = true
 	act.ExtraLatency = d.cfg.SnoopLatency
-	for p := range d.ports {
-		if p == core {
-			continue
-		}
-		ps := d.states[p][g]
-		if ps == Invalid {
+	for p, ps := range states {
+		if p == core || ps == Invalid {
 			continue
 		}
 		d.stats.InvalidationsSent++
@@ -321,11 +363,11 @@ func (d *Directory) Transact(core int, addr memsys.Addr, store bool) Action {
 		if resident {
 			act.Invalidated |= 1 << uint(p)
 			d.stats.CopiesInvalidated++
-			d.pending[p][g] = struct{}{}
+			pg.pending[i] |= 1 << uint(p)
 		}
-		d.states[p][g] = Invalid
+		states[p] = Invalid
 	}
-	d.states[core][g] = Modified
+	states[core] = Modified
 	act.Granted = Modified
 	d.stats.Transactions++
 	if st == Shared {

@@ -217,3 +217,38 @@ func TestStateStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestDirectoryPagesAnyGranule runs the same invalidate-then-reread
+// sequence on granules at both ends of a page, on the next page, on a
+// page past the directory slice (2^40) and on a negative granule
+// (2^63): each keeps its own states and pending marks, and the
+// granules around it stay Invalid.
+func TestDirectoryPagesAnyGranule(t *testing.T) {
+	for _, addr := range []memsys.Addr{0, 64 * pageMask, 64 * pageGranules, 1 << 40, 1 << 63} {
+		d, ports := newTestDir(t, 3)
+		if d.State(1, addr) != Invalid || len(d.dir) != 0 {
+			t.Fatalf("%#x: an untouched granule is not Invalid, or reading it allocated", addr)
+		}
+		d.Transact(1, addr, false)
+		ports[1].hold(int64(addr)/64, false)
+		if act := d.Transact(0, addr, true); act.Invalidated != 1<<1 {
+			t.Fatalf("%#x: store invalidated cores %b, want core 1", addr, act.Invalidated)
+		}
+		if s0, s1 := d.State(0, addr), d.State(1, addr); s0 != Modified || s1 != Invalid {
+			t.Fatalf("%#x: states %v %v after the store, want M I", addr, s0, s1)
+		}
+		if act := d.Transact(1, addr, false); !act.CoherenceMiss || act.Granted != Shared {
+			t.Fatalf("%#x: reread %+v, want a coherence miss granted Shared", addr, act)
+		}
+		for _, near := range []memsys.Addr{addr - 64, addr + 64} {
+			for c := 0; c < 3; c++ {
+				if s := d.State(c, near); s != Invalid {
+					t.Fatalf("%#x: neighbor %#x is %v for core %d", addr, near, s, c)
+				}
+			}
+		}
+		if act := d.Transact(2, addr+64, false); act.CoherenceMiss || act.Granted != Exclusive {
+			t.Fatalf("%#x: the next granule saw %+v, want a clean Exclusive grant", addr, act)
+		}
+	}
+}

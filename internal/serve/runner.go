@@ -93,9 +93,9 @@ func Smoke(sp bench.Spec, maxJobs int) bench.Spec {
 const uploadReplayID = "upload-replay"
 
 // traceSpec wraps an uploaded trace as a one-job experiment: replay
-// it through a fresh hierarchy built from the trace's own geometry
-// and report the cycle/miss fingerprint.
-func traceSpec(tr *trace.Trace) bench.Spec {
+// its checked bytes through a fresh hierarchy built from the trace's
+// own geometry and report the cycle/miss fingerprint.
+func traceSpec(tr *trace.Encoded) bench.Spec {
 	return bench.Spec{
 		ID:   uploadReplayID,
 		Desc: "replay of the uploaded binary trace",
@@ -103,14 +103,11 @@ func traceSpec(tr *trace.Trace) bench.Spec {
 			return []bench.Job{{
 				Name: uploadReplayID + "/replay",
 				Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
-					h, cycles, err := trace.Replay(*tr)
-					if err != nil {
-						return nil, err
-					}
+					h, cycles := tr.Replay()
 					st := h.Stats()
 					last := len(st.Levels) - 1
 					return []string{
-						fmt.Sprintf("%d", len(tr.Records)),
+						fmt.Sprintf("%d", tr.Len()),
 						fmt.Sprintf("%d", cycles),
 						fmt.Sprintf("%d", st.Levels[last].Misses),
 					}, nil

@@ -170,6 +170,8 @@ func writeError(w http.ResponseWriter, status int, err error) {
 // statusFor maps a spec-validation failure to its HTTP status.
 func statusFor(err error) int {
 	switch {
+	case errors.Is(err, errOverWork):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, cclerr.ErrCorruptTrace):
 		return http.StatusBadRequest
 	case errors.Is(err, cclerr.ErrInvalidArg):
@@ -194,7 +196,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, raw bool) 
 			cclerr.Errorf(cclerr.ErrInvalidArg, "serve: %s not allowed", r.Method))
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, MaxSpecBytes+1))
+	body, err := readBody(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest,
 			cclerr.Errorf(cclerr.ErrInvalidArg, "serve: reading body: %v", err))
@@ -216,6 +218,20 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, raw bool) 
 		return
 	}
 	s.serveRequest(w, r, req)
+}
+
+// readBody reads the request body, at most MaxSpecBytes+1 bytes of
+// it. A body of a stated length within the cap is read into one buffer
+// of that length: an upload's bytes stay on its Request until its job
+// has replayed them, and growing a buffer to fit would copy them about
+// twice over.
+func readBody(r *http.Request) ([]byte, error) {
+	if n := r.ContentLength; n >= 0 && n <= MaxSpecBytes {
+		body := make([]byte, n)
+		_, err := io.ReadFull(r.Body, body)
+		return body, err
+	}
+	return io.ReadAll(io.LimitReader(r.Body, MaxSpecBytes+1))
 }
 
 // parseRawReplay builds a Request from a raw binary trace body plus
@@ -245,7 +261,7 @@ func parseRawReplay(r *http.Request, body []byte) (*Request, error) {
 			*f.dst = n
 		}
 	}
-	tr, err := decodeUpload(body)
+	tr, err := checkUpload(body)
 	if err != nil {
 		return nil, err
 	}

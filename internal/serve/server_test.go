@@ -18,6 +18,7 @@ import (
 
 	"ccl/internal/cache"
 	"ccl/internal/cclerr"
+	"ccl/internal/memsys"
 	"ccl/internal/trace"
 )
 
@@ -278,6 +279,7 @@ func TestStatusForMapsSentinels(t *testing.T) {
 	}{
 		{cclerr.ErrCorruptTrace, http.StatusBadRequest},
 		{cclerr.ErrInvalidArg, http.StatusBadRequest},
+		{fmt.Errorf("%w: %w", errOverWork, cclerr.ErrInvalidArg), http.StatusRequestEntityTooLarge},
 		{cclerr.ErrOverloaded, http.StatusServiceUnavailable},
 		{cclerr.ErrDeadlineExceeded, http.StatusGatewayTimeout},
 		{cclerr.ErrBudgetExceeded, http.StatusInsufficientStorage},
@@ -504,10 +506,16 @@ func TestServeReplayRejectsHostileGeometry(t *testing.T) {
 	huge := cache.PaperHierarchy()
 	huge.Levels[1].Size = 1 << 30
 	recs := []trace.Record{{Addr: 0x40, Size: 8}}
+	paper := cache.PaperHierarchy()
 	for name, body := range map[string][]byte{
 		"assoc*block overflow": overflowUpload(),
 		"negative latency":     trace.Trace{Config: negative, Records: recs}.Encode(),
 		"1 GiB level":          trace.Trace{Config: huge, Records: recs}.Encode(),
+		// A size varint of 2^63 or more once wrapped negative and
+		// panicked the job inside a 200.
+		"size -1": trace.Trace{Config: paper, Records: []trace.Record{{Addr: 0x40, Size: -1}}}.Encode(),
+		// The 53-byte upload a fuzzer found: weeks of replay.
+		"size 27043761148215941": trace.Trace{Config: paper, Records: []trace.Record{{Addr: 0x40, Size: 27_043_761_148_215_941}}}.Encode(),
 	} {
 		t.Run(name, func(t *testing.T) {
 			resp, err := http.Post(hs.URL+"/v1/replay?tenant=acme", "application/octet-stream", bytes.NewReader(body))
@@ -522,6 +530,30 @@ func TestServeReplayRejectsHostileGeometry(t *testing.T) {
 			wantRejection(t, resp2, http.StatusBadRequest)
 		})
 	}
+}
+
+// TestServeReplayRejectsOverWork checks that an upload whose records
+// each pass the size cap but together exceed MaxTraceWork is a typed
+// 413 on both upload paths, before anything is admitted.
+func TestServeReplayRejectsOverWork(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	recs := make([]trace.Record, 1000)
+	for i := range recs {
+		recs[i] = trace.Record{Addr: memsys.Addr(i) << 20, Size: trace.MaxRecordSize}
+	}
+	// 1,000 MiB at the §4.1 machine's 16-byte L1 blocks: 65,536,000
+	// blocks against the cap of 16,777,216.
+	body := trace.Trace{Config: cache.PaperHierarchy(), Records: recs}.Encode()
+	resp, err := http.Post(hs.URL+"/v1/replay?tenant=acme", "application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if eb := wantRejection(t, resp, http.StatusRequestEntityTooLarge); eb.Class != cclerr.Class(cclerr.ErrInvalidArg) {
+		t.Errorf("class %q, want %q", eb.Class, cclerr.Class(cclerr.ErrInvalidArg))
+	}
+	resp2 := postSpec(t, hs.URL, Spec{Schema: SpecSchema, Tenant: "acme", TraceB64: base64.StdEncoding.EncodeToString(body)})
+	wantRejection(t, resp2, http.StatusRequestEntityTooLarge)
 }
 
 func TestServeExperimentsAndHealth(t *testing.T) {

@@ -18,6 +18,7 @@ import (
 	"bytes"
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 
@@ -45,6 +46,12 @@ const (
 	// codec's own ceiling is higher, sized for offline fixtures, not
 	// for something a stranger uploads.
 	MaxTraceRecords = 1 << 20
+	// MaxTraceWork bounds the uploaded trace's work: the blocks its
+	// records touch at its smallest block size, one simulated access
+	// each (trace.Encoded.Work), about half a second of replay at
+	// ~30 ns an access. Each record is already capped at
+	// trace.MaxRecordSize bytes; this caps their sum.
+	MaxTraceWork = 1 << 24
 	// MaxTenantLen bounds the tenant name.
 	MaxTenantLen = 64
 	// MaxDeadlineMS bounds the per-request deadline a spec may ask
@@ -96,11 +103,13 @@ type Spec struct {
 	Profile bool `json:"profile,omitempty"`
 }
 
-// Request is a fully validated submission: the spec, its decoded
-// trace (nil when none was uploaded), and its parsed fault schedule.
+// Request is a fully validated submission: the spec, its checked
+// trace upload (nil when none was uploaded), and its parsed fault
+// schedule. The upload stays in its encoded form until its job
+// replays it.
 type Request struct {
 	Spec   Spec
-	Trace  *trace.Trace
+	Trace  *trace.Encoded
 	Faults faults.Schedule
 }
 
@@ -189,7 +198,7 @@ func ParseSpec(data []byte) (*Request, error) {
 		if err != nil {
 			return nil, cclerr.Errorf(cclerr.ErrInvalidArg, "serve: trace_b64: %v", err)
 		}
-		tr, err := decodeUpload(raw)
+		tr, err := checkUpload(raw)
 		if err != nil {
 			return nil, err
 		}
@@ -198,19 +207,28 @@ func ParseSpec(data []byte) (*Request, error) {
 	return req, nil
 }
 
-// decodeUpload decodes and bounds an uploaded binary trace.
-func decodeUpload(raw []byte) (*trace.Trace, error) {
+// errOverWork marks an upload whose work exceeds MaxTraceWork; the
+// server answers it with 413.
+var errOverWork = errors.New("work over the upload cap")
+
+// checkUpload validates and bounds an uploaded binary trace in one
+// pass over its bytes, before the request is admitted.
+func checkUpload(raw []byte) (*trace.Encoded, error) {
 	if len(raw) > MaxTraceBytes {
 		return nil, cclerr.Errorf(cclerr.ErrInvalidArg,
 			"serve: trace of %d bytes exceeds the %d-byte cap", len(raw), MaxTraceBytes)
 	}
-	tr, err := trace.Decode(raw)
+	tr, err := trace.Check(raw)
 	if err != nil {
 		return nil, fmt.Errorf("serve: uploaded trace: %w", err)
 	}
-	if len(tr.Records) > MaxTraceRecords {
+	if tr.Len() > MaxTraceRecords {
 		return nil, cclerr.Errorf(cclerr.ErrInvalidArg,
-			"serve: trace of %d records exceeds the cap of %d", len(tr.Records), MaxTraceRecords)
+			"serve: trace of %d records exceeds the cap of %d", tr.Len(), MaxTraceRecords)
+	}
+	if tr.Work() > MaxTraceWork {
+		return nil, fmt.Errorf("serve: trace touches %d blocks, over the cap of %d: %w: %w",
+			tr.Work(), MaxTraceWork, errOverWork, cclerr.ErrInvalidArg)
 	}
 	return &tr, nil
 }

@@ -148,8 +148,8 @@ func TestParseSpecTraceUpload(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseSpec with trace: %v", err)
 	}
-	if req.Trace == nil || len(req.Trace.Records) != 2 {
-		t.Fatalf("trace not decoded: %+v", req.Trace)
+	if req.Trace == nil || req.Trace.Len() != 2 {
+		t.Fatalf("trace not checked: %+v", req.Trace)
 	}
 }
 

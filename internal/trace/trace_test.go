@@ -2,6 +2,7 @@ package trace
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -154,5 +155,44 @@ func TestFromBytesDeterministic(t *testing.T) {
 	b, _ := FromBytes(data)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("FromBytes is not deterministic")
+	}
+}
+
+// hostileRecords are one-record encodings a stranger could upload:
+// a size varint of 2^64-1 (Record{Size: -1}), which once wrapped
+// negative and panicked the replay, and the 53-byte upload of
+// 27,043,761,148,215,941 bytes that a fuzzer found, which replays one
+// block at a time for weeks.
+func hostileRecords() map[string][]byte {
+	enc := func(r Record) []byte { return Trace{Config: sampleTrace().Config, Records: []Record{r}}.Encode() }
+	return map[string][]byte{
+		"size -1":                 enc(Record{Kind: Load, Addr: 64, Size: -1}),
+		"size 27043761148215941":  enc(Record{Kind: Store, Addr: 64, Size: 27_043_761_148_215_941}),
+		"size over MaxRecordSize": enc(Record{Kind: Load, Addr: 64, Size: MaxRecordSize + 1}),
+		"past the address space":  enc(Record{Kind: Load, Addr: math.MaxInt64 - 4, Size: 8}),
+	}
+}
+
+func TestDecodeRejectsHostileRecords(t *testing.T) {
+	for name, data := range hostileRecords() {
+		t.Run(name, func(t *testing.T) {
+			if _, err := Decode(data); !errors.Is(err, cclerr.ErrCorruptTrace) {
+				t.Errorf("Decode: err = %v, want ErrCorruptTrace", err)
+			}
+			if _, err := Check(data); !errors.Is(err, cclerr.ErrCorruptTrace) {
+				t.Errorf("Check: err = %v, want ErrCorruptTrace", err)
+			}
+		})
+	}
+	// The cap itself is allowed, and its work is one access per
+	// smallest block.
+	tr := sampleTrace()
+	tr.Records = []Record{{Kind: Load, Addr: 64, Size: MaxRecordSize}}
+	enc, err := Check(tr.Encode())
+	if err != nil {
+		t.Fatalf("a record of exactly MaxRecordSize: %v", err)
+	}
+	if want := int64(MaxRecordSize / 16); enc.Work() != want {
+		t.Errorf("work %d, want %d", enc.Work(), want)
 	}
 }
