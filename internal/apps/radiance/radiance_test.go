@@ -49,25 +49,6 @@ func TestFramesScaleWork(t *testing.T) {
 	}
 }
 
-// TestFigure6Radiance asserts the headline direction: clustering plus
-// coloring beats the base layout on the harness machine.
-func TestFigure6Radiance(t *testing.T) {
-	cfg := DefaultConfig()
-	base := Run(machine.NewScaled(16), Base, cfg)
-	cc := Run(machine.NewScaled(16), ClusterColor, cfg)
-	if cc.Cycles() >= base.Cycles() {
-		t.Fatalf("clustering+coloring (%d) did not beat base (%d)", cc.Cycles(), base.Cycles())
-	}
-	if cc.Check != base.Check {
-		t.Fatal("modes rendered different images")
-	}
-	// Clustering alone must at least not lose materially.
-	cl := Run(machine.NewScaled(16), Cluster, cfg)
-	if float64(cl.Cycles()) > 1.03*float64(base.Cycles()) {
-		t.Errorf("clustering alone at %d vs base %d: outside envelope", cl.Cycles(), base.Cycles())
-	}
-}
-
 func TestTraversalOnlyReducesCycles(t *testing.T) {
 	cfg := small()
 	full := Run(machine.NewScaled(16), Base, cfg)

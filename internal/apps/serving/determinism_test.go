@@ -45,7 +45,6 @@ func runKVOnce(t *testing.T, cfg KVConfig, w KVWorkload) servingRun {
 func TestKVDeterminism(t *testing.T) {
 	w := KVWorkload{Seed: 7, S: 0.99, Keys: 600, Ops: 4000, PutEvery: 8}
 	for _, cfg := range kvVariants() {
-		cfg := cfg
 		t.Run(fmt.Sprintf("%v-%v", cfg.Layout, cfg.Placement), func(t *testing.T) {
 			a, b := runKVOnce(t, cfg, w), runKVOnce(t, cfg, w)
 			if !reflect.DeepEqual(a, b) {
@@ -81,7 +80,6 @@ func runLRUOnce(t *testing.T, cfg LRUConfig, w LRUWorkload) servingRun {
 func TestLRUDeterminism(t *testing.T) {
 	w := LRUWorkload{Seed: 11, S: 0.99, Keys: 1024, Ops: 4000}
 	for _, cfg := range lruVariants() {
-		cfg := cfg
 		t.Run(fmt.Sprintf("split=%v-%v", cfg.Split, cfg.Placement), func(t *testing.T) {
 			a, b := runLRUOnce(t, cfg, w), runLRUOnce(t, cfg, w)
 			if !reflect.DeepEqual(a, b) {
@@ -118,7 +116,6 @@ func runPQOnce(t *testing.T, arity int64, w PQWorkload) servingRun {
 func TestPQDeterminism(t *testing.T) {
 	w := PQWorkload{Seed: 13, S: 0.99, Fill: 2048, Ops: 4000}
 	for _, arity := range []int64{2, 4, 8} {
-		arity := arity
 		t.Run(fmt.Sprintf("arity=%d", arity), func(t *testing.T) {
 			a, b := runPQOnce(t, arity, w), runPQOnce(t, arity, w)
 			if !reflect.DeepEqual(a, b) {

@@ -85,7 +85,6 @@ func kvMismatch(cfg KVConfig, ops []kvOp) string {
 // map model under random op sequences, shrinking failures.
 func TestKVPropertyModelEquivalence(t *testing.T) {
 	for _, cfg := range kvVariants() {
-		cfg := cfg
 		t.Run(fmt.Sprintf("%v-%v", cfg.Layout, cfg.Placement), func(t *testing.T) {
 			gen := func(rng *rand.Rand) []kvOp {
 				ops := make([]kvOp, 150+rng.Intn(100))

@@ -116,7 +116,6 @@ func lruMismatch(cfg LRUConfig, ops []lruOp) string {
 // sequences, shrinking failures.
 func TestLRUPropertyModelEquivalence(t *testing.T) {
 	for _, cfg := range lruVariants() {
-		cfg := cfg
 		t.Run(fmt.Sprintf("split=%v-%v", cfg.Split, cfg.Placement), func(t *testing.T) {
 			gen := func(rng *rand.Rand) []lruOp {
 				ops := make([]lruOp, 150+rng.Intn(100))

@@ -83,7 +83,6 @@ func TestServingOracleDifferential(t *testing.T) {
 		{"scaled-direct", machine.NewScaled(16)},
 		{"set-assoc", machine.New(assocGeometry())},
 	} {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			rec := recordServingMix(t, tc.m)
 			if len(rec.Trace().Records) == 0 {

@@ -87,7 +87,6 @@ func pqMismatch(arity int64, ops []pqOp) string {
 // multiset model under random push/pop sequences, shrinking failures.
 func TestPQPropertyModelEquivalence(t *testing.T) {
 	for _, arity := range []int64{2, 4, 8, 16} {
-		arity := arity
 		t.Run(fmt.Sprintf("arity=%d", arity), func(t *testing.T) {
 			gen := func(rng *rand.Rand) []pqOp {
 				ops := make([]pqOp, 150+rng.Intn(100))

@@ -3,7 +3,6 @@ package vis
 import (
 	"testing"
 
-	"ccl/internal/cache"
 	"ccl/internal/heap"
 	"ccl/internal/machine"
 	"ccl/internal/memsys"
@@ -123,23 +122,6 @@ func TestRunChecksumsMatchAcrossModes(t *testing.T) {
 	}
 	if base.Nodes < 100 {
 		t.Fatalf("only %d nodes; workload trivial", base.Nodes)
-	}
-}
-
-// TestFigure6VIS asserts the headline: ccmalloc-new-block beats the
-// base allocator on the paper-scale machine.
-func TestFigure6VIS(t *testing.T) {
-	cfg := DefaultConfig()
-	base := Run(machine.New(cache.PaperHierarchy()), Base, cfg)
-	cc := Run(machine.New(cache.PaperHierarchy()), CCMalloc, cfg)
-	if cc.Cycles() >= base.Cycles() {
-		t.Fatalf("ccmalloc (%d) did not beat base (%d)", cc.Cycles(), base.Cycles())
-	}
-	if sp := float64(base.Cycles()) / float64(cc.Cycles()); sp < 1.08 {
-		t.Errorf("VIS speedup only %.2fx; paper reports 1.27x", sp)
-	}
-	if cc.Check != base.Check {
-		t.Fatal("modes computed different results")
 	}
 }
 

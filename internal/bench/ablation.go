@@ -65,10 +65,9 @@ func ablationColorSpec() Spec {
 			mcfg, p := treeMachine.at(full), ablationInputs.at(full)
 			var js []Job
 			for _, frac := range colorFracs {
-				frac := frac
 				js = append(js, Job{
 					Name: fmt.Sprintf("ablate-color/%.3f", frac),
-					Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
+					Run: func(ctx context.Context, s *sim.Sim, _ bool) (any, error) {
 						return ctreeSpeedup(s, mcfg, p.keys, p.searches, frac), nil
 					},
 				})
@@ -111,10 +110,9 @@ func ablationBlockSpec() Spec {
 			mcfg, p := blockMachine.at(full), ablationInputs.at(full)
 			var js []Job
 			for _, bs := range blockSizes {
-				bs := bs
 				js = append(js, Job{
 					Name: fmt.Sprintf("ablate-block/%dB", bs),
-					Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
+					Run: func(ctx context.Context, s *sim.Sim, _ bool) (any, error) {
 						// The row is shared: set the block size on a copy.
 						cfg := mcfg
 						cfg.Levels = slices.Clone(cfg.Levels)
@@ -171,23 +169,22 @@ func ablationIntervalSpec() Spec {
 		ID:   "ablate-interval",
 		Desc: "health: ccmorph reorganization interval sweep",
 		Jobs: func(full bool) []Job {
-			cfg := healthConfig.at(full)
+			mcfg, cfg := oldenMachine.at(full), healthConfig.at(full)
 			js := []Job{{
 				Name: "ablate-interval/base",
-				Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
+				Run: func(ctx context.Context, s *sim.Sim, _ bool) (any, error) {
 					c := cfg
 					c.MorphInterval = 0
-					return healthpkg.Run(olden.NewEnvIn(s, olden.Base, oldenMachine.at(full)), c), nil
+					return healthpkg.Run(olden.NewEnvIn(s, olden.Base, mcfg), c), nil
 				},
 			}}
 			for _, iv := range morphIntervals {
-				iv := iv
 				js = append(js, Job{
 					Name: fmt.Sprintf("ablate-interval/%d", iv),
-					Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
+					Run: func(ctx context.Context, s *sim.Sim, _ bool) (any, error) {
 						c := cfg
 						c.MorphInterval = iv
-						return healthpkg.Run(olden.NewEnvIn(s, olden.CCMorphClusterColor, oldenMachine.at(full)), c), nil
+						return healthpkg.Run(olden.NewEnvIn(s, olden.CCMorphClusterColor, mcfg), c), nil
 					},
 				})
 			}

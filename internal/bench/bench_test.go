@@ -1,14 +1,17 @@
 package bench
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"os"
 	"reflect"
-	"strconv"
 	"strings"
 	"testing"
 
 	"ccl/internal/olden"
+	"ccl/internal/sim"
 	"ccl/internal/telemetry"
 )
 
@@ -37,18 +40,6 @@ func TestTable1HasPaperParameters(t *testing.T) {
 	for _, want := range []string{"16KB", "256KB", "128 bytes", "+60 cycles"} {
 		if !strings.Contains(joined.String(), want) {
 			t.Errorf("Table 1 missing %q", want)
-		}
-	}
-}
-
-func TestTable2RowsAndMemory(t *testing.T) {
-	tab := experiment(t, "table2")
-	if len(tab.Rows) != 4 {
-		t.Fatalf("Table 2 has %d rows, want 4", len(tab.Rows))
-	}
-	for _, r := range tab.Rows {
-		if !strings.HasSuffix(r[4], "KB") {
-			t.Errorf("%s: memory column %q not measured", r[0], r[4])
 		}
 	}
 }
@@ -109,6 +100,36 @@ func TestEverySpecAtBothScales(t *testing.T) {
 	}
 }
 
+// TestJobsCarryTheirScale runs table2's quick jobs with a full flag of
+// true: a job runs at the scale of the Jobs call that built it, so
+// they must still assemble the quick golden table.
+func TestJobsCarryTheirScale(t *testing.T) {
+	spec, ok := Lookup("table2")
+	if !ok {
+		t.Fatal("table2 not registered")
+	}
+	jobs := spec.Jobs(false)
+	out := make([]any, len(jobs))
+	for i, j := range jobs {
+		v, err := j.Run(context.Background(), sim.New(), true)
+		if err != nil {
+			t.Fatalf("%s: %v", j.Name, err)
+		}
+		out[i] = v
+	}
+	got, err := json.MarshalIndent(spec.Assemble(false, out), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/golden_table2.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(append(got, '\n'), want) {
+		t.Errorf("quick jobs run with full=true assembled\n%s\nwant testdata/golden_table2.json:\n%s", got, want)
+	}
+}
+
 func TestTable3Qualitative(t *testing.T) {
 	tab := Table3()
 	if len(tab.Rows) != 3 || tab.Rows[1][0] != "ccmorph" || tab.Rows[2][0] != "ccmalloc" {
@@ -116,65 +137,13 @@ func TestTable3Qualitative(t *testing.T) {
 	}
 }
 
-func TestControlDirection(t *testing.T) {
-	tab := experiment(t, "control")
-	if len(tab.Rows) != 4 {
-		t.Fatalf("control has %d rows", len(tab.Rows))
-	}
-	for _, r := range tab.Rows {
-		slow := strings.TrimSuffix(r[3], "%")
-		v, err := strconv.ParseFloat(slow, 64)
-		if err != nil {
-			t.Fatalf("%s: bad slowdown %q", r[0], r[3])
-		}
-		if v <= 0 {
-			t.Errorf("%s: null-hint control not slower than base (%v%%)", r[0], v)
-		}
-	}
-}
-
-func TestAblationColorFracMonotoneRegion(t *testing.T) {
-	tab := experiment(t, "ablate-color")
-	if len(tab.Rows) != 5 {
-		t.Fatalf("ablation rows = %d", len(tab.Rows))
-	}
-	parse := func(i int) float64 {
-		v, err := strconv.ParseFloat(tab.Rows[i][1], 64)
-		if err != nil {
-			t.Fatalf("bad speedup %q", tab.Rows[i][1])
-		}
-		return v
-	}
-	// Coloring must add something over clustering alone on a tree
-	// much larger than the cache.
-	if parse(3) <= parse(0) {
-		t.Errorf("ColorFrac 0.5 (%.2f) not better than clustering-only (%.2f)", parse(3), parse(0))
-	}
-	for i := 0; i < 5; i++ {
-		if parse(i) < 1 {
-			t.Errorf("row %d: reorganization slower than naive (%.2f)", i, parse(i))
-		}
-	}
-}
-
+// TestAblationBlockSizeTracksModel checks that the block-size sweep
+// leaves its shared machine row alone: every job shares blockMachine's
+// row and sets the block size on its own copy, so after the run the
+// row keeps §4.1's 64-byte L2 blocks. The sweep's shape is the
+// ablate-block claim of TestClaims.
 func TestAblationBlockSizeTracksModel(t *testing.T) {
-	tab := experiment(t, "ablate-block")
-	if len(tab.Rows) != 4 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	prev := 0.0
-	for i, r := range tab.Rows {
-		v, err := strconv.ParseFloat(r[3], 64)
-		if err != nil {
-			t.Fatalf("bad speedup %q", r[3])
-		}
-		if v <= prev {
-			t.Errorf("row %d: speedup %.2f not increasing with block size", i, v)
-		}
-		prev = v
-	}
-	// Every job shares blockMachine's row and sets the block size on
-	// its own copy; the row keeps §4.1's 64-byte L2 blocks.
+	experiment(t, "ablate-block")
 	if got := blockMachine.quick.Levels[1].BlockSize; got != 64 {
 		t.Errorf("a job wrote to the shared row: its L2 block is now %d B", got)
 	}
@@ -235,51 +204,5 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Experiments, tabs) {
 		t.Fatalf("round trip changed the tables:\ngot  %+v\nwant %+v", got.Experiments, tabs)
-	}
-}
-
-func TestMetricsExperiment(t *testing.T) {
-	tab := experiment(t, "metrics")
-	if tab.ID != "metrics" || len(tab.Rows) == 0 {
-		t.Fatalf("metrics table malformed: id=%q rows=%d", tab.ID, len(tab.Rows))
-	}
-	for _, phase := range []string{"bst-base", "ctree", "radiance-clustering", "radiance-clustering+coloring"} {
-		rep, ok := tab.Telemetry[phase]
-		if !ok {
-			t.Fatalf("telemetry missing phase %q", phase)
-		}
-		if len(rep.Levels) == 0 || rep.Levels[0].Accesses == 0 {
-			t.Errorf("phase %q has empty level telemetry", phase)
-		}
-		if rep.Heatmap.Sets == 0 {
-			t.Errorf("phase %q has no heatmap", phase)
-		}
-	}
-	// The experiment's reason to exist: reorganization reduces misses,
-	// and the before/after attribution shows traffic moving to the new
-	// structure.
-	base := tab.Telemetry["bst-base"]
-	ctree := tab.Telemetry["ctree"]
-	lb, lc := base.Levels[len(base.Levels)-1], ctree.Levels[len(ctree.Levels)-1]
-	if lc.Misses >= lb.Misses {
-		t.Errorf("ctree LLC misses (%d) not below bst-base (%d)", lc.Misses, lb.Misses)
-	}
-	var oldRegion, newRegion *telemetry.RegionReport
-	for i := range ctree.Regions {
-		switch ctree.Regions[i].Label {
-		case "bst-nodes(old)":
-			oldRegion = &ctree.Regions[i]
-		case "ctree-nodes":
-			newRegion = &ctree.Regions[i]
-		}
-	}
-	if oldRegion == nil || newRegion == nil {
-		t.Fatalf("ctree regions missing: %+v", ctree.Regions)
-	}
-	if newRegion.Accesses == 0 {
-		t.Error("no accesses attributed to the reorganized layout")
-	}
-	if oldRegion.Accesses != 0 {
-		t.Errorf("searches still touching the old layout: %d accesses", oldRegion.Accesses)
 	}
 }

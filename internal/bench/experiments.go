@@ -45,8 +45,7 @@ func Table1() Table {
 }
 
 func table1Spec() Spec {
-	return singleTableSpec("table1", "RSIM simulation parameters (paper Table 1)",
-		func(context.Context, *sim.Sim, bool) Table { return Table1() })
+	return singleTableSpec("table1", "RSIM simulation parameters (paper Table 1)", Table1)
 }
 
 // fig5Config bundles one microbenchmark series.
@@ -115,10 +114,9 @@ func fig5Spec() Spec {
 			mcfg, p := treeMachine.at(full), fig5Inputs.at(full)
 			var js []Job
 			for _, cfg := range fig5Configs() {
-				cfg := cfg
 				js = append(js, Job{
 					Name: "fig5/" + cfg.name,
-					Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
+					Run: func(ctx context.Context, s *sim.Sim, _ bool) (any, error) {
 						return fig5Row(s.NewMachine(mcfg), cfg, p), nil
 					},
 				})
@@ -157,24 +155,22 @@ func fig6Spec() Spec {
 		ID:   "fig6",
 		Desc: "RADIANCE and VIS macrobenchmarks, normalized time (paper Fig. 6)",
 		Jobs: func(full bool) []Job {
+			rm, rc := radianceMachine.at(full), radianceConfig.at(full)
+			vm, vc := visMachine.at(full), visConfig.at(full)
 			var js []Job
 			for _, mode := range radModes {
-				mode := mode
 				js = append(js, Job{
 					Name: "fig6/radiance-" + mode.String(),
-					Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
-						m := s.NewMachine(radianceMachine.at(full))
-						return radiance.Run(m, mode, radianceConfig.at(full)).Cycles(), nil
+					Run: func(ctx context.Context, s *sim.Sim, _ bool) (any, error) {
+						return radiance.Run(s.NewMachine(rm), mode, rc).Cycles(), nil
 					},
 				})
 			}
 			for _, mode := range visModes {
-				mode := mode
 				js = append(js, Job{
 					Name: "fig6/vis-" + mode.String(),
-					Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
-						m := s.NewMachine(visMachine.at(full))
-						return vis.Run(m, mode, visConfig.at(full)).Cycles(), nil
+					Run: func(ctx context.Context, s *sim.Sim, _ bool) (any, error) {
+						return vis.Run(s.NewMachine(vm), mode, vc).Cycles(), nil
 					},
 				})
 			}
@@ -252,11 +248,12 @@ var oldenBenches = []oldenBench{
 		func(env olden.Env, full bool) olden.Result { return perimeter.Run(env, perimeterConfig.at(full)) }},
 }
 
-// oldenJob wraps one benchmark/variant cell as a pool job returning
-// olden.Result.
-func oldenJob(name string, b oldenBench, v olden.Variant) Job {
-	return Job{Name: name, Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
-		return b.run(olden.NewEnvIn(s, v, oldenMachine.at(full)), full), nil
+// oldenJob wraps one benchmark/variant cell at the given scale as a
+// pool job returning olden.Result.
+func oldenJob(name string, b oldenBench, v olden.Variant, full bool) Job {
+	mcfg := oldenMachine.at(full)
+	return Job{Name: name, Run: func(ctx context.Context, s *sim.Sim, _ bool) (any, error) {
+		return b.run(olden.NewEnvIn(s, v, mcfg), full), nil
 	}}
 }
 
@@ -270,7 +267,7 @@ func table2Spec() Spec {
 		Jobs: func(full bool) []Job {
 			var js []Job
 			for _, b := range oldenBenches {
-				js = append(js, oldenJob("table2/"+b.name, b, olden.Base))
+				js = append(js, oldenJob("table2/"+b.name, b, olden.Base, full))
 			}
 			return js
 		},
@@ -302,7 +299,7 @@ func fig7Spec() Spec {
 			var js []Job
 			for _, b := range oldenBenches {
 				for _, v := range olden.Figure7Variants {
-					js = append(js, oldenJob("fig7/"+b.name+"/"+v.String(), b, v))
+					js = append(js, oldenJob("fig7/"+b.name+"/"+v.String(), b, v, full))
 				}
 			}
 			return js
@@ -357,8 +354,7 @@ func Table3() Table {
 }
 
 func table3Spec() Spec {
-	return singleTableSpec("table3", "qualitative technique trade-off summary (paper Table 3)",
-		func(context.Context, *sim.Sim, bool) Table { return Table3() })
+	return singleTableSpec("table3", "qualitative technique trade-off summary (paper Table 3)", Table3)
 }
 
 // controlSpec regenerates the §4.4 control experiment (ccmalloc with
@@ -372,8 +368,8 @@ func controlSpec() Spec {
 			var js []Job
 			for _, b := range oldenBenches {
 				js = append(js,
-					oldenJob("control/"+b.name+"/base", b, olden.Base),
-					oldenJob("control/"+b.name+"/null-hint", b, olden.CCMallocNullHint))
+					oldenJob("control/"+b.name+"/base", b, olden.Base, full),
+					oldenJob("control/"+b.name+"/null-hint", b, olden.CCMallocNullHint, full))
 			}
 			return js
 		},
@@ -421,14 +417,14 @@ func memovhSpec() Spec {
 		ID:   "memovh",
 		Desc: "heap footprint by allocation strategy (§4.4)",
 		Jobs: func(full bool) []Job {
+			mcfg := oldenMachine.at(full)
 			var js []Job
 			for _, b := range oldenBenches {
 				for _, v := range memovhVariants {
-					b, v := b, v
 					js = append(js, Job{
 						Name: "memovh/" + b.name + "/" + v.Name(),
-						Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
-							env := olden.NewEnvIn(s, v, oldenMachine.at(full))
+						Run: func(ctx context.Context, s *sim.Sim, _ bool) (any, error) {
+							env := olden.NewEnvIn(s, v, mcfg)
 							r := b.run(env, full)
 							fp := footprint{bytes: r.HeapBytes}
 							if cc, ok := env.Alloc.(*ccmalloc.Allocator); ok {
@@ -499,10 +495,9 @@ func fig10Spec() Spec {
 			params := model.PaperParams()
 			var js []Job
 			for _, n := range p.sizes {
-				n := n
 				js = append(js, Job{
 					Name: fmt.Sprintf("fig10/%d", n),
-					Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
+					Run: func(ctx context.Context, s *sim.Sim, _ bool) (any, error) {
 						pred, meas := fig10Point(s, mcfg, n, p.searches, params)
 						return fig10Cell{pred: pred, meas: meas}, nil
 					},

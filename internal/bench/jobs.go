@@ -21,6 +21,10 @@ type Job struct {
 	// the experiment: Assemble is the only consumer. An error (or a
 	// panic, which the pool recovers) becomes a structured Failure
 	// record instead of killing the run.
+	//
+	// A job runs at the scale of the Jobs call that built it, and no
+	// Run reads its full argument. The parameter stays only because
+	// perfbench calls j.Run(ctx, sim.New(), false) on a quick job.
 	Run func(ctx context.Context, s *sim.Sim, full bool) (any, error)
 }
 
@@ -86,15 +90,14 @@ func IDs() []string {
 	return ids
 }
 
-// singleTableSpec wraps an experiment that does not decompose (or is
-// static) as a one-job spec.
-func singleTableSpec(id, desc string, f func(ctx context.Context, s *sim.Sim, full bool) Table) Spec {
+// singleTableSpec wraps a static table as a one-job spec.
+func singleTableSpec(id, desc string, table func() Table) Spec {
 	return Spec{
 		ID:   id,
 		Desc: desc,
-		Jobs: func(full bool) []Job {
-			return []Job{{Name: id, Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
-				return f(ctx, s, full), nil
+		Jobs: func(bool) []Job {
+			return []Job{{Name: id, Run: func(context.Context, *sim.Sim, bool) (any, error) {
+				return table(), nil
 			}}}
 		},
 		Assemble: func(full bool, out []any) Table {

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"ccl/internal/apps/radiance"
+	"ccl/internal/cache"
 	"ccl/internal/ccmorph"
 	"ccl/internal/heap"
 	"ccl/internal/sim"
@@ -41,12 +42,11 @@ var metricsRadModes = []radiance.Mode{radiance.Cluster, radiance.ClusterColor}
 // that caused it and classifying it compulsory/capacity/conflict. The
 // "registry" rows are headline counters read from the typed Stats of
 // the morph and of the ctree phase.
-func metricsTree(s *sim.Sim, full bool) metricsTreeOut {
-	p := profiledTreeInputs.at(full)
+func metricsTree(s *sim.Sim, mcfg cache.Config, p searchParams) metricsTreeOut {
 	n, searches := p.keys, p.searches
 	out := metricsTreeOut{tele: map[string]telemetry.Report{}}
 
-	m := s.NewMachine(treeMachine.at(full))
+	m := s.NewMachine(mcfg)
 	buildStart := m.Arena.Brk()
 	t := trees.MustBuild(m, heap.New(m.Arena), n, trees.RandomOrder, 11)
 	buildEnd := m.Arena.Brk()
@@ -102,20 +102,21 @@ func metricsSpec() Spec {
 		ID:   "metrics",
 		Desc: "telemetry: 3C miss classes, per-structure attribution, set heatmaps",
 		Jobs: func(full bool) []Job {
+			tm, tp := treeMachine.at(full), profiledTreeInputs.at(full)
+			rm, rc := radianceMachine.at(full), radianceConfig.at(full)
 			js := []Job{{
 				Name: "metrics/tree",
-				Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
-					return metricsTree(s, full), nil
+				Run: func(ctx context.Context, s *sim.Sim, _ bool) (any, error) {
+					return metricsTree(s, tm, tp), nil
 				},
 			}}
 			for _, mode := range metricsRadModes {
-				mode := mode
 				js = append(js, Job{
 					Name: "metrics/radiance-" + mode.String(),
-					Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
-						rm := s.NewMachine(radianceMachine.at(full))
-						col := telemetry.Attach(rm.Cache)
-						r := radiance.Run(rm, mode, radianceConfig.at(full))
+					Run: func(ctx context.Context, s *sim.Sim, _ bool) (any, error) {
+						m := s.NewMachine(rm)
+						col := telemetry.Attach(m.Cache)
+						r := radiance.Run(m, mode, rc)
 						return metricsRadOut{
 							name:   "radiance-" + mode.String(),
 							cycles: r.Cycles(),

@@ -120,10 +120,9 @@ func multicoreSpec() Spec {
 			}
 			var js []Job
 			for _, c := range cells {
-				c := c
 				js = append(js, Job{
 					Name: "multicore/" + c.name,
-					Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
+					Run: func(ctx context.Context, s *sim.Sim, _ bool) (any, error) {
 						return c.run(s), nil
 					},
 				})

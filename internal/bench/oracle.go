@@ -61,10 +61,9 @@ func oracleSpec() Spec {
 			p := oracleInputs.at(full)
 			var js []Job
 			for g := 0; g < oracleGeometries; g++ {
-				g := g
 				js = append(js, Job{
 					Name: fmt.Sprintf("oracle/geom-%02d", g),
-					Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
+					Run: func(ctx context.Context, s *sim.Sim, _ bool) (any, error) {
 						tr := oracle.SweepTrace(oracleSeed, g, p.perGeom)
 						out := oracleOut{name: fmt.Sprintf("geom-%02d", g), records: len(tr.Records)}
 						if d := oracle.Diff(tr); d != nil {
@@ -75,10 +74,9 @@ func oracleSpec() Spec {
 				})
 			}
 			for _, nc := range oracleNamedConfigs() {
-				nc := nc
 				js = append(js, Job{
 					Name: "oracle/" + nc.name,
-					Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
+					Run: func(ctx context.Context, s *sim.Sim, _ bool) (any, error) {
 						rng := rand.New(rand.NewSource(7))
 						tr := trace.Trace{Config: nc.cfg, Records: oracle.RandomRecords(rng, p.named)}
 						out := oracleOut{name: nc.name, records: len(tr.Records)}

@@ -46,7 +46,6 @@ func TestPoolCancellationTable(t *testing.T) {
 		{"mid-run/parallel", 2, 12, 4},
 	}
 	for _, tc := range cases {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
@@ -122,7 +121,6 @@ func TestPoolSkippedVsFailedAccounting(t *testing.T) {
 		Jobs: func(full bool) []Job {
 			var js []Job
 			for i := 0; i < 6; i++ {
-				i := i
 				js = append(js, Job{Name: fmt.Sprintf("acct/%d", i), Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
 					n := started.Add(1)
 					if n == 2 {

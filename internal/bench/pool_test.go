@@ -22,7 +22,6 @@ func testSpec(id string, n int, delay func(i int) time.Duration, fail func(i int
 		Jobs: func(full bool) []Job {
 			var js []Job
 			for i := 0; i < n; i++ {
-				i := i
 				js = append(js, Job{
 					Name: fmt.Sprintf("%s/%d", id, i),
 					Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
@@ -178,7 +177,6 @@ func TestPoolCancellation(t *testing.T) {
 			Jobs: func(full bool) []Job {
 				var js []Job
 				for i := 0; i < 6; i++ {
-					i := i
 					js = append(js, Job{Name: fmt.Sprintf("cut/%d", i), Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
 						if started.Add(1) == 2 {
 							cancel()
@@ -249,7 +247,6 @@ func TestPoolFaultInjectionPerJob(t *testing.T) {
 		Jobs: func(full bool) []Job {
 			var js []Job
 			for i := 0; i < 4; i++ {
-				i := i
 				js = append(js, Job{Name: fmt.Sprintf("faulty/%d", i), Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
 					_, err := s.NewArena(0).Grow(4096)
 					return i, err

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"strings"
 
+	"ccl/internal/cache"
 	"ccl/internal/heap"
 	"ccl/internal/olden"
 	"ccl/internal/olden/treeadd"
@@ -26,10 +27,9 @@ type fieldprofOut struct {
 // registered under its own label. The field table shows which BST
 // members miss; the phase series shows the miss rate drop at the
 // boundary.
-func fieldprofTree(s *sim.Sim, full bool) fieldprofOut {
-	p := profiledTreeInputs.at(full)
+func fieldprofTree(s *sim.Sim, mcfg cache.Config, p searchParams) fieldprofOut {
 	n, searches := p.keys, p.searches
-	m := s.NewMachine(treeMachine.at(full))
+	m := s.NewMachine(mcfg)
 	t := trees.MustBuild(m, heap.New(m.Arena), n, trees.RandomOrder, 11)
 
 	// SampleEvery 1: the microbenchmark is small enough to attribute
@@ -63,11 +63,11 @@ func fieldprofTree(s *sim.Sim, full bool) fieldprofOut {
 // traversals resolve to treeadd-node fields. The period must be
 // coprime to the kernel's value/left/right access cycle — a multiple
 // of 3 would alias with it and charge one field with every sample.
-func fieldprofTreeadd(s *sim.Sim, full bool) fieldprofOut {
-	env := olden.NewEnvIn(s, olden.Base, oldenMachine.at(full))
+func fieldprofTreeadd(s *sim.Sim, mcfg cache.Config, cfg treeadd.Config) fieldprofOut {
+	env := olden.NewEnvIn(s, olden.Base, mcfg)
 	prof := profile.Attach(env.M.Cache, profile.Config{SampleEvery: 5})
 	env.Profile = prof.Regions()
-	treeadd.Run(env, treeaddConfig.at(full))
+	treeadd.Run(env, cfg)
 	return fieldprofOut{name: "treeadd", prof: prof.Report()}
 }
 
@@ -79,12 +79,14 @@ func fieldprofSpec() Spec {
 		ID:   "fieldprof",
 		Desc: "field-level miss profile: hot/cold fields, phase series, pprof export",
 		Jobs: func(full bool) []Job {
+			tm, tp := treeMachine.at(full), profiledTreeInputs.at(full)
+			om, oc := oldenMachine.at(full), treeaddConfig.at(full)
 			return []Job{
-				{Name: "fieldprof/bst-search", Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
-					return fieldprofTree(s, full), nil
+				{Name: "fieldprof/bst-search", Run: func(ctx context.Context, s *sim.Sim, _ bool) (any, error) {
+					return fieldprofTree(s, tm, tp), nil
 				}},
-				{Name: "fieldprof/treeadd", Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
-					return fieldprofTreeadd(s, full), nil
+				{Name: "fieldprof/treeadd", Run: func(ctx context.Context, s *sim.Sim, _ bool) (any, error) {
+					return fieldprofTreeadd(s, om, oc), nil
 				}},
 			}
 		},

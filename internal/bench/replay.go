@@ -36,10 +36,9 @@ func replaySpec() Spec {
 			p := replayInputs.at(full)
 			var js []Job
 			for g := 0; g < p.geoms; g++ {
-				g := g
 				js = append(js, Job{
 					Name: fmt.Sprintf("replay/geom-%02d", g),
-					Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
+					Run: func(ctx context.Context, s *sim.Sim, _ bool) (any, error) {
 						tr := oracle.SweepTrace(oracleSeed, g, p.perGeom)
 						h, cycles, err := trace.Replay(tr)
 						if err != nil {

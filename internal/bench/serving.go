@@ -164,7 +164,7 @@ func servingSpec() Spec {
 			addJob := func(name string, run func(m *machine.Machine) servingCell) {
 				js = append(js, Job{
 					Name: "serving/" + name,
-					Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
+					Run: func(ctx context.Context, s *sim.Sim, _ bool) (any, error) {
 						return run(s.NewMachine(mcfg)), nil
 					},
 				})
@@ -173,12 +173,10 @@ func servingSpec() Spec {
 			// conventional baseline against the strongest variant at
 			// the skew extremes.
 			for _, cfg := range kvRace {
-				cfg := cfg
 				addJob(fmt.Sprintf("kv/%v-%v/s0.99", cfg.Layout, cfg.Placement),
 					func(m *machine.Machine) servingCell { return servingKVCell(m, p, cfg, 0.99) })
 			}
 			for _, zs := range []float64{0.8, 1.2} {
-				zs := zs
 				addJob(fmt.Sprintf("kv/aos-malloc/s%v", zs),
 					func(m *machine.Machine) servingCell {
 						return servingKVCell(m, p, serving.KVConfig{Layout: serving.KVAoS, Placement: serving.KVMalloc}, zs)
@@ -189,12 +187,10 @@ func servingSpec() Spec {
 					})
 			}
 			for _, cfg := range lruRace {
-				cfg := cfg
 				addJob(fmt.Sprintf("lru/split=%v-%v", cfg.Split, cfg.Placement),
 					func(m *machine.Machine) servingCell { return servingLRUCell(m, p, cfg, 0.99) })
 			}
 			for _, arity := range []int64{2, 4, 8} {
-				arity := arity
 				addJob(fmt.Sprintf("pq/arity%d", arity),
 					func(m *machine.Machine) servingCell { return servingPQCell(m, p, arity, 0.99) })
 			}

@@ -147,10 +147,9 @@ func strategiesSpec() Spec {
 			var js []Job
 			for _, n := range p.sizes {
 				for _, cfg := range stratConfigs() {
-					n, cfg := n, cfg
 					js = append(js, Job{
 						Name: fmt.Sprintf("strategies/%s/%d", cfg.name, n),
-						Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
+						Run: func(ctx context.Context, s *sim.Sim, _ bool) (any, error) {
 							return strategiesSweep(s.NewMachine(mcfg), cfg, n, p), nil
 						},
 					})
@@ -158,7 +157,7 @@ func strategiesSpec() Spec {
 			}
 			js = append(js, Job{
 				Name: "strategies/split",
-				Run: func(ctx context.Context, s *sim.Sim, full bool) (any, error) {
+				Run: func(ctx context.Context, s *sim.Sim, _ bool) (any, error) {
 					return strategiesSplit(s.NewMachine(mcfg), p), nil
 				},
 			})

@@ -85,7 +85,6 @@ func checkHeapOps(strategy Strategy, ops []heapOp) error {
 // arena pages. Failures are reported as a shrunk op sequence.
 func TestCCMallocNeverOverlapsProperty(t *testing.T) {
 	for _, s := range []Strategy{Closest, FirstFit, NewBlock} {
-		s := s
 		t.Run(s.String(), func(t *testing.T) {
 			shrink.Check(t, 21, 25,
 				func(rng *rand.Rand) []heapOp {

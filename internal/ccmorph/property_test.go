@@ -156,7 +156,6 @@ func checkMorphPreservesStrategy(keys []uint32, colorFrac float64, strat Strateg
 func TestMorphPreservesContentsProperty(t *testing.T) {
 	fracs := []float64{0, 0.25, 0.5}
 	for round, frac := range fracs {
-		frac := frac
 		shrink.Check(t, int64(100+round), 60,
 			func(rng *rand.Rand) []uint32 {
 				n := 1 + rng.Intn(300)
@@ -184,7 +183,6 @@ func TestMorphPreservesContentsProperty(t *testing.T) {
 func TestVEBMorphPreservesContentsProperty(t *testing.T) {
 	fracs := []float64{0, 0.25, 0.5}
 	for round, frac := range fracs {
-		frac := frac
 		shrink.Check(t, int64(200+round), 60,
 			func(rng *rand.Rand) []uint32 {
 				n := 1 + rng.Intn(300)

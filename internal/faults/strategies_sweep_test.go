@@ -155,7 +155,6 @@ func sweepSplitArenaGrow(t *testing.T, seed int64) {
 // fault seams across several deterministic schedules.
 func TestStrategyFaultSweep(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		seed := seed
 		t.Run(fmt.Sprintf("veb-place/seed%d", seed), func(t *testing.T) {
 			defer func() {
 				if r := recover(); r != nil {

@@ -127,13 +127,6 @@ func (v Variant) CCMallocStrategy() (ccmalloc.Strategy, bool) {
 	}
 }
 
-// UsesHints reports whether the benchmark should pass real ccmalloc
-// hints (false for the null-hint control and non-ccmalloc variants).
-func (v Variant) UsesHints() bool {
-	_, cc := v.CCMallocStrategy()
-	return cc && v != CCMallocNullHint
-}
-
 // MorphColorFrac returns the ccmorph coloring fraction for ccmorph
 // variants (0 = clustering only) and whether ccmorph applies at all.
 func (v Variant) MorphColorFrac() (float64, bool) {
@@ -266,9 +259,3 @@ type Result struct {
 
 // Cycles returns total simulated execution time.
 func (r Result) Cycles() int64 { return r.Stats.TotalCycles() }
-
-// Normalized returns this result's cycles relative to base (the
-// Figure 7 y-axis).
-func (r Result) Normalized(base Result) float64 {
-	return 100 * float64(r.Cycles()) / float64(base.Cycles())
-}

@@ -179,7 +179,6 @@ func LoadTest(ctx context.Context, cfg LoadTestConfig) (LoadTestResult, error) {
 	var wg sync.WaitGroup
 	for t := 0; t < cfg.Tenants; t++ {
 		for i := 0; i < cfg.Concurrent; i++ {
-			t, i := t, i
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -247,7 +246,6 @@ func LoadTest(ctx context.Context, cfg LoadTestConfig) (LoadTestResult, error) {
 		stillOK := 0
 		var mu sync.Mutex
 		for t := 0; t < cfg.Tenants; t++ {
-			t := t
 			wave.Add(1)
 			go func() {
 				defer wave.Done()

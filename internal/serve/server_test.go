@@ -377,7 +377,6 @@ func TestServeDegradationUnderLoad(t *testing.T) {
 	results := make([]*Result, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -507,24 +506,35 @@ func TestServeReplayRejectsHostileGeometry(t *testing.T) {
 	huge.Levels[1].Size = 1 << 30
 	recs := []trace.Record{{Addr: 0x40, Size: 8}}
 	paper := cache.PaperHierarchy()
-	for name, body := range map[string][]byte{
-		"assoc*block overflow": overflowUpload(),
-		"negative latency":     trace.Trace{Config: negative, Records: recs}.Encode(),
-		"1 GiB level":          trace.Trace{Config: huge, Records: recs}.Encode(),
+	for name, tc := range map[string]struct {
+		body  []byte
+		class error
+	}{
+		"assoc*block overflow": {overflowUpload(), cclerr.ErrCorruptTrace},
+		"negative latency":     {trace.Trace{Config: negative, Records: recs}.Encode(), cclerr.ErrCorruptTrace},
+		"1 GiB level":          {trace.Trace{Config: huge, Records: recs}.Encode(), cclerr.ErrCorruptTrace},
 		// A size varint of 2^63 or more once wrapped negative and
 		// panicked the job inside a 200.
-		"size -1": trace.Trace{Config: paper, Records: []trace.Record{{Addr: 0x40, Size: -1}}}.Encode(),
+		"size -1": {trace.Trace{Config: paper, Records: []trace.Record{{Addr: 0x40, Size: -1}}}.Encode(), cclerr.ErrCorruptTrace},
 		// The 53-byte upload a fuzzer found: weeks of replay.
-		"size 27043761148215941": trace.Trace{Config: paper, Records: []trace.Record{{Addr: 0x40, Size: 27_043_761_148_215_941}}}.Encode(),
+		"size 27043761148215941": {trace.Trace{Config: paper, Records: []trace.Record{{Addr: 0x40, Size: 27_043_761_148_215_941}}}.Encode(), cclerr.ErrCorruptTrace},
+		// A well-formed version-2 capture: one hierarchy would serve
+		// the core-3 load from the core-0 store's line (1 L1 miss
+		// where two private caches take 2).
+		"multicore (version 2)": {trace.Trace{Config: paper, Records: []trace.Record{
+			{Kind: trace.Store, Addr: 0x40, Size: 8},
+			{Kind: trace.Load, Addr: 0x40, Size: 8, Core: 3},
+		}}.Encode(), cclerr.ErrInvalidArg},
 	} {
 		t.Run(name, func(t *testing.T) {
+			body := tc.body
 			resp, err := http.Post(hs.URL+"/v1/replay?tenant=acme", "application/octet-stream", bytes.NewReader(body))
 			if err != nil {
 				t.Fatal(err) // a panic in the handler drops the connection
 			}
 			defer resp.Body.Close()
-			if eb := wantRejection(t, resp, http.StatusBadRequest); eb.Class != cclerr.Class(cclerr.ErrCorruptTrace) {
-				t.Errorf("class %q, want %q", eb.Class, cclerr.Class(cclerr.ErrCorruptTrace))
+			if eb := wantRejection(t, resp, http.StatusBadRequest); eb.Class != cclerr.Class(tc.class) {
+				t.Errorf("class %q, want %q", eb.Class, cclerr.Class(tc.class))
 			}
 			resp2 := postSpec(t, hs.URL, Spec{Schema: SpecSchema, Tenant: "acme", TraceB64: base64.StdEncoding.EncodeToString(body)})
 			wantRejection(t, resp2, http.StatusBadRequest)

@@ -222,6 +222,12 @@ func checkUpload(raw []byte) (*trace.Encoded, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: uploaded trace: %w", err)
 	}
+	// A replay runs every record on one hierarchy, so a multicore
+	// trace would lose its cores' private caches.
+	if tr.Multicore() {
+		return nil, cclerr.Errorf(cclerr.ErrInvalidArg,
+			"serve: trace is a multicore (version-2) capture; uploads replay on one core")
+	}
 	if tr.Len() > MaxTraceRecords {
 		return nil, cclerr.Errorf(cclerr.ErrInvalidArg,
 			"serve: trace of %d records exceeds the cap of %d", tr.Len(), MaxTraceRecords)
@@ -237,15 +243,3 @@ func checkUpload(raw []byte) (*trace.Encoded, error) {
 // Each call returns a fresh injector with identical scheduling, so a
 // reference run replays the exact fault sequence the served run saw.
 func (r *Request) Injector() *faults.Injector { return r.Faults.Injector() }
-
-// Canonical re-encodes the request's spec in canonical field order,
-// the form logged and hashed for audit trails.
-func (r *Request) Canonical() []byte {
-	b, err := json.Marshal(r.Spec)
-	if err != nil {
-		// Spec is a plain struct of marshalable fields; failure here
-		// is a programming error, not an input error.
-		panic(fmt.Sprintf("serve: canonical marshal: %v", err))
-	}
-	return b
-}

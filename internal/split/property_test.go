@@ -272,7 +272,6 @@ func TestSplitRoundTripProperty(t *testing.T) {
 		{0, false}, {0.5, false}, {0.5, true},
 	}
 	for round, c := range cases {
-		c := c
 		shrink.Check(t, int64(300+round), 50, genKeys,
 			func(keys []uint32) bool {
 				return checkSplitRoundTrip(keys, c.frac, c.pinsOnly) != nil

@@ -469,6 +469,10 @@ func (e *Encoded) Work() int64 { return e.work }
 // Config returns the encoding's geometry.
 func (e *Encoded) Config() cache.Config { return e.h.config(e.data) }
 
+// Multicore reports whether the encoding is version 2, whose records
+// carry the core that issued them. Replay ignores the core ids.
+func (e *Encoded) Multicore() bool { return e.h.v2 }
+
 // Replay builds a fresh hierarchy from the encoding's geometry and
 // hands it each record as the records are decoded. It returns exactly
 // what Replay(Decode(data)) returns: the hierarchy, for its

@@ -28,6 +28,9 @@ func TestV2RoundTripWithCores(t *testing.T) {
 	if !bytes.HasPrefix(enc, magicV2) {
 		t.Fatal("multicore trace not encoded as version 2")
 	}
+	if e, err := Check(enc); err != nil || !e.Multicore() {
+		t.Fatalf("Check: multicore %v, err %v; want a multicore encoding", e.Multicore(), err)
+	}
 	got, err := Decode(enc)
 	if err != nil {
 		t.Fatal(err)
@@ -56,6 +59,9 @@ func TestAllZeroCoresEncodesV1(t *testing.T) {
 	enc := tr.Encode()
 	if !bytes.HasPrefix(enc, magic) {
 		t.Fatal("zero-core trace not encoded as version 1")
+	}
+	if e, err := Check(enc); err != nil || e.Multicore() {
+		t.Fatalf("Check: multicore %v, err %v; want a version-1 encoding", e.Multicore(), err)
 	}
 	got, err := Decode(enc)
 	if err != nil {

@@ -127,68 +127,6 @@ func TestMorphAllocationsSublinear(t *testing.T) {
 	}
 }
 
-// searchCycles runs searches for uniformly random present keys and
-// returns average cycles per search after a warmup period.
-func searchCycles(tr interface{ Search(uint32) bool }, n int64, m *machine.Machine, searches int, seed int64) float64 {
-	rng := rand.New(rand.NewSource(seed))
-	for i := 0; i < searches/4; i++ { // warmup
-		tr.Search(uint32(rng.Int63n(n)) + 1)
-	}
-	m.ResetStats()
-	for i := 0; i < searches; i++ {
-		tr.Search(uint32(rng.Int63n(n)) + 1)
-	}
-	return float64(m.Stats().TotalCycles()) / float64(searches)
-}
-
-// TestFigure5Ordering checks the headline microbenchmark relation at
-// reduced scale: C-tree beats B-tree beats depth-first beats random.
-// The tree:cache ratio matches the paper's (§4.2: the 40 MB tree was
-// forty times the 1 MB L2; here ~2.6 MB over a 64 KB scaled L2).
-func TestFigure5Ordering(t *testing.T) {
-	const n = 1<<17 - 1
-	const searches = 2000
-
-	build := func(order Order) (*BST, *machine.Machine) {
-		m := machine.NewScaled(16)
-		return MustBuild(m, heap.New(m.Arena), n, order, 11), m
-	}
-
-	random, mr := build(RandomOrder)
-	randomCycles := searchCycles(random, n, mr, searches, 5)
-
-	dfs, md := build(DepthFirstOrder)
-	dfsCycles := searchCycles(dfs, n, md, searches, 5)
-
-	ctree, mc := build(RandomOrder)
-	ctree.Morph(0.5, nil)
-	ctreeCycles := searchCycles(ctree, n, mc, searches, 5)
-
-	mb := machine.NewScaled(16)
-	bt, err := NewBTree(mb, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bt.BulkLoad(n, 0.67); err != nil {
-		t.Fatal(err)
-	}
-	btreeCycles := searchCycles(bt, n, mb, searches, 5)
-
-	if !(ctreeCycles < btreeCycles && btreeCycles < randomCycles) {
-		t.Errorf("Figure 5 ordering violated: ctree=%.1f btree=%.1f random=%.1f",
-			ctreeCycles, btreeCycles, randomCycles)
-	}
-	if !(dfsCycles < randomCycles) {
-		t.Errorf("depth-first (%.1f) should beat random (%.1f)", dfsCycles, randomCycles)
-	}
-	if !(ctreeCycles < dfsCycles) {
-		t.Errorf("ctree (%.1f) should beat depth-first (%.1f)", ctreeCycles, dfsCycles)
-	}
-	if ratio := randomCycles / ctreeCycles; ratio < 2 {
-		t.Errorf("C-tree speedup over random only %.2fx; paper shows 4-5x at scale", ratio)
-	}
-}
-
 // greedySearch is Search with Luk & Mowry greedy software
 // prefetching and work busy cycles per visited node: each visit
 // loads and prefetches both children, so the next level's fetch
